@@ -1,11 +1,12 @@
-"""Benchmark: incremental + speculative replay on the full cell grid.
+"""Benchmark: incremental placement search + result memo on the full grid.
 
 Runs the entire report plan (every section's cells) through the engine
-twice — once with the incremental + speculative machinery off (the
-from-scratch baseline behavior: no neighbor speculation, no incremental
-placement-search state), then with it on — and reports the wall-clock
-speedup, the speculation hit rate (clone + delta outcomes per journaled
-event) and a full bit-identity sweep over every cell's results.  A
+twice — once with the incremental machinery off (the from-scratch
+baseline behavior: no result memo, no incremental placement-search
+state), then with it on — and reports the wall-clock speedup, the clone
+hits (cells answered by a copy of an identical-placement result, one
+journaled ``speculated`` event each) and a full bit-identity sweep over
+every cell's results.  A
 second measurement covers the persistent analysis cache alone: a cold
 fast-engine sweep committing analysis entries, then the same sweep in a
 fresh suite (fresh trace objects, as a new process would hold), counting
@@ -34,49 +35,40 @@ GRID_SCALE = 0.001
 
 
 def run_grid(*, speculate: bool, engine: str = "classic", sections=None):
-    """One full-grid engine run; returns (report, wall_s, event counts)."""
+    """One full-grid engine run; returns (specs, report, wall_s, clones)."""
     specs = plan_sections(sections, scale=GRID_SCALE, seed=0, engine=engine)
     runner = ExecutionEngine(workers=1, speculate=speculate)
     start = time.perf_counter()
     report = runner.run(specs)
     wall = time.perf_counter() - start
     assert report.ok, report.failures[:3]
-    counts = {"clone": 0, "delta": 0, "abort": 0}
-    for event in report.events:
-        if event["event"] == "speculated":
-            counts[event["mode"]] += 1
-        elif event["event"] == "speculation-aborted":
-            counts["abort"] += 1
-    return specs, report, wall, counts
+    clones = sum(1 for event in report.events
+                 if event["event"] == "speculated")
+    return specs, report, wall, clones
 
 
 def measure_speculation(sections=None):
-    """Baseline vs speculative full grid, with a bit-identity sweep."""
-    specs, base_report, base_wall, base_counts = run_grid(
+    """Baseline vs memoized full grid, with a bit-identity sweep."""
+    specs, base_report, base_wall, base_clones = run_grid(
         speculate=False, sections=sections)
-    assert sum(base_counts.values()) == 0
-    _, spec_report, spec_wall, counts = run_grid(
+    assert base_clones == 0
+    _, spec_report, spec_wall, clones = run_grid(
         speculate=True, sections=sections)
     mismatches = 0
     for spec in specs:
         diffs = diff_results(
             spec_report.results[spec.job_id], base_report.results[spec.job_id],
-            actual_name="speculative", expected_name="baseline")
+            actual_name="memoized", expected_name="baseline")
         if diffs:
             mismatches += 1
-    assert mismatches == 0, f"{mismatches} cells diverged under speculation"
-    hits = counts["clone"] + counts["delta"]
-    attempts = hits + counts["abort"]
+    assert mismatches == 0, f"{mismatches} cells diverged under the memo"
     return {
         "cells": len(specs),
         "baseline_wall_s": round(base_wall, 3),
         "speculative_wall_s": round(spec_wall, 3),
         "speedup": round(base_wall / spec_wall, 3) if spec_wall else 0.0,
-        "speculated_clone": counts["clone"],
-        "speculated_delta": counts["delta"],
-        "speculation_aborts": counts["abort"],
-        "speculation_hits": hits,
-        "speculation_hit_rate": round(hits / attempts, 3) if attempts else 0.0,
+        "clone_hits": clones,
+        "clone_hit_rate": round(clones / len(specs), 3) if specs else 0.0,
         "bit_identical_cells": len(specs) - mismatches,
     }
 
@@ -128,16 +120,13 @@ def measure_analysis_cache():
 
 def render(spec_metrics, cache_metrics) -> str:
     lines = [
-        f"Incremental + speculative replay on the full grid "
+        f"Incremental search + result memo on the full grid "
         f"({spec_metrics['cells']} cells, scale {GRID_SCALE:g}):",
         f"  from-scratch baseline     : {spec_metrics['baseline_wall_s']:8.2f} s",
-        f"  incremental + speculative : {spec_metrics['speculative_wall_s']:8.2f} s"
+        f"  incremental + memo        : {spec_metrics['speculative_wall_s']:8.2f} s"
         f"   ({spec_metrics['speedup']:.2f}x)",
-        f"  hits: {spec_metrics['speculation_hits']}"
-        f" (clone {spec_metrics['speculated_clone']},"
-        f" delta {spec_metrics['speculated_delta']}),"
-        f" aborts {spec_metrics['speculation_aborts']},"
-        f" hit rate {spec_metrics['speculation_hit_rate']:.0%}",
+        f"  clone hits: {spec_metrics['clone_hits']}"
+        f" ({spec_metrics['clone_hit_rate']:.0%} of cells)",
         f"  bit-identical cells       : {spec_metrics['bit_identical_cells']}"
         f"/{spec_metrics['cells']}",
         "Persistent analysis cache (fast engine, 12-cell sweep):",
@@ -156,7 +145,7 @@ def test_speculation_speedup(capsys):
     cache_metrics = measure_analysis_cache()
     with capsys.disabled():
         print("\n" + render(spec_metrics, cache_metrics))
-    assert spec_metrics["speculation_hits"] > 0
+    assert spec_metrics["clone_hits"] > 0
     assert spec_metrics["bit_identical_cells"] == spec_metrics["cells"]
     assert spec_metrics["speedup"] > 1.0
     assert cache_metrics["warm_disk_hits"] > 0

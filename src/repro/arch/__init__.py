@@ -16,12 +16,6 @@ Typical use::
 from repro.arch.cache import DirectMappedCache, SetAssociativeCache, make_cache
 from repro.arch.config import ArchConfig
 from repro.arch.contention import ContentionResult, simulate_with_contention
-from repro.arch.delta import (
-    GuardedDirectory,
-    SpeculationDiverged,
-    SpeculationOutcome,
-    speculate_from_neighbor,
-)
 from repro.arch.directory import Directory
 from repro.arch.kernel import (
     ArrayDirectMappedCache,
@@ -61,10 +55,6 @@ __all__ = [
     "SetAssociativeCache",
     "make_cache",
     "Directory",
-    "GuardedDirectory",
-    "SpeculationDiverged",
-    "SpeculationOutcome",
-    "speculate_from_neighbor",
     "ContentionResult",
     "simulate_with_contention",
     "ThrashingDiagnosis",

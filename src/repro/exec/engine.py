@@ -54,7 +54,7 @@ import tempfile
 import threading
 import time
 import traceback
-from collections import deque
+from collections import OrderedDict, deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -66,6 +66,7 @@ from repro.exec.jobs import JobSpec
 from repro.exec.journal import RunJournal
 from repro.exec.summary import RunSummary
 from repro.experiments.cache import ResultStore, result_from_arrays, result_to_arrays
+from repro.experiments.memo import take_speculation
 from repro.util.validate import check_positive
 
 __all__ = ["ExecutionEngine", "JobFailure", "RunReport", "JobTimeout",
@@ -80,10 +81,17 @@ class JobTimeout(Exception):
 # Worker side
 # ----------------------------------------------------------------------
 
-#: Per-process suite cache: (scale, seed, quantum_refs) -> ExperimentSuite.
-#: Lives in the worker process; each worker rebuilds traces from the spec
-#: once and reuses them across the jobs it serves.
-_SUITES: dict[tuple, object] = {}
+#: Per-process suite cache: (scale, seed, quantum_refs, ...) ->
+#: ExperimentSuite, least recently used first.  Lives in the worker
+#: process; each worker rebuilds traces from the spec once and reuses them
+#: across the jobs it serves.  Bounded, because a long-lived service
+#: executor or cluster node sees an open-ended stream of distinct
+#: (scale, seed) requests and each suite pins its traces, placements and
+#: results.
+_SUITES: OrderedDict[tuple, object] = OrderedDict()
+
+#: Suites kept per process (the least recently used one is dropped).
+_MAX_SUITES = 4
 
 
 def _suite_for(scale: float, seed: int, quantum_refs: int,
@@ -95,7 +103,9 @@ def _suite_for(scale: float, seed: int, quantum_refs: int,
 
     key = (scale, seed, quantum_refs, engine, speculate, store_dir,
            stream_chunk_refs, topology)
-    if key not in _SUITES:
+    if key in _SUITES:
+        _SUITES.move_to_end(key)
+    else:
         suite = ExperimentSuite(scale=scale, seed=seed,
                                 quantum_refs=quantum_refs,
                                 engine=engine, speculate=speculate,
@@ -104,8 +114,8 @@ def _suite_for(scale: float, seed: int, quantum_refs: int,
         if store_dir is not None:
             # Workers hold no *writable* store (the coordinator persists
             # results and fires the store fault sites exactly once per
-            # cell), but a read-only view lets a job's speculation hints
-            # find completed neighbors, and the shared analysis cache
+            # cell), but a read-only view lets a job's planner hints find
+            # identical-placement siblings, and the shared analysis cache
             # makes every worker compute each trace's run compression at
             # most once.  Loads never fire fault-injection sites, so
             # chaos schedules are unchanged.
@@ -117,6 +127,8 @@ def _suite_for(scale: float, seed: int, quantum_refs: int,
             suite._neighbor_store = ResultStore(store_dir)
             analysis_cache.configure(Path(store_dir) / "analysis")
         _SUITES[key] = suite
+        while len(_SUITES) > _MAX_SUITES:
+            _SUITES.popitem(last=False)
     return _SUITES[key]
 
 
@@ -185,16 +197,6 @@ def _write_heartbeat(payload: dict) -> Path | None:
     return beat
 
 
-def _discard_speculation() -> None:
-    """Drop events a failed attempt stashed, so they cannot be
-    misattributed to the worker's next job."""
-    try:
-        from repro.arch.delta import take_speculation
-    except ImportError:  # pragma: no cover - partial install
-        return
-    take_speculation()
-
-
 def _invoke(runner: Callable[[dict], object], payload: dict) -> dict:
     """Run one attempt under the crash/timeout harness (in the worker).
 
@@ -233,11 +235,10 @@ def _invoke(runner: Callable[[dict], object], payload: dict) -> dict:
                 signal.setitimer(signal.ITIMER_REAL, 0.0)
                 signal.signal(signal.SIGALRM, previous)
         out.update(ok=True, value=value)
-        # Speculation outcomes the suite stashed while running this job
-        # ride the result channel to the coordinator's journal.  Drained
-        # only on success: a failed attempt's events are discarded below.
-        from repro.arch.delta import take_speculation
-
+        # Reuse outcomes the suite stashed while running this job ride
+        # the result channel to the coordinator's journal.  Drained only
+        # on success: a failed attempt's events are discarded below, so
+        # they cannot be misattributed to the worker's next job.
         spec_events = take_speculation()
         if spec_events:
             out["speculation"] = spec_events
@@ -251,7 +252,7 @@ def _invoke(runner: Callable[[dict], object], payload: dict) -> dict:
                 out["sim_metrics"] = sim_metrics
     except JobTimeout as exc:
         out.update(ok=False, kind="timeout", error=str(exc))
-        _discard_speculation()
+        take_speculation()
     except Exception as exc:
         out.update(
             ok=False,
@@ -259,7 +260,7 @@ def _invoke(runner: Callable[[dict], object], payload: dict) -> dict:
             error=f"{type(exc).__name__}: {exc}",
             traceback=traceback.format_exc(limit=20),
         )
-        _discard_speculation()
+        take_speculation()
     finally:
         # An injected crash (os._exit) skips this; the stale heartbeat is
         # then cleaned up by the watchdog's liveness check.
@@ -433,11 +434,11 @@ class ExecutionEngine:
             retry events' ``duration`` field, which is recorded
             unconditionally.  The caller finalizes the observer (the
             engine may be run several times under one observer).
-        speculate: Let worker suites answer cells from completed
-            neighbors (exact clone or guarded delta replay; see
-            :mod:`repro.arch.delta`).  Exact-or-absent, so results are
-            bit-for-bit identical either way; each job's outcome is
-            journaled as ``speculated`` / ``speculation-aborted``.
+        speculate: Let worker suites answer a cell whose placement is
+            identical to an already simulated sibling's with a copy of
+            that result (see :mod:`repro.experiments.memo`).  Exact, so
+            results are bit-for-bit identical either way; each reuse is
+            journaled as ``speculated`` with ``mode="clone"``.
     """
 
     def __init__(
@@ -674,11 +675,10 @@ class ExecutionEngine:
                 duration=out.get("duration"),
             )
             for event in out.get("speculation", ()):
-                mode = event.get("speculation")
                 journal.record(
-                    "speculation-aborted" if mode == "abort"
-                    else "speculated",
-                    job_id, mode=mode, detail=event.get("detail"),
+                    "speculated", job_id,
+                    mode=event.get("speculation"),
+                    detail=event.get("detail"),
                 )
             if self.observer is not None:
                 self.observer.job_finished(payload, out)

@@ -64,11 +64,11 @@ class JobSpec:
 
     ``neighbors`` is likewise excluded from the content address: it is an
     advisory list of ``(algorithm, replicate)`` sibling cells (same
-    application/machine) likely completed earlier, which the worker's
-    suite may use as speculation donors (see
-    :func:`repro.arch.delta.speculate_from_neighbor`).  Speculation is
-    exact-or-absent, so hints never change what a cell computes — only
-    how fast.
+    application/machine) likely completed earlier; the worker's suite
+    clones a stored sibling whose placement is identical instead of
+    replaying it (see :mod:`repro.experiments.memo`).  An identical
+    placement is the same simulation, so hints never change what a cell
+    computes — only how fast.
 
     ``stream_chunk_refs`` selects chunked streaming replay in the worker
     suite.  Like ``engine`` it is excluded from the content address:
@@ -171,12 +171,12 @@ def _dedup(specs: list[JobSpec]) -> list[JobSpec]:
     return _assign_neighbors(sorted(unique.values(), key=_sort_key))
 
 
-#: Speculation hints per job (matches the suite's own candidate cap).
+#: Planner hints per job.
 _MAX_HINTS = 8
 
 
 def _assign_neighbors(specs: list[JobSpec]) -> list[JobSpec]:
-    """Attach speculation hints: each job names up to :data:`_MAX_HINTS`
+    """Attach planner hints: each job names up to :data:`_MAX_HINTS`
     earlier-planned siblings (same application/machine, other placements).
 
     Plan order is submission order, so an earlier sibling has usually

@@ -234,11 +234,11 @@ class RunOptions:
 
     Nothing here may change the rendered report's bytes — that is the
     byte-identity contract every option rides on (parallel == sequential,
-    journaled == bare, cached == recomputed, speculated == replayed:
-    :mod:`repro.arch.delta` speculation is exact-or-absent, which is why
+    journaled == bare, cached == recomputed, memoized == replayed: an
+    identical placement is the same simulation, which is why
     ``speculate`` may live here rather than in :class:`SuiteRequest`).
-    ``speculate`` gates all of the incremental + speculative machinery:
-    neighbor clone / guarded delta replay, the persistent analysis cache,
+    ``speculate`` gates all of the incremental machinery: the
+    identical-placement result memo, the persistent analysis cache,
     and the placement search's incremental state — ``False`` is the
     from-scratch reference computation the differential tier compares
     against.

@@ -191,9 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-speculate",
         action="store_true",
-        help="disable the incremental + speculative machinery (neighbor "
-             "clone / guarded delta replay, the persistent analysis cache, "
-             "and incremental placement-search state) and compute every "
+        help="disable the incremental machinery (the identical-placement "
+             "result memo, the persistent analysis cache, and incremental "
+             "placement-search state) and compute every "
              "cell from scratch; results are bit-for-bit identical either "
              "way — this only trades speed for the simpler reference "
              "computation (see docs/PERFORMANCE.md)",

@@ -25,7 +25,8 @@ import numpy as np
 from repro.arch.config import ArchConfig
 from repro.arch.simulator import ENGINES, simulate
 from repro.arch.stats import SimulationResult
-from repro.experiments.cache import ResultStore, cell_store_key, store_digest
+from repro.experiments.cache import ResultStore, cell_store_key
+from repro.experiments.memo import ResultMemo, stash_speculation
 from repro.placement.algorithms import algorithm_by_name
 from repro.placement.base import PlacementInputs, PlacementMap
 from repro.placement.dynamic import measure_coherence_matrix
@@ -85,19 +86,17 @@ class ExperimentSuite:
             :func:`repro.arch.simulator.simulate`).  The engines are
             bit-for-bit equivalent, so results, memo keys and the
             persistent store are engine-agnostic.
-        speculate: Enable the incremental + speculative machinery: cells
-            may be answered from a completed neighbor cell (same
-            application/machine, different placement) via
-            :func:`repro.arch.delta.speculate_from_neighbor` — an exact
-            clone for identical placements, a guarded delta replay for
-            isolated clusters — and the placement search keeps
-            incremental state (:func:`repro.placement.clustering.
-            agglomerate` with ``incremental=True``).  All of it is
-            exact-or-absent: any guard failure falls back to full
-            replay, so results are bit-for-bit identical either way
-            (enforced by ``tests/speculation/``).  Disabled
-            automatically under ``check_invariants`` (the oracle must
-            audit real from-scratch runs).
+        speculate: Enable the incremental machinery: a cell whose
+            placement is identical to one already simulated on the same
+            application and machine is answered from the
+            :class:`~repro.experiments.memo.ResultMemo` (a deep copy,
+            never a replay), and the placement search keeps incremental
+            state (:func:`repro.placement.clustering.agglomerate` with
+            ``incremental=True``).  Both are exact, so results are
+            bit-for-bit identical either way (enforced by
+            ``tests/speculation/``).  Disabled automatically under
+            ``check_invariants`` (the oracle must audit real
+            from-scratch runs).
         topology: Machine topology every cell simulates under — a
             :class:`~repro.topo.model.Topology`, a spec string
             (``numa:4:50:150``) or None.  Canonicalized on construction:
@@ -187,15 +186,15 @@ class ExperimentSuite:
             from repro.trace import analysis_cache
 
             analysis_cache.configure(Path(cache_dir) / "analysis")
-        #: Read-only store consulted for neighbor results when a cell
-        #: carries speculation hints.  Defaults to the suite's own store;
-        #: engine workers (which hold no writable store) get one injected
-        #: from the job payload.  Loads never fire fault-injection sites,
-        #: so chaos schedules stay deterministic.
+        #: Read-only store consulted for identical-placement siblings
+        #: when a cell carries planner hints.  Defaults to the suite's own
+        #: store; engine workers (which hold no writable store) get one
+        #: injected from the job payload.  Loads never fire
+        #: fault-injection sites, so chaos schedules stay deterministic.
         self._neighbor_store = self._store
-        #: Completed (placement, config, result) candidates per cell
-        #: group — the in-process speculation registry.
-        self._spec_neighbors: dict[tuple, list] = {}
+        #: Exact reuse: every result this suite simulated, keyed by
+        #: (cell group, config, placement assignment).
+        self._memo = ResultMemo()
         self._streams = RngStreams(seed).child("experiments")
         self._traces: dict[str, TraceSet] = {}
         #: Memoized streaming views of the materialized sets (only
@@ -237,7 +236,7 @@ class ExperimentSuite:
 
         With ``stream_chunk_refs`` set this returns the memoized chunked
         streaming view over the materialized columns instead; every
-        consumer downstream (analysis, both engines, speculation)
+        consumer downstream (analysis, both engines)
         branches on the set's ``streaming`` flag and produces identical
         results.
         """
@@ -361,11 +360,12 @@ class ExperimentSuite:
             cache_words: Explicit cache size override (wins over
                 ``infinite`` and the application default).
             replicate: RANDOM draw index (see :meth:`placement`).
-            neighbors: Speculation hints — ``(algorithm, replicate)``
-                pairs naming sibling cells (same application/machine)
-                likely already completed; their stored results seed the
-                guarded delta path.  Advisory only: hints never affect
-                the result, just how fast it is produced.
+            neighbors: Planner hints — ``(algorithm, replicate)`` pairs
+                naming sibling cells (same application/machine) likely
+                already completed; a stored sibling with an identical
+                placement is cloned instead of replayed.  Advisory only:
+                hints never affect the result, just how fast it is
+                produced.
         """
         name = spec_for(app).name
         key = (name, algorithm.upper(), processors, infinite, associativity,
@@ -398,12 +398,11 @@ class ExperimentSuite:
                 )
                 group = (name, processors, infinite, associativity,
                          cache_words)
-                result = None
+                memo_key = result = None
                 if self.speculate and not self.check_invariants:
-                    result = self._speculate(
-                        group, name, placement, config, neighbors,
-                        context=store_digest(store_key),
-                    )
+                    memo_key = ResultMemo.key(group, config, placement)
+                    result = self._reuse(memo_key, group, placement,
+                                         neighbors)
                 if result is None:
                     result = simulate(
                         self.traces(name), placement, config,
@@ -412,112 +411,74 @@ class ExperimentSuite:
                         engine=self.engine,
                         probe=self.probe,
                     )
-                self._register_neighbor(group, placement, config, result)
+                    if memo_key is not None:
+                        self._memo.put(memo_key, result)
                 if self._store is not None:
                     self._store.store(store_key, result)
                 self._results[key] = result
         return self._results[key]
 
     # ------------------------------------------------------------------
-    # Speculation
+    # Exact reuse
     # ------------------------------------------------------------------
 
-    #: Completed cells kept per group as speculation donors; identical
-    #: placements dedupe to the first, so the list stays tiny.
-    _MAX_NEIGHBORS = 8
-
-    def _register_neighbor(self, group: tuple, placement: PlacementMap,
-                           config: ArchConfig, result: SimulationResult) -> None:
-        candidates = self._spec_neighbors.setdefault(group, [])
-        if len(candidates) >= self._MAX_NEIGHBORS:
-            return
-        if any(placement == known for known, _cfg, _res in candidates):
-            return
-        candidates.append((placement, config, result))
-
-    def _speculate(
+    def _reuse(
         self,
+        memo_key: tuple,
         group: tuple,
-        name: str,
         placement: PlacementMap,
-        config: ArchConfig,
         neighbors: tuple,
-        *,
-        context: str,
     ) -> SimulationResult | None:
-        """Try every known neighbor of the cell; None falls back to replay.
+        """The cell's result from an identical-placement sibling, or None.
 
-        Candidates come from the in-process registry (cells this suite
-        already computed) and, for engine workers, from the read-only
-        result store via the job's planner hints.  Identical placements
-        are tried first (exact clone); then guarded delta replays.  The
-        probe's ``spec_*`` counters record one attempt per cell that had
-        a candidate, and a hit or an abort — journal events ride the
-        :func:`repro.arch.delta.take_speculation` channel.
+        First the in-process memo (cells this suite already simulated).
+        On a miss, engine workers walk the job's planner hints against
+        the read-only result store: a stat per hinted sibling, then a
+        placement comparison, and at most one load — only for a sibling
+        whose assignment is identical.  The probe's ``spec_*`` counters
+        record one attempt per memo consultation and one hit per reuse;
+        journal events ride the
+        :func:`repro.experiments.memo.take_speculation` channel.
         """
-        from repro.arch.delta import speculate_from_neighbor, stash_speculation
-
-        candidates = list(self._spec_neighbors.get(group, ()))
-        if neighbors and self._neighbor_store is not None:
-            known = {id(res) for _pl, _cfg, res in candidates}
-            (gname, processors, infinite, associativity, cache_words) = group
-            for algorithm, replicate in neighbors:
-                stored = self._neighbor_store.load(cell_store_key(
-                    scale=self.scale, seed=self.seed,
-                    quantum_refs=self.quantum_refs,
-                    app=gname, algorithm=algorithm, processors=processors,
-                    infinite=infinite, associativity=associativity,
-                    cache_words=cache_words, replicate=replicate,
-                    topology=self.topology_spec,
-                ))
-                if stored is None or id(stored) in known:
-                    continue
-                npl = self.placement(gname, algorithm, processors,
-                                     replicate=replicate)
-                ncfg = self._machine(
-                    gname, npl, infinite=infinite,
-                    associativity=associativity, cache_words=cache_words,
-                )
-                candidates.append((npl, ncfg, stored))
-        # Same machine only (contexts can differ across placements).
-        # Donors are tried in order of placement distance — the number of
-        # threads assigned differently from the target cell.  Distance 0
-        # is an identical placement (the exact-clone tier), so clones
-        # still come first; among the rest, fewer moved threads means
-        # more unchanged processors and therefore a far better chance
-        # the delta tier finds isolated clusters to copy.  The previous
-        # first-registered order almost never offered the delta tier a
-        # viable donor (2 delta hits across the whole benchmark grid).
-        # Donor order is a pure strategy choice: speculation is
-        # exact-or-absent, so results are bit-identical regardless.
-        usable = [c for c in candidates if c[1] == config]
-        usable.sort(key=lambda c: int(
-            np.count_nonzero(c[0].assignment != placement.assignment)))
-        if not usable:
-            return None
         if self.probe is not None:
             self.probe.spec_attempts += 1
-        traces = self.traces(name)
-        last_detail = ""
-        for npl, _ncfg, nres in usable:
-            outcome = speculate_from_neighbor(
-                traces, placement, config,
-                neighbor_placement=npl, neighbor_result=nres,
-                quantum_refs=self.quantum_refs,
-                probe=self.probe, context=context,
-            )
-            if outcome.hit:
-                if self.probe is not None:
-                    self.probe.spec_hits += 1
-                stash_speculation({
-                    "speculation": outcome.mode, "detail": outcome.detail,
-                })
-                return outcome.result
-            last_detail = outcome.detail
+        result = self._memo.get(memo_key)
+        source = "memo"
+        if result is None and neighbors and self._neighbor_store is not None:
+            result, source = self._clone_from_store(group, placement,
+                                                    neighbors)
+            if result is not None:
+                self._memo.put(memo_key, result)
+        if result is None:
+            return None
         if self.probe is not None:
-            self.probe.spec_aborts += 1
-        stash_speculation({"speculation": "abort", "detail": last_detail})
-        return None
+            self.probe.spec_hits += 1
+        stash_speculation({"speculation": "clone", "detail": source})
+        return result
+
+    def _clone_from_store(
+        self, group: tuple, placement: PlacementMap, neighbors: tuple,
+    ) -> tuple[SimulationResult | None, str]:
+        (name, processors, infinite, associativity, cache_words) = group
+        for algorithm, replicate in neighbors:
+            store_key = cell_store_key(
+                scale=self.scale, seed=self.seed,
+                quantum_refs=self.quantum_refs,
+                app=name, algorithm=algorithm, processors=processors,
+                infinite=infinite, associativity=associativity,
+                cache_words=cache_words, replicate=replicate,
+                topology=self.topology_spec,
+            )
+            if not self._neighbor_store.contains(store_key):
+                continue
+            if self.placement(name, algorithm, processors,
+                              replicate=replicate) != placement:
+                continue
+            # An identical assignment implies an identical machine (the
+            # config is a function of the group and the placement).
+            return (self._neighbor_store.load(store_key),
+                    f"store:{algorithm}/r{replicate}")
+        return None, ""
 
     def prefetch(
         self,

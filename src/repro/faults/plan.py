@@ -18,8 +18,6 @@ truncate   store, analysis,     cut the committed entry in half
            chunks
 torn       journal              write half a journal line, then
                                 ``os._exit(17)`` — a killed coordinator
-diverge    speculate            fail a speculation guard check, forcing
-                                the abort-to-full-replay path
 node-crash node                 ``os._exit(23)`` — a whole worker *node*
                                 dying mid-batch (distributed runs)
 node-hang  node                 sleep ``secs`` in the node's batch
@@ -95,7 +93,6 @@ _VALID_SITES: dict[str, frozenset[str]] = {
     "corrupt": frozenset({"store", "analysis", "chunks"}),
     "truncate": frozenset({"store", "analysis", "chunks"}),
     "torn": frozenset({"journal"}),
-    "diverge": frozenset({"speculate"}),
     "node-crash": frozenset({"node"}),
     "node-hang": frozenset({"node"}),
     "partition": frozenset({"link"}),

@@ -42,8 +42,7 @@ class SimProbe:
     """Event counters one simulation run fills in (single-threaded)."""
 
     __slots__ = ("quanta", "switches", "upgrades", "misses", "cells",
-                 "spec_attempts", "spec_hits", "spec_aborts",
-                 "spec_delta_rejects")
+                 "spec_attempts", "spec_hits")
 
     def __init__(self) -> None:
         self.quanta = 0      #: scheduling quanta executed
@@ -51,18 +50,13 @@ class SimProbe:
         self.upgrades = 0    #: directory upgrades that sent invalidations
         self.misses = {kind: 0 for kind in MissKind}
         self.cells = 0       #: simulations observed (bumped by simulate())
-        # Speculation outcomes (bumped by the experiment suite, not the
-        # replay loop): cells where a completed neighbor was tried, cells
-        # it fully answered (clone or composed delta), and guard aborts
-        # that fell back to full replay.  With speculation the sim_*
-        # event counters above cover only the work actually replayed —
-        # the gap to a non-speculative run is the work these saved.
+        # Result-memo outcomes (bumped by the experiment suite, not the
+        # replay loop): memo consultations, and cells answered by a copy
+        # of an identical-placement result instead of a replay.  With the
+        # memo the sim_* event counters above cover only the work
+        # actually replayed — the gap to a memo-off run is what hits saved.
         self.spec_attempts = 0
         self.spec_hits = 0
-        self.spec_aborts = 0
-        # Aborts specifically from the delta tier's empty partition (no
-        # copyable processor); the journal carries the cut-edge count.
-        self.spec_delta_rejects = 0
 
     def snapshot(self) -> dict[str, int]:
         """Flat ``{metric_name: count}`` view (ships between processes)."""
@@ -77,8 +71,6 @@ class SimProbe:
         out["sim_misses_total"] = sum(self.misses.values())
         out["sim_spec_attempts"] = self.spec_attempts
         out["sim_spec_hits"] = self.spec_hits
-        out["sim_spec_aborts"] = self.spec_aborts
-        out["sim_spec_delta_rejects"] = self.spec_delta_rejects
         return out
 
     def merge(self, other: "SimProbe") -> None:
@@ -89,8 +81,6 @@ class SimProbe:
         self.cells += other.cells
         self.spec_attempts += other.spec_attempts
         self.spec_hits += other.spec_hits
-        self.spec_aborts += other.spec_aborts
-        self.spec_delta_rejects += other.spec_delta_rejects
         for kind in MissKind:
             self.misses[kind] += other.misses[kind]
 

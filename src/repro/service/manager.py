@@ -179,9 +179,9 @@ class JobManager:
         retries: Per-cell retry budget passed to the engine.
         timeout: Per-cell timeout in seconds passed to the engine.
         registry: Metrics sink (a private one is created if omitted).
-        speculate: Let runs answer cells from completed neighbors (see
-            :mod:`repro.arch.delta`); exact-or-absent, so reports are
-            byte-identical either way.
+        speculate: Let runs reuse the result of an identical-placement
+            sibling cell (see :mod:`repro.experiments.memo`); exact, so
+            reports are byte-identical either way.
     """
 
     def __init__(

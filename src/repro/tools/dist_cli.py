@@ -69,8 +69,8 @@ def _node_parser() -> argparse.ArgumentParser:
                         help="per-cell timeout in seconds (needs "
                              "--workers > 1)")
     parser.add_argument("--no-speculate", action="store_true",
-                        help="disable neighbor speculation (reports are "
-                             "byte-identical either way)")
+                        help="disable identical-placement result reuse "
+                             "(reports are byte-identical either way)")
     return parser
 
 

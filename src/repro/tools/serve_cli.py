@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="per-cell timeout in seconds (needs "
                              "--run-jobs > 1)")
     parser.add_argument("--no-speculate", action="store_true",
-                        help="disable incremental + speculative replay for "
+                        help="disable the incremental machinery for "
                              "every run (reports are byte-identical either "
                              "way; see docs/PERFORMANCE.md)")
     parser.add_argument("--metrics-interval", type=float, default=None,

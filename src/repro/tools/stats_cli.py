@@ -137,7 +137,8 @@ def _journal_stats(path: Path) -> dict:
     summary = RunSummary.from_journal(path)
     retry_kinds: dict[str, int] = {}
     fail_kinds: dict[str, int] = {}
-    tallies = {"watchdog_kills": 0, "store_failures": 0, "interrupted": 0}
+    tallies = {"watchdog_kills": 0, "store_failures": 0, "interrupted": 0,
+               "reused": 0}
     by_node: dict[str, int] = {}   # merged cluster journals only
     node_deaths = 0
     rebalances = 0
@@ -156,6 +157,8 @@ def _journal_stats(path: Path) -> dict:
             tallies["store_failures"] += 1
         elif entry["event"] == "interrupted":
             tallies["interrupted"] += 1
+        elif entry["event"] == "speculated":
+            tallies["reused"] += 1
         elif entry["event"] == "node-dead":
             node_deaths += 1
         elif entry["event"] == "rebalance":
@@ -243,6 +246,12 @@ def _metrics_stats(path: Path) -> dict:
         "simulator": {
             name: value for name, value in sorted(counters.items())
             if name.startswith("sim_")
+        },
+        # Snapshots from older runs may lack (or carry retired) spec_*
+        # counters; an absent one reads as zero.
+        "reuse": {
+            "attempts": counters.get("sim_spec_attempts", 0),
+            "hits": counters.get("sim_spec_hits", 0),
         },
         "snapshot": snapshot,
     }
@@ -341,7 +350,8 @@ def _render(stats: dict) -> str:
             lines.append(f"  failed for        {kinds}")
         for label, key in (("watchdog kills", "watchdog_kills"),
                            ("store failures", "store_failures"),
-                           ("interrupted", "interrupted")):
+                           ("interrupted", "interrupted"),
+                           ("reused (clone)", "reused")):
             if journal[key]:
                 lines.append(f"  {label:<18}{journal[key]}")
         cluster = journal.get("cluster")
@@ -389,6 +399,10 @@ def _render(stats: dict) -> str:
             f"({metrics['counters']} counters, {metrics['gauges']} gauges, "
             f"{metrics['histograms']} histograms)"
         )
+        reuse = metrics["reuse"]
+        if reuse["attempts"]:
+            lines.append(f"  result memo       {reuse['hits']:g} hits / "
+                         f"{reuse['attempts']:g} lookups")
         for name, value in metrics["simulator"].items():
             lines.append(f"  {name:<28}{value:g}")
     else:

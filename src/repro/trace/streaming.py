@@ -106,8 +106,7 @@ class StreamingThreadTrace:
     def block_set(self, block_bits: int) -> frozenset:
         """All distinct blocks the thread touches (memoized per bits).
 
-        One streaming pass; the result is O(distinct blocks), which the
-        speculation partition test needs resident anyway.
+        One streaming pass; the result is O(distinct blocks).
         """
         memo = self._replay_cache
         if memo is None:

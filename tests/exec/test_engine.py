@@ -290,3 +290,26 @@ class TestSimulateCell:
         simulate_cell({"spec": spec.to_payload()})
         (suite,) = engine_module._SUITES.values()
         assert suite.quantum_refs == 64
+
+    def test_worker_suite_cache_is_bounded_lru(self):
+        """A long-lived worker serving many distinct requests keeps only
+        the most recently used suites."""
+        from repro.exec import engine as engine_module
+
+        engine_module._SUITES.clear()
+        for seed in range(6):
+            spec, = _specs(seed=seed)
+            simulate_cell({"spec": spec.to_payload()})
+            assert len(engine_module._SUITES) <= engine_module._MAX_SUITES
+        assert engine_module._MAX_SUITES == 4
+        assert [key[1] for key in engine_module._SUITES] == [2, 3, 4, 5]
+        newest = list(engine_module._SUITES.values())[-1]
+        spec, = _specs(seed=5)
+        simulate_cell({"spec": spec.to_payload()})
+        assert list(engine_module._SUITES.values())[-1] is newest
+        # A hit refreshes recency: seed 2 survives the next insertion.
+        spec, = _specs(seed=2)
+        simulate_cell({"spec": spec.to_payload()})
+        spec, = _specs(seed=6)
+        simulate_cell({"spec": spec.to_payload()})
+        assert [key[1] for key in engine_module._SUITES] == [4, 5, 2, 6]

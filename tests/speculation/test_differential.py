@@ -1,33 +1,38 @@
-"""Property suite: speculation is exact-or-absent over a generated universe.
+"""Property suite: the result memo is exact over generated universes.
 
-Every case draws one trace set and *two* placements of it on the same
-machine — the completed "neighbor" and the cell to speculate.  Whatever
-tier fires (clone, delta, or abort), the observable contract is single:
-the cell's final result is bit-for-bit the full replay's, on both
-engines, with or without an injected divergence fault.
+Two theorems:
 
-The generated worlds are the oracle tier's deliberately dense small
-universes (``tests/oracle/strategies.py``) plus a half-split variant that
-manufactures coherence-isolated processors, so the delta tier actually
-fires rather than aborting everywhere.
+* **Pair level.**  Every case draws one trace set and two placements of
+  it on the same machine (half the time forced identical).  A memo holding
+  the first placement's result answers the second exactly when the
+  assignments are byte-identical, and that answer is bit-for-bit the
+  second placement's full replay on both engines.
+* **Suite level.**  On real applications, algorithms and processor
+  counts, a memo-on :class:`ExperimentSuite` produces every cell
+  bit-identical to a memo-off suite — including cells whose placement is
+  forced equal to an earlier cell's, so the memo must hit.
+
+The pair-level worlds are the oracle tier's deliberately dense small
+universes (``tests/oracle/strategies.py``).
 
 CI runs this file derandomized (``--hypothesis-profile=oracle-ci``).
 """
 
-import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro import faults  # noqa: E402
 from repro.arch.config import ArchConfig  # noqa: E402
-from repro.arch.delta import speculate_from_neighbor  # noqa: E402
 from repro.arch.simulator import simulate  # noqa: E402
+from repro.experiments.memo import ResultMemo  # noqa: E402
+from repro.experiments.runner import ExperimentSuite  # noqa: E402
+from repro.obs.probes import SimProbe  # noqa: E402
 from repro.oracle import diff_results  # noqa: E402
+from repro.placement.algorithms import all_algorithms  # noqa: E402
 from repro.placement.base import PlacementMap  # noqa: E402
-from repro.trace.stream import ThreadTrace, TraceSet  # noqa: E402
+from repro.workload.applications import spec_for  # noqa: E402
 
 from tests.oracle.strategies import QUANTA, trace_sets  # noqa: E402
 
@@ -47,125 +52,117 @@ def _config_for(num_processors: int, contexts: int, draw_bits: int) -> ArchConfi
 
 @st.composite
 def neighbor_cases(draw):
-    """(traces, neighbor placement, target placement, config, quantum) —
+    """(traces, first placement, second placement, config, quantum) —
     both placements on the same machine, contexts sized for both."""
     traces = draw(trace_sets(max_threads=5, max_refs=25))
     n = traces.num_threads
     p = draw(st.integers(min_value=1, max_value=4))
     a = PlacementMap(draw(st.lists(st.integers(0, p - 1),
                                    min_size=n, max_size=n)), p)
-    b = PlacementMap(draw(st.lists(st.integers(0, p - 1),
-                                   min_size=n, max_size=n)), p)
+    if draw(st.booleans()):
+        b = PlacementMap(a.assignment.copy(), p)
+    else:
+        b = PlacementMap(draw(st.lists(st.integers(0, p - 1),
+                                       min_size=n, max_size=n)), p)
     contexts = max(1, int(a.cluster_sizes().max()),
                    int(b.cluster_sizes().max()))
     config = _config_for(p, contexts, draw(st.integers(0, 11)))
     quantum = draw(st.sampled_from(QUANTA))
     return traces, a, b, config, quantum
-
-
-@st.composite
-def split_neighbor_cases(draw):
-    """Like :func:`neighbor_cases`, but threads live in per-half disjoint
-    address windows and the second half keeps its processor — so the
-    delta tier has real isolated processors to copy."""
-    n = draw(st.integers(min_value=2, max_value=5))
-    p = draw(st.integers(min_value=2, max_value=4))
-    half = n // 2
-    threads = []
-    for tid in range(n):
-        base = 0 if tid < half else 4096
-        m = draw(st.integers(min_value=0, max_value=25))
-        threads.append(ThreadTrace(
-            tid,
-            np.asarray(draw(st.lists(st.integers(0, 5),
-                                     min_size=m, max_size=m)),
-                       dtype=np.int64),
-            np.asarray([base + a for a in
-                        draw(st.lists(st.integers(0, 95),
-                                      min_size=m, max_size=m))],
-                       dtype=np.int64),
-            np.asarray(draw(st.lists(st.booleans(),
-                                     min_size=m, max_size=m)), dtype=bool),
-        ))
-    traces = TraceSet("split", threads)
-    # Upper half pinned to processor p-1 in both placements; lower half
-    # may move anywhere in [0, p-1), so processor p-1 stays isolated and
-    # unchanged whenever the lower half avoids it (it always does here).
-    lower_a = draw(st.lists(st.integers(0, p - 2),
-                            min_size=half, max_size=half))
-    lower_b = draw(st.lists(st.integers(0, p - 2),
-                            min_size=half, max_size=half))
-    a = PlacementMap(lower_a + [p - 1] * (n - half), p)
-    b = PlacementMap(lower_b + [p - 1] * (n - half), p)
-    contexts = max(1, int(a.cluster_sizes().max()),
-                   int(b.cluster_sizes().max()))
-    config = _config_for(p, contexts, draw(st.integers(0, 11)))
-    quantum = draw(st.sampled_from(QUANTA))
-    return traces, a, b, config, quantum
-
-
-def _assert_exact_or_absent(traces, neighbor_pl, target_pl, config, quantum):
-    neighbor = simulate(traces, neighbor_pl, config, quantum_refs=quantum,
-                        engine="fast")
-    outcome = speculate_from_neighbor(
-        traces, target_pl, config,
-        neighbor_placement=neighbor_pl, neighbor_result=neighbor,
-        quantum_refs=quantum)
-    if not outcome.hit:
-        assert outcome.mode == "abort" and outcome.result is None
-        return outcome
-    for engine in ("fast", "classic"):
-        full = simulate(traces, target_pl, config, quantum_refs=quantum,
-                        engine=engine)
-        diffs = diff_results(outcome.result, full,
-                             actual_name=f"speculated[{outcome.mode}]",
-                             expected_name=f"full-{engine}")
-        assert diffs == [], (
-            f"{outcome.mode} speculation diverged from {engine} replay "
-            f"({traces.num_threads}t/{config.num_processors}p/q{quantum}): "
-            + "; ".join(diffs[:4]))
-    return outcome
 
 
 class TestSpeculationDifferential:
     @settings(max_examples=120, deadline=None)
     @given(case=neighbor_cases())
     def test_exact_or_absent_on_dense_worlds(self, case):
-        """Dense shared worlds: almost every pair aborts or clones, and
-        whichever happens must be invisible in the numbers."""
-        _assert_exact_or_absent(*case)
-
-    @settings(max_examples=120, deadline=None)
-    @given(case=split_neighbor_cases())
-    def test_exact_or_absent_on_split_worlds(self, case):
-        """Half-split worlds: the delta tier fires with a real copied
-        processor; its composition must be exact on both engines."""
-        _assert_exact_or_absent(*case)
-
-    @settings(max_examples=40, deadline=None)
-    @given(case=split_neighbor_cases())
-    def test_delta_tier_actually_fires(self, case):
-        """Meta-test on the generator: across the split universe the
-        delta tier must hit sometimes (collected per-example; asserted
-        by construction when the placements differ but the isolated
-        processor is unchanged)."""
+        """The memo hits exactly on identical assignments, and a hit is
+        the full replay's result on both engines."""
         traces, a, b, config, quantum = case
-        outcome = _assert_exact_or_absent(traces, a, b, config, quantum)
-        if a == b:
-            assert outcome.mode == "clone"
-        elif traces[traces.num_threads - 1].num_refs and \
-                traces.total_refs and outcome.hit:
-            assert outcome.mode in ("clone", "delta")
+        memo = ResultMemo()
+        group = ("world", config.num_processors)
+        memo.put(ResultMemo.key(group, config, a),
+                 simulate(traces, a, config, quantum_refs=quantum,
+                          engine="fast"))
+        hit = memo.get(ResultMemo.key(group, config, b))
+        assert (hit is not None) == (a == b)
+        if hit is None:
+            return
+        for engine in ("fast", "classic"):
+            full = simulate(traces, b, config, quantum_refs=quantum,
+                            engine=engine)
+            diffs = diff_results(hit, full, actual_name="memo",
+                                 expected_name=f"full-{engine}")
+            assert diffs == [], (
+                f"memo hit diverged from {engine} replay "
+                f"({traces.num_threads}t/{config.num_processors}p/"
+                f"q{quantum}): " + "; ".join(diffs[:4]))
 
-    @settings(max_examples=60, deadline=None)
-    @given(case=split_neighbor_cases(), data=st.data())
-    def test_forced_divergence_never_produces_wrong_numbers(
-            self, case, data, tmp_path_factory):
-        """The ``diverge:speculate`` chaos fault fails guards on demand;
-        a hit that survives anyway must still be exact, and a forced
-        abort must return no result at all."""
-        traces, a, b, config, quantum = case
-        times = data.draw(st.integers(min_value=1, max_value=3))
-        ledger = tmp_path_factory.mktemp("faults") / "ledger"
-        with faults.installed(f"diverge:speculate:times={times}", ledger):
-            _assert_exact_or_absent(traces, a, b, config, quantum)
+
+# ----------------------------------------------------------------------
+# Suite level
+# ----------------------------------------------------------------------
+
+#: Applications whose placement searches are cheap at the test scale.
+APPS = ("Water", "MP3D", "Cholesky", "Barnes-Hut", "Topopt")
+ALGORITHMS = tuple(algo.name for algo in all_algorithms())
+SCALE = 0.001
+
+_REFERENCE: dict[str, ExperimentSuite] = {}
+
+
+def _reference() -> ExperimentSuite:
+    """One shared memo-off suite: the from-scratch answer per cell."""
+    if "suite" not in _REFERENCE:
+        _REFERENCE["suite"] = ExperimentSuite(scale=SCALE, seed=0,
+                                              engine="fast",
+                                              speculate=False)
+    return _REFERENCE["suite"]
+
+
+@st.composite
+def suite_cases(draw):
+    """(app, [(algorithm, processors, replicate), ...], forced pairs) —
+    a forced pair (i, j), i < j, gives cell j cell i's placement."""
+    app = draw(st.sampled_from(APPS))
+    processors = _reference().processors_for(app)
+    cells = draw(st.lists(
+        st.tuples(st.sampled_from(ALGORITHMS), st.sampled_from(processors),
+                  st.integers(0, 1)),
+        min_size=2, max_size=6, unique=True))
+    cells = [(algo, p, r if algo == "RANDOM" else 0)
+             for algo, p, r in cells]
+    cells = list(dict.fromkeys(cells))
+    forced = []
+    for j in range(1, len(cells)):
+        same_machine = [i for i in range(j) if cells[i][1] == cells[j][1]]
+        if same_machine and draw(st.booleans()):
+            forced.append((draw(st.sampled_from(same_machine)), j))
+    return app, cells, forced
+
+
+class TestSuiteMemoTheorem:
+    @settings(max_examples=15, deadline=None)
+    @given(case=suite_cases())
+    def test_memo_on_suite_is_bit_identical_to_memo_off(self, case):
+        app, cells, forced = case
+        suite = ExperimentSuite(scale=SCALE, seed=0, engine="fast")
+        suite.probe = SimProbe()
+        origin = {}     # forced cell -> the cell whose placement it runs
+        for i, j in forced:
+            origin[j] = origin.get(i, i)
+        for j, (algo, p, r) in enumerate(cells):
+            if j in origin:
+                o_algo, _, o_r = cells[origin[j]]
+                suite._placements[(spec_for(app).name, algo, p, r)] = \
+                    suite.placement(app, o_algo, p, replicate=o_r)
+            got = suite.run(app, algo, p, replicate=r)
+            # A forced cell's from-scratch answer is its origin's.
+            e_algo, _, e_r = cells[origin.get(j, j)]
+            expected = _reference().run(app, e_algo, p, replicate=e_r)
+            diffs = diff_results(got, expected, actual_name="memo-on",
+                                 expected_name="memo-off")
+            assert diffs == [], (
+                f"{app}/{algo}/{p}p/r{r}: " + "; ".join(diffs[:4]))
+        assert suite.probe.spec_attempts == len(cells)
+        assert suite.probe.spec_hits + suite.probe.cells == len(cells)
+        assert suite.probe.spec_hits >= len(forced)

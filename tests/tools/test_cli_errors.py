@@ -108,6 +108,20 @@ class TestExperimentsCli:
         assert "meteor" in err
         assert "Traceback" not in err
 
+    def test_retired_diverge_fault_is_rejected_not_ignored(self, capsys):
+        """``diverge:speculate`` named a guard the result memo no longer
+        has; a plan naming it fails loudly and lists the valid kinds."""
+        code = experiments_cli.main(["--inject-faults", "diverge:speculate",
+                                     "--sections", "table1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("repro-experiments: error: unknown fault "
+                              "kind 'diverge'")
+        for kind in ("crash", "corrupt", "torn", "node-crash", "partition"):
+            assert repr(kind) in err
+        assert "Traceback" not in err
+
     def test_fault_ledger_requires_inject_faults(self, tmp_path):
         with pytest.raises(SystemExit) as info:
             experiments_cli.main(["--fault-ledger", str(tmp_path / "ledger")])

@@ -180,3 +180,42 @@ class TestCli:
     def test_missing_path_is_usage_error(self, tmp_path, capsys):
         assert stats_cli.main([str(tmp_path / "gone")]) == USAGE_EXIT_CODE
         assert "error" in capsys.readouterr().err
+
+
+class TestReuse:
+    def _metrics(self, directory, counters):
+        (directory / "metrics.json").write_text(json.dumps({
+            "counters": counters, "gauges": {}, "histograms": {},
+        }), encoding="utf-8")
+
+    def test_legacy_speculation_artifacts_still_render(self, tmp_path,
+                                                       capsys):
+        """Runs recorded before the result memo carry delta/abort
+        journal events and retired probe counters; both still parse."""
+        write_jsonl(tmp_path / "journal.jsonl", [
+            {"event": "finished", "job": "a", "time": 0.1, "duration": 0.1},
+            {"event": "speculated", "job": "a", "time": 0.1,
+             "mode": "delta", "detail": "copied=1/2"},
+            {"event": "finished", "job": "b", "time": 0.2, "duration": 0.1},
+            {"event": "speculation-aborted", "job": "b", "time": 0.2,
+             "mode": "abort", "detail": "no isolated processors"},
+        ])
+        self._metrics(tmp_path, {
+            "sim_cells": 1, "sim_spec_attempts": 2, "sim_spec_hits": 1,
+            "sim_spec_aborts": 1, "sim_spec_delta_rejects": 1,
+        })
+        stats = stats_cli.collect_stats(tmp_path)
+        assert stats["journal"]["summary"]["executed"] == 2
+        assert stats["journal"]["reused"] == 1
+        assert stats["metrics"]["reuse"] == {"attempts": 2, "hits": 1}
+        assert stats_cli.main([str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "reused (clone)    1" in out
+        assert "result memo       1 hits / 2 lookups" in out
+
+    def test_absent_reuse_counters_read_as_zero(self, tmp_path, capsys):
+        self._metrics(tmp_path, {"sim_cells": 3})
+        stats = stats_cli.collect_stats(tmp_path)
+        assert stats["metrics"]["reuse"] == {"attempts": 0, "hits": 0}
+        assert stats_cli.main([str(tmp_path)]) == 0
+        assert "result memo" not in capsys.readouterr().out
