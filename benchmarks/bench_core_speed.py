@@ -47,7 +47,8 @@ def test_simulator_throughput(benchmark, water):
         contexts_per_processor=int(placement.cluster_sizes().max()),
         cache_words=spec_for("Water").cache_words,
     )
-    result = benchmark(lambda: simulate(traces, placement, config))
+    result = benchmark(lambda: simulate(traces, placement, config,
+                                        engine="classic"))
     assert result.execution_time > 0
 
 
@@ -91,7 +92,7 @@ def test_fast_engine_throughput(benchmark, water):
         contexts_per_processor=int(placement.cluster_sizes().max()),
         cache_words=spec_for("Water").cache_words,
     )
-    simulate(traces, placement, config, engine="fast")  # warm compression
+    simulate(traces, placement, config, engine="fast")  # warm-up
     result = benchmark(lambda: simulate(traces, placement, config,
                                         engine="fast"))
     assert result.execution_time > 0
@@ -121,10 +122,11 @@ def _paper_cell(app: str, seed: int = 0):
 def compare_engines(apps=None, reps: int = 7, seed: int = 0) -> dict:
     """Interleaved classic-vs-fast wall-clock comparison.
 
-    Per app: warm both engines once (compression/memoization out of the
-    measurement, and the warm-up pair is diffed bit-for-bit as a safety
-    net), then alternate classic/fast ``reps`` times and take medians —
-    interleaving cancels slow drift in machine load.
+    Per app: warm both engines once (the warm-up pair is diffed
+    bit-for-bit as a safety net), then alternate classic/fast ``reps``
+    times and take medians — interleaving cancels slow drift in machine
+    load.  Every fast call compresses its own traces (nothing is memoized
+    across calls), so that cost is inside the measurement.
     """
     from repro.oracle import diff_results
     from repro.workload.applications import application_names
@@ -132,7 +134,7 @@ def compare_engines(apps=None, reps: int = 7, seed: int = 0) -> dict:
     rows = []
     for app in apps or application_names():
         traces, placement, config = _paper_cell(app, seed)
-        classic_ref = simulate(traces, placement, config)
+        classic_ref = simulate(traces, placement, config, engine="classic")
         fast_ref = simulate(traces, placement, config, engine="fast")
         mismatches = diff_results(fast_ref, classic_ref,
                                   actual_name="fast", expected_name="classic")
@@ -141,7 +143,7 @@ def compare_engines(apps=None, reps: int = 7, seed: int = 0) -> dict:
         classic_times, fast_times = [], []
         for _ in range(reps):
             t0 = time.perf_counter()
-            simulate(traces, placement, config)
+            simulate(traces, placement, config, engine="classic")
             t1 = time.perf_counter()
             simulate(traces, placement, config, engine="fast")
             t2 = time.perf_counter()

@@ -6,11 +6,7 @@ baseline behavior: no result memo, no incremental placement-search
 state), then with it on — and reports the wall-clock speedup, the clone
 hits (cells answered by a copy of an identical-placement result, one
 journaled ``speculated`` event each) and a full bit-identity sweep over
-every cell's results.  A
-second measurement covers the persistent analysis cache alone: a cold
-fast-engine sweep committing analysis entries, then the same sweep in a
-fresh suite (fresh trace objects, as a new process would hold), counting
-on-disk analysis hits.
+every cell's results.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_speculation.py -s``,
 or as a script emitting the uniform repro-bench/v1 JSON::
@@ -20,7 +16,6 @@ or as a script emitting the uniform repro-bench/v1 JSON::
 
 import argparse
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -73,52 +68,7 @@ def measure_speculation(sections=None):
     }
 
 
-def measure_analysis_cache():
-    """Cold vs warmed persistent analysis cache on the fast engine.
-
-    No result store is involved: every cell simulates for real, so the
-    run-compression pass actually executes and the analysis cache is the
-    only persistent layer in play.
-    """
-    from repro.experiments.runner import ExperimentSuite
-    from repro.trace import analysis_cache
-
-    algos = ("LOAD-BAL", "SHARE-REFS", "MIN-SHARE", "RANDOM")
-
-    def sweep():
-        # A fresh suite per sweep: fresh trace objects carry no in-memory
-        # compression memos, exactly like a new worker process.
-        suite = ExperimentSuite(scale=GRID_SCALE, seed=0, engine="fast")
-        for algo in algos:
-            for processors in (2, 4, 8):
-                suite.run("Water", algo, processors)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        try:
-            cold_cache = analysis_cache.configure(tmp)
-            with Stopwatch() as cold:
-                sweep()
-            cold_stats = (cold_cache.hits, cold_cache.misses)
-            # A "new process": drop the global (configure() is idempotent
-            # per directory) and reopen it with fresh counters.
-            analysis_cache.configure(None)
-            warm_cache = analysis_cache.configure(tmp)
-            with Stopwatch() as warm:
-                sweep()
-            warm_stats = (warm_cache.hits, warm_cache.misses)
-        finally:
-            analysis_cache.configure(None)
-    return {
-        "cold_wall_s": round(cold.wall_s, 3),
-        "warm_wall_s": round(warm.wall_s, 3),
-        "cold_disk_hits": cold_stats[0],
-        "cold_disk_misses": cold_stats[1],
-        "warm_disk_hits": warm_stats[0],
-        "warm_disk_misses": warm_stats[1],
-    }
-
-
-def render(spec_metrics, cache_metrics) -> str:
+def render(spec_metrics) -> str:
     lines = [
         f"Incremental search + result memo on the full grid "
         f"({spec_metrics['cells']} cells, scale {GRID_SCALE:g}):",
@@ -129,12 +79,6 @@ def render(spec_metrics, cache_metrics) -> str:
         f" ({spec_metrics['clone_hit_rate']:.0%} of cells)",
         f"  bit-identical cells       : {spec_metrics['bit_identical_cells']}"
         f"/{spec_metrics['cells']}",
-        "Persistent analysis cache (fast engine, 12-cell sweep):",
-        f"  cold run : {cache_metrics['cold_wall_s']:6.2f} s "
-        f"(disk misses {cache_metrics['cold_disk_misses']})",
-        f"  warm run : {cache_metrics['warm_wall_s']:6.2f} s "
-        f"(disk hits {cache_metrics['warm_disk_hits']},"
-        f" misses {cache_metrics['warm_disk_misses']})",
     ]
     return "\n".join(lines)
 
@@ -142,14 +86,11 @@ def render(spec_metrics, cache_metrics) -> str:
 def test_speculation_speedup(capsys):
     """Pytest entry point: the acceptance-criteria assertions."""
     spec_metrics = measure_speculation()
-    cache_metrics = measure_analysis_cache()
     with capsys.disabled():
-        print("\n" + render(spec_metrics, cache_metrics))
+        print("\n" + render(spec_metrics))
     assert spec_metrics["clone_hits"] > 0
     assert spec_metrics["bit_identical_cells"] == spec_metrics["cells"]
     assert spec_metrics["speedup"] > 1.0
-    assert cache_metrics["warm_disk_hits"] > 0
-    assert cache_metrics["warm_disk_misses"] == 0
 
 
 def main(argv=None) -> int:
@@ -162,17 +103,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with Stopwatch() as watch:
         spec_metrics = measure_speculation(args.sections)
-        cache_metrics = measure_analysis_cache()
-    print(render(spec_metrics, cache_metrics))
+    print(render(spec_metrics))
     if args.json:
         write_json(args.json, bench_document(
             "speculation",
             params={"scale": GRID_SCALE, "seed": 0, "workers": 1,
                     "engine": "classic", "sections": args.sections},
             wall_s=watch.wall_s, cpu_s=watch.cpu_s,
-            metrics={**spec_metrics,
-                     **{f"analysis_{k}": v
-                        for k, v in cache_metrics.items()}},
+            metrics=spec_metrics,
         ))
     return 0
 

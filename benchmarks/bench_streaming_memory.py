@@ -2,8 +2,8 @@
 
 The streaming-trace architecture's headline claim: a scenario whose
 materialized replay needs every reference column (and the fast kernel's
-whole-trace run lists) resident completes under a hard peak-RSS cap when
-replayed chunk by chunk.  This script measures both modes on the
+whole-trace run columns) resident completes under a hard peak-RSS cap
+when replayed chunk by chunk.  This script measures both modes on the
 canonical 1,000,448-reference / 1024-thread scenario
 (:func:`repro.workload.streaming.million_reference_scenario`), each in a
 *fresh subprocess* so ``ru_maxrss`` is the mode's own high-water mark,
@@ -13,7 +13,7 @@ cap on the streaming run.
 Run as a script (the CI ``streaming`` job does)::
 
     PYTHONPATH=src python benchmarks/bench_streaming_memory.py \
-        --rss-cap-mb 192 --json streaming_memory.json
+        --rss-cap-mb 125 --json streaming_memory.json
 
 Exit status is non-zero when the replays diverge, when the streaming run
 exceeds the cap, or when the materialized run *fits* under it (a cap the
@@ -33,10 +33,10 @@ from pathlib import Path
 from _harness import Stopwatch, add_json_arg, bench_document, write_json
 
 #: Default hard cap for the streaming replay's peak RSS.  Calibrated
-#: against measured behavior (streaming ≈ 131 MB, materialized ≈ 306 MB
-#: on the reference container): streaming clears it with ~45% headroom,
-#: materialized exceeds it by ~60%.
-DEFAULT_RSS_CAP_MB = 192
+#: against measured behavior (streaming ≈ 109 MB, materialized ≈ 140 MB
+#: on a 2-CPU x86-64 Linux host, Python 3.11): streaming clears it with
+#: ~13% headroom, materialized exceeds it by ~12%.
+DEFAULT_RSS_CAP_MB = 125
 
 #: Processors in the replayed machine (1024 threads / 32 per processor).
 PROCESSORS = 32
@@ -46,7 +46,7 @@ def replay(mode: str) -> dict:
     """One full replay in this process; returns its measurements.
 
     ``mode`` is ``streaming`` (chunked, O(chunk) resident reference
-    data) or ``materialized`` (whole columns + whole-trace run lists).
+    data) or ``materialized`` (whole columns + whole-trace run columns).
     """
     from repro.arch.config import ArchConfig
     from repro.arch.simulator import simulate

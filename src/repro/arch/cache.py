@@ -17,6 +17,11 @@ the cache, *why it left*:
 With the §4.3 "infinite" cache no eviction ever happens, so only the first
 two kinds remain — exactly the property the infinite-cache experiment
 relies on.
+
+Tag stores are sized to the block range the run can touch
+(:func:`tag_lines`), not to the configured set count: the §4.3
+"infinite" cache has 2M sets while no workload references more than a
+few thousand blocks.  The sizing is exact — see :func:`tag_lines`.
 """
 
 from __future__ import annotations
@@ -24,21 +29,65 @@ from __future__ import annotations
 from repro.arch.config import ArchConfig
 from repro.arch.stats import CacheStats, MissKind
 
-__all__ = ["DirectMappedCache", "SetAssociativeCache", "make_cache"]
+__all__ = ["DirectMappedCache", "SetAssociativeCache", "make_cache",
+           "max_block_of", "tag_lines"]
+
+
+def max_block_of(trace_set, block_bits: int) -> int:
+    """Largest block number any thread references (sizes the tag stores
+    and the fast kernel's per-block classification arrays).  Memoized per
+    trace, so repeated simulate calls pay dict lookups only.  Streaming
+    traces answer from their O(1) ``max_addr`` metadata — no chunk pass."""
+    top = 0
+    key = ("max_block", block_bits)
+    for trace in trace_set:
+        if trace.num_refs:
+            if trace.streaming:
+                got = trace.max_block(block_bits)
+                if got > top:
+                    top = got
+                continue
+            cache = trace._replay_cache
+            if cache is None:
+                cache = trace._replay_cache = {}
+            got = cache.get(key)
+            if got is None:
+                got = cache[key] = int(trace.addrs.max()) >> block_bits
+            if got > top:
+                top = got
+    return top
+
+
+def tag_lines(num_sets: int, max_block: int | None) -> int:
+    """Sets a tag store needs when no block exceeds ``max_block``.
+
+    ``num_sets`` when the blocks cover it (or the range is unknown), else
+    the smallest power of two above ``max_block``.  Exact: every block
+    ``b <= max_block < lines <= num_sets`` has
+    ``b & (lines - 1) == b == b & (num_sets - 1)``, so each block maps to
+    the same set it would in the full-size store, and the sets past
+    ``lines`` could never be touched.
+    """
+    if max_block is None or max_block + 1 >= num_sets:
+        return num_sets
+    return 1 << max_block.bit_length()
 
 
 class DirectMappedCache:
     """Direct-mapped cache (the paper's configuration).
 
     One block per set; the set index is the low bits of the block number.
+    ``max_block`` (when known) bounds the tag store; see :func:`tag_lines`.
     """
 
-    def __init__(self, config: ArchConfig) -> None:
+    def __init__(self, config: ArchConfig,
+                 max_block: int | None = None) -> None:
         if config.associativity != 1:
             raise ValueError("DirectMappedCache requires associativity 1")
         self.num_sets = config.num_sets
-        self._mask = self.num_sets - 1
-        self._line_block: list[int] = [-1] * self.num_sets
+        lines = tag_lines(self.num_sets, max_block)
+        self._mask = lines - 1
+        self._line_block: list[int] = [-1] * lines
         self._seen: set[int] = set()
         self._invalidated_by: dict[int, int] = {}
         self._evicted_by: dict[int, int] = {}
@@ -106,16 +155,19 @@ class DirectMappedCache:
 
 
 class SetAssociativeCache:
-    """LRU set-associative cache (the §4.1 extension)."""
+    """LRU set-associative cache (the §4.1 extension).  ``max_block``
+    bounds the tag store as in :class:`DirectMappedCache`."""
 
-    def __init__(self, config: ArchConfig) -> None:
+    def __init__(self, config: ArchConfig,
+                 max_block: int | None = None) -> None:
         self.num_sets = config.num_sets
         self.ways = config.associativity
-        self._mask = self.num_sets - 1
+        lines = tag_lines(self.num_sets, max_block)
+        self._mask = lines - 1
         # Per set: list of resident block numbers, MRU first.  (The
         # classifier needs the *evicting* thread, recorded in
         # ``_evicted_by`` at eviction time — no per-line thread slot.)
-        self._sets: list[list[int]] = [[] for _ in range(self.num_sets)]
+        self._sets: list[list[int]] = [[] for _ in range(lines)]
         self._seen: set[int] = set()
         self._invalidated_by: dict[int, int] = {}
         self._evicted_by: dict[int, int] = {}
@@ -179,8 +231,9 @@ class SetAssociativeCache:
         return {b for lines in self._sets for b in lines}
 
 
-def make_cache(config: ArchConfig):
-    """Cache of the organization the configuration asks for."""
+def make_cache(config: ArchConfig, max_block: int | None = None):
+    """Cache of the organization the configuration asks for, its tag
+    store sized to blocks ``<= max_block`` (all sets when None)."""
     if config.associativity == 1:
-        return DirectMappedCache(config)
-    return SetAssociativeCache(config)
+        return DirectMappedCache(config, max_block)
+    return SetAssociativeCache(config, max_block)

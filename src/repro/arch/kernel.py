@@ -1,10 +1,11 @@
 """The fast replay kernel: run-compressed contexts + array-backed caches.
 
-``simulate(..., engine="fast")`` swaps the per-reference replay loop of
-:class:`~repro.arch.processor.Processor` for this kernel while keeping the
-scheduling, coherence and classification semantics *identical* — the
-differential suite in ``tests/oracle/`` pins the two engines bit-for-bit
-against each other and against the reference interpreter.
+``simulate(..., engine="fast")`` (the default) swaps the per-reference
+replay loop of :class:`~repro.arch.processor.Processor` for this kernel
+while keeping the scheduling, coherence and classification semantics
+*identical* — the differential suite in ``tests/oracle/`` pins the two
+engines bit-for-bit against each other and against the reference
+interpreter.
 
 Why it is exact (the full argument is in ``docs/PERFORMANCE.md``):
 
@@ -33,16 +34,16 @@ from bisect import bisect_right
 
 import numpy as np
 
-from repro.arch.cache import SetAssociativeCache
+from repro.arch.cache import SetAssociativeCache, tag_lines
 from repro.arch.config import ArchConfig
 from repro.arch.directory import Directory
 from repro.arch.processor import Processor
 from repro.arch.stats import CacheStats, MissKind, ProcessorStats
-from repro.trace.runs import compress_trace
-from repro.trace.stream import ThreadTrace, TraceSet
+from repro.trace.runs import CompressedTrace, compress_chunk, compress_traces
+from repro.trace.stream import ThreadTrace
 
-__all__ = ["ArrayDirectMappedCache", "FastContext", "FastProcessor",
-           "make_fast_cache", "max_block_of"]
+__all__ = ["ArrayDirectMappedCache", "ArrayFastProcessor", "FastContext",
+           "FastProcessor", "make_fast_cache"]
 
 #: Departure-record codes for the array-backed classifier.
 _NONE, _EVICTED, _INVALIDATED = 0, 1, 2
@@ -54,59 +55,37 @@ _INTER = MissKind.INTER_THREAD_CONFLICT
 _INVALIDATION = MissKind.INVALIDATION
 
 
-def max_block_of(trace_set: TraceSet, block_bits: int) -> int:
-    """Largest block number any thread references (sizes the per-block
-    classification arrays).  Memoized per trace alongside the compressed
-    run structure, so repeated simulate calls pay dict lookups only.
-    Streaming traces answer from their O(1) ``max_addr`` metadata — no
-    chunk pass."""
-    top = 0
-    key = ("max_block", block_bits)
-    for trace in trace_set:
-        if trace.num_refs:
-            if trace.streaming:
-                got = trace.max_block(block_bits)
-                if got > top:
-                    top = got
-                continue
-            cache = trace._replay_cache
-            if cache is None:
-                cache = trace._replay_cache = {}
-            got = cache.get(key)
-            if got is None:
-                got = cache[key] = int(trace.addrs.max()) >> block_bits
-            if got > top:
-                top = got
-    return top
-
-
 class ArrayDirectMappedCache:
     """Array-backed direct-mapped cache, interface-compatible with
     :class:`~repro.arch.cache.DirectMappedCache`.
 
-    The tag store is a flat ``int64`` array indexed by set; the
-    classification state (first-touch flags plus the one departure record
-    each block can have) is flat arrays indexed by block number — the
-    workloads' word-granular address spaces are small, so O(num_blocks)
-    arrays beat hashing on every miss.  The arrays are plain Python
-    lists, not ndarrays: the hot loop indexes them elementwise, where
-    list access is severalfold faster than numpy scalar access, and
-    ``[-1] * n`` construction beats ``np.full(n, -1).tolist()`` (no
-    per-element object creation) — which matters for §4.3's
-    "effectively infinite" cache configurations.
+    The tag store is a flat array indexed by set, sized to the block
+    range (:func:`~repro.arch.cache.tag_lines` — exact, and it keeps
+    §4.3's 2M-set "infinite" cache as small as the blocks it can hold);
+    the classification state (first-touch flags plus the one departure
+    record each block can have) is flat arrays indexed by block number —
+    the workloads' word-granular address spaces are small, so
+    O(num_blocks) arrays beat hashing on every miss.  The arrays are
+    plain Python lists, not ndarrays: the hot loop indexes them
+    elementwise, where list access is severalfold faster than numpy
+    scalar access.
     """
 
     def __init__(self, config: ArchConfig, max_block: int) -> None:
         if config.associativity != 1:
             raise ValueError("ArrayDirectMappedCache requires associativity 1")
         self.num_sets = config.num_sets
-        self._mask = self.num_sets - 1
-        self._tags = [-1] * self.num_sets
-        # numpy mirror of the tag store for the kernel's vectorized
-        # whole-window hit scan; mutated only where ``_tags`` is (miss
-        # install, eviction, invalidation), so the two never diverge.
-        self._tags_np = np.full(self.num_sets, -1, dtype=np.int64)
+        lines = tag_lines(self.num_sets, max_block)
+        self._mask = lines - 1
+        self._tags = [-1] * lines
+        # Per-block residency flags for the kernel's vectorized
+        # whole-window hit scan: ``_resident[b]`` is 1 exactly when
+        # ``_tags[b & mask] == b``.  Set and cleared only where ``_tags``
+        # changes (miss install, eviction, invalidation); the numpy view
+        # shares the bytearray's memory, so the scan sees every store.
         size = max_block + 1
+        self._resident = bytearray(size)
+        self._resident_np = np.frombuffer(self._resident, dtype=np.uint8)
         self._seen = [False] * size
         self._departure = [_NONE] * size
         self._actor = [0] * size
@@ -152,8 +131,9 @@ class ArrayDirectMappedCache:
         if evicted != -1:
             self._departure[evicted] = _EVICTED
             self._actor[evicted] = thread_id
+            self._resident[evicted] = 0
         tags[index] = block
-        self._tags_np[index] = block
+        self._resident[block] = 1
         return kind, (evicted if evicted != -1 else None), invalidator
 
     def invalidate(self, block: int, by_processor: int) -> bool:
@@ -162,7 +142,7 @@ class ArrayDirectMappedCache:
         if self._tags[index] != block:
             return False
         self._tags[index] = -1
-        self._tags_np[index] = -1
+        self._resident[block] = 0
         self._departure[block] = _INVALIDATED
         self._actor[block] = by_processor
         return True
@@ -180,10 +160,11 @@ class ArrayDirectMappedCache:
 
 def make_fast_cache(config: ArchConfig, max_block: int):
     """The fast engine's cache: array-backed when direct-mapped, the
-    standard LRU cache otherwise (the kernel's run loop works with both)."""
+    standard LRU cache otherwise (the kernel's run loop works with both);
+    either way the tag store is sized to blocks ``<= max_block``."""
     if config.associativity == 1:
         return ArrayDirectMappedCache(config, max_block)
-    return SetAssociativeCache(config)
+    return SetAssociativeCache(config, max_block)
 
 
 class FastContext:
@@ -194,85 +175,60 @@ class FastContext:
     ``ready_time``, ``done``) so the oracle's invariant checker audits
     both engines identically.
 
-    Like the classic context, the replay arrays cover one chunk
+    Like the classic context, the replay columns cover one chunk
     ``[base, climit)`` at a time — run structure included, computed
     chunk-locally (runs split at chunk edges, which is exact; see
     ``docs/STREAMING.md``).  A materialized trace is a single chunk, so
     its layout and hot-loop arithmetic are unchanged.  ``hlen`` is the
     resident span's length, the scan heuristic's denominator (for a
     materialized trace it equals ``length``).
+
+    The columns are built per ``simulate`` call and die with the
+    context: nothing is memoized on the trace.  ``compressed`` is the
+    trace's :class:`~repro.trace.runs.CompressedTrace` (None for a
+    streaming trace: each chunk is compressed when the cursor reaches
+    it).
     """
 
-    __slots__ = ("thread_id", "gaps", "blocks", "writes", "run_end",
-                 "next_write", "prefix_gaps", "charge", "blocks_np",
-                 "block_idx", "length", "num_runs", "hlen", "pos",
-                 "ready_time", "done", "base", "climit", "_chunks")
+    __slots__ = ("thread_id", "blocks", "writes", "run_end",
+                 "next_write", "charge", "blocks_np",
+                 "length", "num_runs", "hlen", "pos",
+                 "ready_time", "done", "base", "climit", "_chunks",
+                 "_hit_cycles")
 
-    def __init__(self, trace: ThreadTrace, block_bits: int,
-                 hit_cycles: int, set_mask: int) -> None:
-        if trace.streaming:
-            self.thread_id = trace.thread_id
-            self.length = trace.num_refs
-            self._chunks = trace.replay_chunks(block_bits, hit_cycles,
-                                               set_mask)
-            self.gaps = self.blocks = self.writes = ()
-            self.run_end = self.next_write = self.prefix_gaps = ()
-            self.charge = ()
-            self.blocks_np = self.block_idx = np.empty(0, dtype=np.int64)
-            self.num_runs = 0
-            self.hlen = 1
-            self.base = 0
-            self.climit = 0
-            self.pos = 0
-            self.ready_time = 0
-            self.done = self.length == 0
-            return
-        # The immutable replay data is memoized on the trace as one flat
-        # tuple: repeated simulate calls over the same traces (experiment
-        # grids, benchmarks) pay a single dict lookup plus slot stores,
-        # which matters for apps with a hundred-plus short threads.
-        memo = trace._replay_cache
-        if memo is None:
-            memo = trace._replay_cache = {}
-        key = ("ctx", block_bits, hit_cycles, set_mask)
-        data = memo.get(key)
-        if data is None:
-            compressed = compress_trace(trace, block_bits)
-            data = memo[key] = (
-                compressed.thread_id, compressed.gaps, compressed.blocks,
-                compressed.writes, compressed.run_end,
-                compressed.next_write, compressed.prefix_gaps,
-                compressed.charge_prefix(hit_cycles), compressed.blocks_np,
-                compressed.block_index(set_mask), compressed.num_refs,
-                compressed.num_runs,
-            )
-        (self.thread_id, self.gaps, self.blocks, self.writes, self.run_end,
-         self.next_write, self.prefix_gaps, self.charge, self.blocks_np,
-         self.block_idx, self.length, self.num_runs) = data
-        self._chunks = None
-        self.hlen = self.length
-        self.base = 0
-        self.climit = self.length
+    def __init__(self, trace: ThreadTrace,
+                 compressed: CompressedTrace | None, block_bits: int,
+                 hit_cycles: int) -> None:
+        self.thread_id = trace.thread_id
+        self.length = trace.num_refs
         self.pos = 0
         self.ready_time = 0
         self.done = self.length == 0
+        self._hit_cycles = hit_cycles
+        if compressed is None:
+            self._chunks = ((chunk.start, compress_chunk(chunk, block_bits))
+                            for chunk in trace.chunks())
+            self.blocks = self.writes = ()
+            self.base = self.climit = 0
+            return
+        self._chunks = None
+        self._load(0, compressed)
 
     def _advance_chunk(self) -> None:
         """Swap the next chunk's compressed columns in (streaming only)."""
-        start, compressed, charge, block_idx = next(self._chunks)
+        self._load(*next(self._chunks))
+
+    def _load(self, start: int, compressed: CompressedTrace) -> None:
         self.base = start
         self.climit = start + compressed.num_refs
-        self.gaps = compressed.gaps
+        self.hlen = compressed.num_refs
+        self.num_runs = compressed.num_runs
         self.blocks = compressed.blocks
         self.writes = compressed.writes
         self.run_end = compressed.run_end
         self.next_write = compressed.next_write
-        self.prefix_gaps = compressed.prefix_gaps
-        self.charge = charge
+        self.charge = compressed.charge_prefix(self._hit_cycles)
         self.blocks_np = compressed.blocks_np
-        self.block_idx = block_idx
-        self.num_runs = compressed.num_runs
-        self.hlen = compressed.num_refs
 
     def __repr__(self) -> str:
         return (
@@ -283,8 +239,22 @@ class FastContext:
 
 class FastProcessor(Processor):
     """A :class:`Processor` whose replay loop steps block runs, not
-    references.  Scheduling (``advance``/``_schedule_next``) is inherited
-    unchanged — only ``_run`` differs."""
+    references.  Scheduling (``advance``) is inherited unchanged — only
+    ``_run`` and ``_schedule_next`` differ.
+
+    Constructing one over an :class:`ArrayDirectMappedCache` yields an
+    :class:`ArrayFastProcessor`, whose ``_run`` is :meth:`_run_array`
+    (the direct-mapped hit test inlined); this class's own ``_run`` is
+    the generic loop for set-associative caches.  The loop is picked by
+    class rather than by binding a method onto the instance, which would
+    make every processor a reference cycle that outlives its
+    ``simulate`` call.
+    """
+
+    def __new__(cls, pid: int, config: ArchConfig, cache, *args):
+        if isinstance(cache, ArrayDirectMappedCache):
+            cls = ArrayFastProcessor
+        return super().__new__(cls)
 
     def __init__(
         self,
@@ -303,9 +273,14 @@ class FastProcessor(Processor):
         self.config = config
         self.cache = cache
         self.directory = directory
-        set_mask = config.num_sets - 1
+        bits, hit_cycles = config.block_bits, config.hit_cycles
+        # One numpy pass compresses every materialized thread placed here.
+        compressed = iter(compress_traces(
+            [t for t in traces if not t.streaming], bits,
+            hit_cycles=hit_cycles))
         self.contexts = [
-            FastContext(t, config.block_bits, config.hit_cycles, set_mask)
+            FastContext(t, None if t.streaming else next(compressed), bits,
+                        hit_cycles)
             for t in traces
         ]
         self.stats = ProcessorStats()
@@ -331,17 +306,18 @@ class FastProcessor(Processor):
             self._lat_row = None
             self._mem_lat = None
             self._topo_groups = 1
-        # Direct-mapped caches get the hit test inlined into the run loop;
+        # Direct-mapped caches get the hit test inlined into the run loop
+        # (``_run_array``, which ArrayFastProcessor runs as its ``_run``);
         # set-associative ones go through cache.access (the MRU move is
         # stateful even on a hit).
         if isinstance(cache, ArrayDirectMappedCache):
-            self._run = self._run_array  # type: ignore[method-assign]
             # Loop-invariant bindings for _run_array, unpacked once per
             # window instead of re-resolved attribute by attribute.  All
             # are stable references: the lists/dicts are mutated in place,
             # never reassigned.
             self._hot = (
-                cache._tags, cache._mask, cache._tags_np, cache._seen,
+                cache._tags, cache._mask, cache._resident,
+                cache._resident_np, cache._seen,
                 cache._departure, cache._actor, cache.stats.misses,
                 directory.write_hit, directory._sharers.get,
                 directory._last_writer.get, directory.evict,
@@ -380,21 +356,21 @@ class FastProcessor(Processor):
 
         When this processor's windows have averaged long (hit-rich
         workloads), the per-run loop is replaced by one vectorized scan
-        of the whole window against the numpy tag mirror: residency
-        cannot change mid-window before the first miss (only this
-        processor acts, and its own hits and upgrades never touch its
-        tag store), so the scan's first mismatch IS the classic loop's
-        first miss.  The choice is a pure strategy switch; both paths
-        produce identical results.
+        of the whole window against the cache's per-block residency
+        flags: residency cannot change mid-window before the first miss
+        (only this processor acts, and its own hits and upgrades never
+        touch its tag store), so the scan's first non-resident reference
+        IS the classic loop's first miss.  The choice is a pure strategy
+        switch; both paths produce identical results.
         """
         # ``sharers_get``/``last_writer_get`` feed the upgrade no-op
         # pre-test: when this processor is the last writer and the sole
         # sharer, write_hit provably changes nothing (it would re-store
         # the same last_writer and send 0 invalidations), so the kernel
         # skips the call outright.
-        (tags, mask, tags_np, seen, departure, actor, miss_counts,
-         write_hit, sharers_get, last_writer_get, dir_evict, dir_fetch,
-         pairwise, memory_latency, upgrade_stalls, pid, pid_set,
+        (tags, mask, resident, resident_np, seen, departure, actor,
+         miss_counts, write_hit, sharers_get, last_writer_get, dir_evict,
+         dir_fetch, pairwise, memory_latency, upgrade_stalls, pid, pid_set,
          lat_row, mem_lat, topo_groups, directory) = self._hot
         tid = context.thread_id
         time = self.time
@@ -432,10 +408,9 @@ class FastProcessor(Processor):
                 # Vectorized window: one scan finds the first miss (or
                 # none), then the hits are charged span-wise with one
                 # directory upgrade per write-containing run segment.
-                neq = (tags_np[context.block_idx[i:iend]]
-                       != context.blocks_np[i:iend])
-                k = int(neq.argmax())
-                miss_at = (i + k) if neq[k] else iend
+                hit = resident_np[context.blocks_np[i:iend]]
+                k = int(hit.argmin())
+                miss_at = (i + k) if not hit[k] else iend
                 if miss_at > i:
                     if not upgrade_stalls:
                         # Write-buffered machine (the paper's baseline): no
@@ -504,8 +479,9 @@ class FastProcessor(Processor):
                     if evicted != -1:
                         departure[evicted] = _EVICTED
                         actor[evicted] = tid
+                        resident[evicted] = 0
                     tags[index] = block
-                    tags_np[index] = block
+                    resident[block] = 1
                     i += 1
                     missed = 1
                     if evicted != -1:
@@ -590,8 +566,9 @@ class FastProcessor(Processor):
                         if evicted != -1:
                             departure[evicted] = _EVICTED
                             actor[evicted] = tid
+                            resident[evicted] = 0
                         tags[index] = block
-                        tags_np[index] = block
+                        resident[block] = 1
                         i += 1
                         missed = 1
                         if evicted != -1:
@@ -647,7 +624,6 @@ class FastProcessor(Processor):
         write_hit = directory.write_hit
         pid = self.pid
         pairwise = directory.pairwise
-        hit_cycles = config.hit_cycles
         memory_latency = config.flat_miss_latency
         lat_row = self._lat_row
         mem_lat = self._mem_lat
@@ -666,19 +642,18 @@ class FastProcessor(Processor):
             if pos >= context.climit:
                 context._advance_chunk()
             base = context.base
-            gaps = context.gaps
             blocks = context.blocks
             writes = context.writes
             run_end = context.run_end
             next_write = context.next_write
-            prefix = context.prefix_gaps
+            charge = context.charge
             i = pos - base
             iend = min(limit, context.climit) - base
 
             while i < iend:
                 # Slow-step the first reference of the (remaining) run: it
                 # is the only one that can miss within this quantum.
-                cost = gaps[i] + hit_cycles
+                cost = charge[i + 1] - charge[i]
                 time += cost
                 busy += cost
                 block = blocks[i]
@@ -730,8 +705,7 @@ class FastProcessor(Processor):
                             # one upgrade that can generate traffic (or
                             # stall).
                             span = w + 1 - i
-                            delta = (prefix[w + 1] - prefix[i]
-                                     + span * hit_cycles)
+                            delta = charge[w + 1] - charge[i]
                             time += delta
                             busy += delta
                             cache_stats.hits += span
@@ -747,7 +721,7 @@ class FastProcessor(Processor):
                         # Pure hits: any remaining writes already own the
                         # block exclusively, so they are directory no-ops.
                         span = seg_end - i
-                        delta = prefix[seg_end] - prefix[i] + span * hit_cycles
+                        delta = charge[seg_end] - charge[i]
                         time += delta
                         busy += delta
                         cache_stats.hits += span
@@ -816,3 +790,10 @@ class FastProcessor(Processor):
             self._pay_switch()
         self.current = index
         return self.time
+
+
+class ArrayFastProcessor(FastProcessor):
+    """A :class:`FastProcessor` over an :class:`ArrayDirectMappedCache`:
+    its replay loop is :meth:`FastProcessor._run_array`."""
+
+    _run = FastProcessor._run_array

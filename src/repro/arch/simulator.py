@@ -20,9 +20,10 @@ import heapq
 
 import numpy as np
 
-from repro.arch.cache import make_cache
+from repro.arch.cache import make_cache, max_block_of
 from repro.arch.config import ArchConfig
 from repro.arch.directory import Directory
+from repro.arch.kernel import FastProcessor, make_fast_cache
 from repro.arch.processor import Processor
 from repro.arch.stats import SimulationResult
 from repro.placement.base import PlacementMap
@@ -43,7 +44,7 @@ def simulate(
     *,
     quantum_refs: int = 256,
     check_invariants: bool = False,
-    engine: str = "classic",
+    engine: str = "fast",
     probe=None,
 ) -> SimulationResult:
     """Simulate one application under one placement and configuration.
@@ -66,11 +67,12 @@ def simulate(
             (conservation laws after every quantum and at completion; see
             ``docs/VALIDATION.md``).  Off by default — the default path
             pays no checking cost.
-        engine: ``"classic"`` replays one reference at a time;
-            ``"fast"`` uses the run-length-compressed kernel in
-            :mod:`repro.arch.kernel`.  The two are bit-for-bit
-            equivalent on every metric (enforced by ``tests/oracle/``);
-            see ``docs/PERFORMANCE.md``.
+        engine: ``"fast"`` (the default) uses the run-length-compressed
+            kernel in :mod:`repro.arch.kernel`; ``"classic"`` replays
+            one reference at a time and is kept as the differential
+            reference.  The two are bit-for-bit equivalent on every
+            metric (enforced by ``tests/oracle/``); see
+            ``docs/PERFORMANCE.md``.
         probe: Optional :class:`~repro.obs.probes.SimProbe` counting
             quanta, miss classes, directory upgrades and context
             switches as the run replays.  Probes observe, never steer:
@@ -114,18 +116,14 @@ def simulate(
 
     p = config.num_processors
     pairwise = np.zeros((p, p), dtype=np.int64)
+    # Tag stores cover only the block range the traces touch (exact; see
+    # repro.arch.cache.tag_lines).
+    max_block = max_block_of(trace_set, config.block_bits)
     if engine == "fast":
-        from repro.arch.kernel import (
-            FastProcessor,
-            make_fast_cache,
-            max_block_of,
-        )
-
-        max_block = max_block_of(trace_set, config.block_bits)
         caches = [make_fast_cache(config, max_block) for _ in range(p)]
         processor_cls = FastProcessor
     else:
-        caches = [make_cache(config) for _ in range(p)]
+        caches = [make_cache(config, max_block) for _ in range(p)]
         processor_cls = Processor
     lat_rows = config.topology.latency_rows(p) if config.tiered else None
     directory = Directory(caches, pairwise, lat_rows)

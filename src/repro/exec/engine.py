@@ -95,7 +95,7 @@ _MAX_SUITES = 4
 
 
 def _suite_for(scale: float, seed: int, quantum_refs: int,
-               engine: str = "classic", speculate: bool = True,
+               engine: str = "fast", speculate: bool = True,
                store_dir: str | None = None,
                stream_chunk_refs: int | None = None,
                topology: str | None = None):
@@ -115,17 +115,11 @@ def _suite_for(scale: float, seed: int, quantum_refs: int,
             # Workers hold no *writable* store (the coordinator persists
             # results and fires the store fault sites exactly once per
             # cell), but a read-only view lets a job's planner hints find
-            # identical-placement siblings, and the shared analysis cache
-            # makes every worker compute each trace's run compression at
-            # most once.  Loads never fire fault-injection sites, so
-            # chaos schedules are unchanged.
-            from pathlib import Path
-
+            # identical-placement siblings.  Loads never fire
+            # fault-injection sites, so chaos schedules are unchanged.
             from repro.experiments.cache import ResultStore
-            from repro.trace import analysis_cache
 
             suite._neighbor_store = ResultStore(store_dir)
-            analysis_cache.configure(Path(store_dir) / "analysis")
         _SUITES[key] = suite
         while len(_SUITES) > _MAX_SUITES:
             _SUITES.popitem(last=False)

@@ -92,7 +92,7 @@ class JobSpec:
     scale: float = DEFAULT_SCALE
     seed: int = 0
     quantum_refs: int = 256
-    engine: str = "classic"
+    engine: str = "fast"
     neighbors: tuple = ()
     stream_chunk_refs: int | None = None
     topology: str | None = None
@@ -249,7 +249,7 @@ def plan_sections(
     seed: int = 0,
     quantum_refs: int = 256,
     random_replicates: int = 3,
-    engine: str = "classic",
+    engine: str = "fast",
     stream_chunk_refs: int | None = None,
     topology: str | None = None,
 ) -> list[JobSpec]:
@@ -279,7 +279,7 @@ def plan_full_grid(
     seed: int = 0,
     quantum_refs: int = 256,
     random_replicates: int = 3,
-    engine: str = "classic",
+    engine: str = "fast",
     stream_chunk_refs: int | None = None,
     topology: str | None = None,
 ) -> list[JobSpec]:

@@ -72,7 +72,7 @@ class SuiteRequest:
     seed: int = 0
     quantum_refs: int = 256
     random_replicates: int = 3
-    engine: str = "classic"
+    engine: str = "fast"
     charts: bool = False
     check_invariants: bool = False
     stream_chunk_refs: int | None = None
@@ -238,8 +238,8 @@ class RunOptions:
     identical placement is the same simulation, which is why
     ``speculate`` may live here rather than in :class:`SuiteRequest`).
     ``speculate`` gates all of the incremental machinery: the
-    identical-placement result memo, the persistent analysis cache,
-    and the placement search's incremental state — ``False`` is the
+    identical-placement result memo and the placement search's
+    incremental state — ``False`` is the
     from-scratch reference computation the differential tier compares
     against.
     """

@@ -13,7 +13,7 @@ application, algorithm, machine).
 Durability — atomic commits, sha256 sidecars, verify-on-load with
 evict-and-recompute — is delegated to
 :class:`repro.util.verified_store.VerifiedDirectory`, the discipline this
-store shares with the trace analysis cache.
+store shares with the trace-chunk store.
 """
 
 from __future__ import annotations

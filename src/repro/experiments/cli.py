@@ -175,8 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--engine",
         choices=ENGINES,
-        default="classic",
-        help="replay engine: 'fast' uses the run-length-compressed kernel "
+        default="fast",
+        help="replay engine: 'fast' (default) uses the run-length-"
+             "compressed kernel, 'classic' steps every reference "
              "(bit-for-bit identical results; see docs/PERFORMANCE.md)",
     )
     parser.add_argument(
@@ -192,9 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-speculate",
         action="store_true",
         help="disable the incremental machinery (the identical-placement "
-             "result memo, the persistent analysis cache, and incremental "
-             "placement-search state) and compute every "
-             "cell from scratch; results are bit-for-bit identical either "
+             "result memo and incremental placement-search state) and "
+             "compute every cell from scratch; results are bit-for-bit identical either "
              "way — this only trades speed for the simpler reference "
              "computation (see docs/PERFORMANCE.md)",
     )

@@ -82,7 +82,7 @@ class ExperimentSuite:
             cells served from a persistent store or by engine workers were
             not simulated here and are not re-audited.
         engine: Replay engine for every simulation —
-            ``"classic"`` or ``"fast"`` (see
+            ``"fast"`` (the default) or ``"classic"`` (see
             :func:`repro.arch.simulator.simulate`).  The engines are
             bit-for-bit equivalent, so results, memo keys and the
             persistent store are engine-agnostic.
@@ -132,7 +132,7 @@ class ExperimentSuite:
         random_replicates: int = 3,
         cache_dir: str | None = None,
         check_invariants: bool = False,
-        engine: str = "classic",
+        engine: str = "fast",
         strict: bool = True,
         speculate: bool = True,
         stream_chunk_refs: int | None = None,
@@ -177,15 +177,6 @@ class ExperimentSuite:
         #: (engine workers arm their own per-job probe).
         self.probe = None
         self._store = ResultStore(cache_dir) if cache_dir is not None else None
-        if cache_dir is not None:
-            # Share the persistent trace-analysis cache alongside the
-            # result store: all cells, across processes and runs, compute
-            # each trace's run compression exactly once.
-            from pathlib import Path
-
-            from repro.trace import analysis_cache
-
-            analysis_cache.configure(Path(cache_dir) / "analysis")
         #: Read-only store consulted for identical-placement siblings
         #: when a cell carries planner hints.  Defaults to the suite's own
         #: store; engine workers (which hold no writable store) get one
@@ -613,7 +604,7 @@ class ExperimentSuite:
 
 
 def _rebuild_suite(scale, seed, quantum_refs, random_replicates, cache_dir,
-                   check_invariants=False, engine="classic", speculate=True,
+                   check_invariants=False, engine="fast", speculate=True,
                    stream_chunk_refs=None, topology=None):
     """Unpickling target for :meth:`ExperimentSuite.__reduce__`."""
     return ExperimentSuite(

@@ -46,9 +46,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--contexts", type=int, default=None,
                         help="hardware contexts per processor "
                              "(default: the map's largest cluster)")
-    parser.add_argument("--engine", choices=ENGINES, default="classic",
-                        help="replay engine: 'fast' uses the run-length-"
-                             "compressed kernel (bit-for-bit identical "
+    parser.add_argument("--engine", choices=ENGINES, default="fast",
+                        help="replay engine: 'fast' (default) uses the "
+                             "run-length-compressed kernel, 'classic' steps "
+                             "every reference (bit-for-bit identical "
                              "results; see docs/PERFORMANCE.md)")
     parser.add_argument("--check-invariants", action="store_true",
                         help="audit the run with the oracle's conservation "

@@ -47,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.arch.cache import make_cache, max_block_of
 from repro.arch.config import ArchConfig
 from repro.arch.directory import Directory
 from repro.arch.stats import SimulationResult
@@ -269,21 +270,16 @@ def simulate_migrating(
     groups = topology.groups if topology is not None else 1
     group_size = p // groups
     pairwise = np.zeros((p, p), dtype=np.int64)
+    max_block = max_block_of(trace_set, config.block_bits)
     if engine == "fast":
-        from repro.arch.kernel import (
-            FastProcessor,
-            make_fast_cache,
-            max_block_of,
-        )
+        from repro.arch.kernel import FastProcessor, make_fast_cache
 
-        max_block = max_block_of(trace_set, config.block_bits)
         caches = [make_fast_cache(config, max_block) for _ in range(p)]
         processor_cls = FastProcessor
     else:
-        from repro.arch.cache import make_cache
         from repro.arch.processor import Processor
 
-        caches = [make_cache(config) for _ in range(p)]
+        caches = [make_cache(config, max_block) for _ in range(p)]
         processor_cls = Processor
     lat_rows = config.topology.latency_rows(p) if config.tiered else None
     directory = Directory(caches, pairwise, lat_rows)

@@ -15,8 +15,6 @@ reproduction:
 * :mod:`repro.trace.streaming` — chunked streaming traces/trace sets
   the replay engines consume with O(chunk) resident reference data
   (see ``docs/STREAMING.md``);
-* :mod:`repro.trace.analysis_cache` — content-addressed on-disk cache of
-  the run-compression artifacts, shared across processes and runs;
 * :mod:`repro.trace.analysis` — the *static* per-thread analysis the
   paper's placement algorithms consume (address profiles, pairwise and
   N-way sharing, write-shared references, private address counts).
@@ -24,7 +22,6 @@ reproduction:
 
 from repro.trace.record import AccessType, TraceRecord
 from repro.trace.runs import CompressedTrace, compress_trace, run_length_stats
-from repro.trace.analysis_cache import AnalysisCache, trace_digest
 from repro.trace.stream import ThreadTrace, TraceSet
 from repro.trace.chunks import (
     ChunkStore,
@@ -72,8 +69,6 @@ __all__ = [
     "CompressedTrace",
     "compress_trace",
     "run_length_stats",
-    "AnalysisCache",
-    "trace_digest",
     "TraceChunk",
     "ChunkStore",
     "MissingChunkError",

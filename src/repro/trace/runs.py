@@ -7,7 +7,8 @@ almost all of its work re-confirming hits inside those runs; a loop that
 touches it once per *block run* does the same simulation in a fraction of
 the time.
 
-:func:`compress_trace` precomputes, per thread, everything the kernel in
+:func:`compress_traces` precomputes, for a batch of threads in one numpy
+pass (:func:`compress_trace` for one), everything the kernel in
 :mod:`repro.arch.kernel` needs to replay a run in O(1):
 
 * ``blocks`` — the per-reference block numbers (``addrs >> block_bits``);
@@ -27,8 +28,13 @@ arithmetic step is bit-for-bit equivalent to stepping it (the argument is
 spelled out in ``docs/PERFORMANCE.md`` and enforced by the differential
 suite in ``tests/oracle/``).
 
-Arrays are exposed as plain Python lists: the kernel indexes them
-elementwise, where lists beat numpy scalar access severalfold.
+Columns are ``memoryview``s over contiguous numpy arrays (int32
+positions, int64 blocks and cycle prefixes; ``gaps``/``writes`` view the
+trace's own arrays).  The kernel indexes them elementwise, where a
+memoryview is as fast as a list, yet they box no per-element objects and
+the garbage collector never walks them.  Nothing is memoized across
+calls: each ``simulate`` builds its columns (O(n) numpy) and they die
+with it.
 """
 
 from __future__ import annotations
@@ -40,36 +46,37 @@ import numpy as np
 from repro.trace.stream import ThreadTrace, TraceSet
 
 __all__ = ["CompressedTrace", "compress_trace", "compress_chunk",
-           "run_length_stats"]
+           "compress_traces", "run_length_stats"]
 
 
 @dataclass
 class CompressedTrace:
     """One thread's trace plus its precomputed run structure.
 
-    All sequences are Python lists for fast scalar indexing; ``blocks``,
-    ``gaps`` and ``writes`` are parallel to the original references,
-    ``prefix_gaps`` has ``num_refs + 1`` entries.
+    All columns are 1-D memoryviews; ``blocks``, ``gaps`` and ``writes``
+    are parallel to the original references, ``prefix_gaps`` has
+    ``num_refs + 1`` entries (``prefix_gaps[j] - prefix_gaps[i]`` is the
+    gap sum over ``[i, j)``; see :func:`compress_traces` for its base).
+    ``blocks_np`` is the array ``blocks`` views, for the kernel's
+    vectorized hit scan.
     """
 
     thread_id: int
-    gaps: list[int]
-    blocks: list[int]
-    writes: list[bool]
-    run_end: list[int]
-    next_write: list[int]
-    prefix_gaps: list[int]
+    gaps: memoryview
+    blocks: memoryview
+    writes: memoryview
+    run_end: memoryview
+    next_write: memoryview
+    prefix_gaps: memoryview
     num_refs: int
     num_runs: int
-    blocks_np: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.int64),
-        repr=False, compare=False,
-    )
+    blocks_np: np.ndarray = field(repr=False, compare=False)
     _charge_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _index_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def charge_prefix(self, hit_cycles: int) -> list[int]:
-        """``C[i] = prefix_gaps[i] + i * hit_cycles``, memoized.
+    def charge_prefix(self, hit_cycles: int) -> memoryview:
+        """``C[i] = prefix_gaps[i] + i * hit_cycles``, memoized (up to a
+        constant when :func:`compress_traces` precomputed it).
 
         Folds the per-reference hit cost into the gap prefix sum, so the
         kernel charges any hit span ``[i, j)`` as the two-lookup form
@@ -77,12 +84,10 @@ class CompressedTrace:
         """
         got = self._charge_cache.get(hit_cycles)
         if got is None:
-            n = self.num_refs
-            got = (
-                np.asarray(self.prefix_gaps, dtype=np.int64)
-                + hit_cycles * np.arange(n + 1, dtype=np.int64)
-            ).tolist()
-            self._charge_cache[hit_cycles] = got
+            charge = np.arange(self.num_refs + 1, dtype=np.int64)
+            charge *= hit_cycles
+            charge += self.prefix_gaps
+            got = self._charge_cache[hit_cycles] = memoryview(charge)
         return got
 
     def block_index(self, mask: int) -> np.ndarray:
@@ -97,83 +102,11 @@ class CompressedTrace:
 def compress_trace(trace: ThreadTrace, block_bits: int) -> CompressedTrace:
     """Precompute the run structure of one thread's trace.
 
-    Pure numpy sweeps — O(n) total, no per-reference Python work.  The
-    result is memoized on the trace (keyed by ``block_bits``): traces are
-    immutable once they reach the simulator — every transform in
-    :mod:`repro.trace.transform` returns new ``ThreadTrace`` objects — so
-    repeated cells in an experiment grid pay the compression cost once.
+    Pure numpy sweeps — O(n) total, no per-reference Python work.  Not
+    memoized: the result holds O(n) arrays, so it lives only as long as
+    the caller keeps it.
     """
-    cache = trace._replay_cache
-    if cache is None:
-        cache = trace._replay_cache = {}
-    cached = cache.get(block_bits)
-    if cached is not None:
-        return cached
-    # Consult the process-global persistent cache (when configured) so
-    # worker processes and successive runs share one computation per
-    # trace; it falls back to _compress internally on any miss/damage.
-    from repro.trace import analysis_cache
-
-    disk = analysis_cache.active_cache()
-    if disk is not None:
-        compressed = disk.fetch(trace, block_bits)
-    else:
-        compressed = _compress(trace, block_bits)
-    cache[block_bits] = compressed
-    return compressed
-
-
-def _run_structure(
-    blocks: np.ndarray, writes: np.ndarray, gaps: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The three derived arrays over one span of references.
-
-    Shared by whole-trace compression and per-chunk compression: a chunk
-    is simply a span whose run structure is computed in local (0-based)
-    coordinates, so ``run_end``/``next_write`` never index outside the
-    chunk.  Returns ``(run_end, next_write, prefix_gaps, num_runs)``.
-    """
-    n = blocks.size
-    # Maximal same-block runs: boundaries where the block number changes.
-    starts = np.flatnonzero(np.diff(blocks)) + 1
-    ends = np.concatenate([starts, [n]])
-    lengths = np.diff(np.concatenate([[0], ends]))
-    run_end = np.repeat(ends, lengths)
-
-    # First write at or after each position (n when no write remains).
-    next_write = np.full(n, n, dtype=np.int64)
-    write_idx = np.flatnonzero(writes)
-    next_write[write_idx] = write_idx
-    next_write = np.minimum.accumulate(next_write[::-1])[::-1]
-
-    prefix_gaps = np.concatenate([[0], np.cumsum(gaps)])
-    return run_end, next_write, prefix_gaps, len(ends)
-
-
-def _compress(trace: ThreadTrace, block_bits: int) -> CompressedTrace:
-    n = trace.num_refs
-    blocks = trace.addrs >> block_bits
-    if n == 0:
-        return CompressedTrace(
-            thread_id=trace.thread_id, gaps=[], blocks=[], writes=[],
-            run_end=[], next_write=[], prefix_gaps=[0], num_refs=0, num_runs=0,
-        )
-
-    run_end, next_write, prefix_gaps, num_runs = _run_structure(
-        blocks, trace.writes, trace.gaps)
-
-    return CompressedTrace(
-        thread_id=trace.thread_id,
-        gaps=trace.gaps.tolist(),
-        blocks=blocks.tolist(),
-        writes=trace.writes.tolist(),
-        run_end=run_end.tolist(),
-        next_write=next_write.tolist(),
-        prefix_gaps=prefix_gaps.tolist(),
-        num_refs=n,
-        num_runs=num_runs,
-        blocks_np=np.ascontiguousarray(blocks, dtype=np.int64),
-    )
+    return compress_traces([trace], block_bits)[0]
 
 
 def compress_chunk(chunk, block_bits: int) -> CompressedTrace:
@@ -187,42 +120,98 @@ def compress_chunk(chunk, block_bits: int) -> CompressedTrace:
     and re-tests its first write against the exclusive-owner pre-test
     (also a no-op once the first segment's write upgraded).  The full
     argument is in ``docs/STREAMING.md``.
-
-    When a persistent analysis cache is configured
-    (:func:`repro.trace.analysis_cache.configure`), the chunk's structure
-    is fetched through it (content-addressed by the chunk's bytes) so
-    repeated cells over the same spilled chunks share one computation.
     """
-    from repro.trace import analysis_cache
-
-    disk = analysis_cache.active_cache()
-    if disk is not None:
-        return disk.fetch_chunk(chunk, block_bits)
-    return _compress_chunk(chunk, block_bits)
+    return compress_traces([chunk], block_bits)[0]
 
 
-def _compress_chunk(chunk, block_bits: int) -> CompressedTrace:
-    n = int(chunk.addrs.size)
-    blocks = chunk.addrs >> block_bits
-    if n == 0:
-        return CompressedTrace(
-            thread_id=chunk.thread_id, gaps=[], blocks=[], writes=[],
-            run_end=[], next_write=[], prefix_gaps=[0], num_refs=0, num_runs=0,
+def compress_traces(spans, block_bits: int, *,
+                    hit_cycles: int | None = None) -> list[CompressedTrace]:
+    """Run-compress several spans (traces or chunks) in one numpy pass.
+
+    The spans are laid end to end and every column is computed once over
+    the whole, then handed out as per-span slices in span-local
+    coordinates: a run never crosses a span edge, ``run_end`` and
+    ``next_write`` saturate at the span's own end.  So the per-span cost
+    is a few slices, not a dozen numpy calls — which matters for apps
+    with a hundred-plus short threads.
+
+    The prefix columns of a span other than the first start at the
+    running total of the spans before it, not at 0; every use takes a
+    difference (``prefix_gaps[j] - prefix_gaps[i]`` is the gap sum over
+    ``[i, j)``), so the offset cancels.  ``hit_cycles`` precomputes
+    :meth:`CompressedTrace.charge_prefix` in the same pass.
+    """
+    if not spans:
+        return []
+    lengths = np.fromiter((s.addrs.size for s in spans), np.int64,
+                          len(spans))
+    bounds = np.zeros(len(spans) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=bounds[1:])
+    n = int(bounds[-1])
+    blocks = np.concatenate([s.addrs for s in spans], dtype=np.int64)
+    blocks >>= block_bits
+    prefix = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.concatenate([s.gaps for s in spans]), out=prefix[1:])
+
+    # Positions fit int32 on any realistic machine.
+    pos_type = np.int32 if n < 1 << 31 else np.int64
+
+    # Maximal same-block runs, also cut at every span's first reference.
+    # (Temporaries are deleted as soon as they are spent: this pass sets
+    # the replay's peak memory.)
+    new_run = np.ones(n, dtype=bool)
+    np.not_equal(blocks[1:], blocks[:-1], out=new_run[1:])
+    new_run[bounds[:-1][lengths > 0]] = True
+    run_bounds = np.append(np.flatnonzero(new_run), n).astype(pos_type)
+    del new_run
+    run_end = np.repeat(run_bounds[1:], np.diff(run_bounds))
+    num_runs = np.diff(np.searchsorted(run_bounds[:-1], bounds)).tolist()
+    del run_bounds
+
+    # First write at or after each position, else the span's end.  The
+    # backward running minimum cannot leak across spans: every later
+    # position holds a value >= this span's end.
+    next_write = np.repeat(bounds[1:].astype(pos_type), lengths)
+    write_idx = np.flatnonzero(np.concatenate([s.writes for s in spans]))
+    next_write[write_idx] = write_idx
+    backwards = next_write[::-1]
+    np.minimum.accumulate(backwards, out=backwards)
+
+    # Span-local positions.
+    offset = np.repeat(bounds[:-1].astype(pos_type), lengths)
+    run_end -= offset
+    next_write -= offset
+    del offset
+
+    charge = None
+    if hit_cycles is not None:
+        charge = np.arange(n + 1, dtype=np.int64)
+        charge *= hit_cycles
+        charge += prefix
+        charge = memoryview(charge)
+
+    blocks_mv, prefix = memoryview(blocks), memoryview(prefix)
+    run_end, next_write = memoryview(run_end), memoryview(next_write)
+    out = []
+    starts = bounds.tolist()
+    for k, span in enumerate(spans):
+        a, b = starts[k], starts[k + 1]
+        compressed = CompressedTrace(
+            thread_id=span.thread_id,
+            gaps=memoryview(span.gaps),
+            blocks=blocks_mv[a:b],
+            writes=memoryview(span.writes),
+            run_end=run_end[a:b],
+            next_write=next_write[a:b],
+            prefix_gaps=prefix[a:b + 1],
+            num_refs=b - a,
+            num_runs=num_runs[k],
+            blocks_np=blocks[a:b],
         )
-    run_end, next_write, prefix_gaps, num_runs = _run_structure(
-        blocks, chunk.writes, chunk.gaps)
-    return CompressedTrace(
-        thread_id=chunk.thread_id,
-        gaps=chunk.gaps.tolist(),
-        blocks=blocks.tolist(),
-        writes=chunk.writes.tolist(),
-        run_end=run_end.tolist(),
-        next_write=next_write.tolist(),
-        prefix_gaps=prefix_gaps.tolist(),
-        num_refs=n,
-        num_runs=num_runs,
-        blocks_np=np.ascontiguousarray(blocks, dtype=np.int64),
-    )
+        if charge is not None:
+            compressed._charge_cache[hit_cycles] = charge[a:b + 1]
+        out.append(compressed)
+    return out
 
 
 def run_length_stats(trace_set: TraceSet, block_bits: int = 2) -> dict:

@@ -62,8 +62,8 @@ class ThreadTrace:
         self.gaps = gaps
         self.addrs = addrs
         self.writes = writes
-        # Memoized run-compression (see repro.trace.runs), keyed by
-        # block_bits.  Derived data only — never serialized or compared.
+        # Small derived-data memos (the max block per block_bits); never
+        # per-reference arrays, never serialized or compared.
         self._replay_cache: dict | None = None
 
     @classmethod

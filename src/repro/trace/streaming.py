@@ -82,23 +82,6 @@ class StreamingThreadTrace:
         """A fresh pass over the thread's chunks, first to last."""
         return iter(self._source())
 
-    def replay_chunks(self, block_bits: int, hit_cycles: int,
-                      set_mask: int) -> Iterator[tuple]:
-        """Per-chunk run-compressed replay data for the fast kernel.
-
-        Yields ``(start, compressed, charge, block_idx)`` per chunk,
-        where ``compressed`` is the chunk-local
-        :class:`~repro.trace.runs.CompressedTrace` and the two derived
-        arrays are the kernel's charge prefix and set-index columns.
-        """
-        from repro.trace.runs import compress_chunk
-
-        for chunk in self._source():
-            compressed = compress_chunk(chunk, block_bits)
-            yield (chunk.start, compressed,
-                   compressed.charge_prefix(hit_cycles),
-                   compressed.block_index(set_mask))
-
     def max_block(self, block_bits: int) -> int:
         """Largest block number this thread references."""
         return self.max_addr >> block_bits

@@ -1,14 +1,14 @@
 """Checksummed entry families: one verify/commit/evict discipline.
 
-Both persistent caches in the pipeline — the simulation
-:class:`~repro.experiments.cache.ResultStore` and the trace
-:class:`~repro.trace.analysis_cache.AnalysisCache` — keep content-addressed
-entries under a directory, each paired with a ``.sha256`` sidecar, committed
+Both persistent stores in the pipeline — the simulation
+:class:`~repro.experiments.cache.ResultStore` and the trace-chunk
+:class:`~repro.trace.chunks.ChunkStore` — keep content-addressed entries
+under a directory, each paired with a ``.sha256`` sidecar, committed
 crash-safely and *verified on every load*: an entry whose bytes no longer
 match its sidecar (bit rot, a torn write from an unhardened writer, an
 injected ``corrupt``/``truncate`` fault) is logged, evicted and recomputed,
-never returned.  This module is that shared discipline, extracted so the two
-stores cannot drift apart (they used to carry near-duplicate code paths).
+never returned.  This module is that shared discipline, extracted so the
+stores cannot drift apart.
 
 The commit protocol per entry:
 

@@ -31,6 +31,7 @@ __all__ = [
     "topologies_for",
     "arch_configs_for",
     "simulation_cases",
+    "tag_sizing_cases",
     "partitioned_cases",
     "QUANTA",
 ]
@@ -116,16 +117,20 @@ def topologies_for(draw, num_processors: int) -> Topology | None:
 
 @st.composite
 def arch_configs_for(draw, placement: PlacementMap,
-                     tiered: bool = True) -> ArchConfig:
+                     tiered: bool = True, geometry=None) -> ArchConfig:
     """A legal machine for the placement, spanning the geometry corners.
 
     ``tiered=False`` pins ``topology=None``: the partitioned metamorphic
     theorems (processor relabeling) assume every processor sees the same
     memory latency, which a tiered topology deliberately violates.
+    ``geometry`` pins ``(num_sets, block_words, associativity)``.
     """
-    num_sets = draw(st.sampled_from([1, 2, 4, 8, 16]))
-    block_words = draw(st.sampled_from([1, 2, 4]))
-    associativity = draw(st.sampled_from([1, 1, 1, 2]))  # bias: paper's DM
+    if geometry is None:
+        num_sets = draw(st.sampled_from([1, 2, 4, 8, 16]))
+        block_words = draw(st.sampled_from([1, 2, 4]))
+        associativity = draw(st.sampled_from([1, 1, 1, 2]))  # bias: DM
+    else:
+        num_sets, block_words, associativity = geometry
     topology = (
         draw(topologies_for(placement.num_processors)) if tiered else None
     )
@@ -153,6 +158,50 @@ def simulation_cases(draw, max_threads: int = 5, max_refs: int = 30):
     config = draw(arch_configs_for(placement))
     quantum = draw(st.sampled_from(QUANTA))
     return traces, placement, config, quantum
+
+
+#: Where a machine's set count sits relative to the highest block a case
+#: references (``max_block + 1`` blocks): far above it, one above, equal,
+#: one below, or well below.  Tag stores are sized to the block range
+#: when the sets outnumber the blocks (:func:`repro.arch.cache.tag_lines`).
+SIZINGS = ("far-above", "one-above", "equal", "one-below", "below")
+
+
+@st.composite
+def tag_sizing_cases(draw, associativity: int, max_threads: int = 5,
+                     max_refs: int = 30):
+    """A differential case whose set count sits at a chosen distance
+    (:data:`SIZINGS`) from its block range, with the top block pinned by
+    one reference so the distance is exact."""
+    sizing = draw(st.sampled_from(SIZINGS))
+    block_words = draw(st.sampled_from([1, 2, 4]))
+    num_sets = draw(st.sampled_from([2, 4, 8, 16]))
+    if sizing == "far-above":
+        max_block = draw(st.integers(0, 23))
+        num_sets = 1 << 12
+    elif sizing == "below":
+        max_block = draw(st.integers(num_sets + 1, 3 * num_sets))
+    else:
+        max_block = num_sets - {"one-above": 2, "equal": 1,
+                                "one-below": 0}[sizing]
+    words = (max_block + 1) * block_words
+    threads = []
+    for _ in range(draw(st.integers(1, max_threads))):
+        n = draw(st.integers(0, max_refs))
+        threads.append((
+            draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)),
+            draw(st.lists(st.integers(0, words - 1), min_size=n, max_size=n)),
+            draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+        ))
+    gaps, addrs, writes = threads[draw(st.integers(0, len(threads) - 1))]
+    gaps.append(draw(st.integers(0, 5)))
+    addrs.append(max_block * block_words + draw(st.integers(0, block_words - 1)))
+    writes.append(draw(st.booleans()))
+    traces = make_trace_set(threads, name="tag-sizing")
+    placement = draw(placements_for(traces))
+    config = draw(arch_configs_for(
+        placement, geometry=(num_sets, block_words, associativity)))
+    return traces, placement, config, draw(st.sampled_from(QUANTA))
 
 
 @st.composite

@@ -15,12 +15,13 @@ interchangeable, not merely each-close-to-the-oracle).
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
+from repro.arch.cache import max_block_of
 from repro.arch.simulator import ENGINES, simulate
 from repro.oracle import assert_equivalent, diff_results, reference_simulate
 
-from tests.oracle.strategies import simulation_cases
+from tests.oracle.strategies import simulation_cases, tag_sizing_cases
 
 pytestmark = pytest.mark.oracle
 
@@ -73,6 +74,30 @@ class TestDifferential:
         reference = reference_simulate(traces, placement, config,
                                        quantum_refs=quantum)
         assert_equivalent(checked, reference)
+
+
+class TestTagSizing:
+    """Tag stores sized to the block range (``repro.arch.cache.tag_lines``)
+    replay exactly like full-size ones: machines whose set count is far
+    above, one above, equal to, one below and well below the block count,
+    on both engines and both organizations."""
+
+    @both_engines
+    @pytest.mark.parametrize("associativity", [1, 2])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_sized_tag_stores_match_oracle(self, data, engine, associativity):
+        traces, placement, config, quantum = data.draw(
+            tag_sizing_cases(associativity))
+        production = simulate(traces, placement, config, quantum_refs=quantum,
+                              engine=engine)
+        reference = reference_simulate(traces, placement, config,
+                                       quantum_refs=quantum)
+        assert_equivalent(
+            production, reference,
+            context=f"{engine}/{config.num_sets}s/{associativity}w/"
+                    f"max_block={max_block_of(traces, config.block_bits)}",
+        )
 
 
 class TestDifferentialDerivedMetrics:

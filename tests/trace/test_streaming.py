@@ -2,8 +2,7 @@
 
 Covers the chunk slicing and spill format (:mod:`repro.trace.chunks`),
 the streaming trace/set surface and its adapters
-(:mod:`repro.trace.streaming`), the per-chunk analysis-cache entries,
-and the bounded-memory workload generators
+(:mod:`repro.trace.streaming`) and the bounded-memory workload generators
 (:mod:`repro.workload.streaming`).  The replay-level byte-identity
 theorems live in ``tests/arch/test_streaming_replay.py``; here we pin
 the building blocks: chunks are exact views, spills verify and damage
@@ -14,14 +13,13 @@ import numpy as np
 import pytest
 
 from repro.trace.analysis import ThreadProfile
-from repro.trace.analysis_cache import AnalysisCache, chunk_digest
 from repro.trace.chunks import (
     ChunkStore,
     MissingChunkError,
     TraceChunk,
     chunk_arrays,
 )
-from repro.trace.runs import _compress, run_length_stats
+from repro.trace.runs import run_length_stats
 from repro.trace.stream import ThreadTrace, TraceSet
 from repro.trace.streaming import (
     StreamingThreadTrace,
@@ -223,28 +221,6 @@ class TestStreamingAnalysis:
         ts = _trace_set()
         stream = as_streaming(ts, chunk_refs=11)
         assert run_length_stats(stream, 2) == run_length_stats(ts, 2)
-
-    def test_chunk_analysis_cache_roundtrip(self, tmp_path):
-        cache = AnalysisCache(tmp_path)
-        trace = _trace(n=40)
-        chunk = next(chunk_arrays(0, trace.gaps, trace.addrs, trace.writes,
-                                  40))
-        expected = _compress(trace, 2)
-        first = cache.fetch_chunk(chunk, 2)
-        assert cache.misses == 1
-        assert first.run_end == expected.run_end
-        second = cache.fetch_chunk(chunk, 2)
-        assert cache.hits == 1
-        assert second.next_write == expected.next_write
-
-    def test_chunk_digest_separates_position_and_content(self):
-        trace = _trace(n=20)
-        a, b = chunk_arrays(0, trace.gaps, trace.addrs, trace.writes, 10)
-        assert chunk_digest(a) != chunk_digest(b)
-        # Same bytes at the same position: same address.
-        again = next(chunk_arrays(0, trace.gaps, trace.addrs,
-                                  trace.writes, 10))
-        assert chunk_digest(a) == chunk_digest(again)
 
 
 class TestStreamScenario:

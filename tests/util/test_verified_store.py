@@ -1,7 +1,7 @@
-"""The shared verify/commit/evict discipline behind both on-disk caches.
+"""The shared verify/commit/evict discipline behind both on-disk stores.
 
 :class:`repro.util.verified_store.VerifiedDirectory` is the single code
-path ResultStore and the trace analysis cache rely on for crash-safe
+path ResultStore and the trace ChunkStore rely on for crash-safe
 commits and damage detection; these tests pin its contract directly so a
 regression cannot hide behind either store's own suite.
 """
