@@ -74,7 +74,7 @@ __all__ = ["DistributedCoordinator", "ClusterResult", "run_distributed"]
 _MERGED_EVENTS = frozenset({
     "queued", "started", "finished", "failed", "retrying", "cache-hit",
     "resumed", "interrupted", "watchdog-kill", "store-failed",
-    "speculated", "batch-failed",
+    "batch-failed",
 })
 
 

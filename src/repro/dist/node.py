@@ -96,8 +96,6 @@ class NodeServer:
         workers: Worker processes per engine run on this node.
         retries: Per-cell retry budget (the engine's, local to the node).
         timeout: Per-cell attempt timeout in seconds.
-        speculate: Allow identical-placement result reuse in worker
-            suites.
     """
 
     def __init__(
@@ -111,7 +109,6 @@ class NodeServer:
         workers: int = 1,
         retries: int = 2,
         timeout: float | None = None,
-        speculate: bool = True,
     ) -> None:
         self.data_dir = Path(data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
@@ -123,7 +120,6 @@ class NodeServer:
         self.workers = int(workers)
         self.retries = int(retries)
         self.timeout = timeout
-        self.speculate = bool(speculate)
         self.journal_path = self.data_dir / "journal.jsonl"
         self._batches: queue.Queue = queue.Queue()
         self._lock = threading.Lock()
@@ -166,7 +162,6 @@ class NodeServer:
                     max_retries=self.retries,
                     store=ResultStore(self.store_dir),
                     journal_path=self.journal_path,
-                    speculate=self.speculate,
                 )
                 report = engine.run(specs)
                 with self._lock:
@@ -401,7 +396,6 @@ def start_node_in_background(
     workers: int = 1,
     retries: int = 2,
     timeout: float | None = None,
-    speculate: bool = True,
 ) -> NodeHandle:
     """Run a :class:`NodeServer` on a daemon thread (tests, benchmarks).
 
@@ -410,8 +404,7 @@ def start_node_in_background(
     nodes only — see ``tests/dist/test_cluster.py``.
     """
     node = NodeServer(data_dir, store_dir, host=host, port=port, name=name,
-                      workers=workers, retries=retries, timeout=timeout,
-                      speculate=speculate)
+                      workers=workers, retries=retries, timeout=timeout)
     started = threading.Event()
     holder: dict = {}
 

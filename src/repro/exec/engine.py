@@ -66,7 +66,6 @@ from repro.exec.jobs import JobSpec
 from repro.exec.journal import RunJournal
 from repro.exec.summary import RunSummary
 from repro.experiments.cache import ResultStore, result_from_arrays, result_to_arrays
-from repro.experiments.memo import take_speculation
 from repro.util.validate import check_positive
 
 __all__ = ["ExecutionEngine", "JobFailure", "RunReport", "JobTimeout",
@@ -95,32 +94,20 @@ _MAX_SUITES = 4
 
 
 def _suite_for(scale: float, seed: int, quantum_refs: int,
-               engine: str = "fast", speculate: bool = True,
-               store_dir: str | None = None,
+               engine: str = "fast",
                stream_chunk_refs: int | None = None,
                topology: str | None = None):
     from repro.experiments.runner import ExperimentSuite
 
-    key = (scale, seed, quantum_refs, engine, speculate, store_dir,
-           stream_chunk_refs, topology)
+    key = (scale, seed, quantum_refs, engine, stream_chunk_refs, topology)
     if key in _SUITES:
         _SUITES.move_to_end(key)
     else:
-        suite = ExperimentSuite(scale=scale, seed=seed,
-                                quantum_refs=quantum_refs,
-                                engine=engine, speculate=speculate,
-                                stream_chunk_refs=stream_chunk_refs,
-                                topology=topology)
-        if store_dir is not None:
-            # Workers hold no *writable* store (the coordinator persists
-            # results and fires the store fault sites exactly once per
-            # cell), but a read-only view lets a job's planner hints find
-            # identical-placement siblings.  Loads never fire
-            # fault-injection sites, so chaos schedules are unchanged.
-            from repro.experiments.cache import ResultStore
-
-            suite._neighbor_store = ResultStore(store_dir)
-        _SUITES[key] = suite
+        _SUITES[key] = ExperimentSuite(scale=scale, seed=seed,
+                                       quantum_refs=quantum_refs,
+                                       engine=engine,
+                                       stream_chunk_refs=stream_chunk_refs,
+                                       topology=topology)
         while len(_SUITES) > _MAX_SUITES:
             _SUITES.popitem(last=False)
     return _SUITES[key]
@@ -141,8 +128,6 @@ def simulate_cell(payload: dict) -> dict:
     """
     spec = JobSpec.from_payload(payload["spec"])
     suite = _suite_for(spec.scale, spec.seed, spec.quantum_refs, spec.engine,
-                       bool(payload.get("speculate", True)),
-                       payload.get("store_dir"),
                        spec.stream_chunk_refs, spec.topology)
     probe = None
     if payload.get("probe"):
@@ -155,7 +140,6 @@ def simulate_cell(payload: dict) -> dict:
             spec.app, spec.algorithm, spec.processors,
             infinite=spec.infinite, associativity=spec.associativity,
             cache_words=spec.cache_words, replicate=spec.replicate,
-            neighbors=spec.neighbors,
         )
     finally:
         suite.probe = None
@@ -229,13 +213,6 @@ def _invoke(runner: Callable[[dict], object], payload: dict) -> dict:
                 signal.setitimer(signal.ITIMER_REAL, 0.0)
                 signal.signal(signal.SIGALRM, previous)
         out.update(ok=True, value=value)
-        # Reuse outcomes the suite stashed while running this job ride
-        # the result channel to the coordinator's journal.  Drained only
-        # on success: a failed attempt's events are discarded below, so
-        # they cannot be misattributed to the worker's next job.
-        spec_events = take_speculation()
-        if spec_events:
-            out["speculation"] = spec_events
         if payload.get("probe"):
             # Probe counters the runner stashed (simulate_cell) ride the
             # existing result channel back to the coordinator's registry.
@@ -246,7 +223,6 @@ def _invoke(runner: Callable[[dict], object], payload: dict) -> dict:
                 out["sim_metrics"] = sim_metrics
     except JobTimeout as exc:
         out.update(ok=False, kind="timeout", error=str(exc))
-        take_speculation()
     except Exception as exc:
         out.update(
             ok=False,
@@ -254,7 +230,6 @@ def _invoke(runner: Callable[[dict], object], payload: dict) -> dict:
             error=f"{type(exc).__name__}: {exc}",
             traceback=traceback.format_exc(limit=20),
         )
-        take_speculation()
     finally:
         # An injected crash (os._exit) skips this; the stale heartbeat is
         # then cleaned up by the watchdog's liveness check.
@@ -428,11 +403,6 @@ class ExecutionEngine:
             retry events' ``duration`` field, which is recorded
             unconditionally.  The caller finalizes the observer (the
             engine may be run several times under one observer).
-        speculate: Let worker suites answer a cell whose placement is
-            identical to an already simulated sibling's with a copy of
-            that result (see :mod:`repro.experiments.memo`).  Exact, so
-            results are bit-for-bit identical either way; each reuse is
-            journaled as ``speculated`` with ``mode="clone"``.
     """
 
     def __init__(
@@ -450,7 +420,6 @@ class ExecutionEngine:
         job_runner: Callable[[dict], object] | None = None,
         mp_context: str = "spawn",
         observer=None,
-        speculate: bool = True,
     ) -> None:
         check_positive("workers", workers)
         if timeout is not None:
@@ -484,7 +453,6 @@ class ExecutionEngine:
             self._materialize = lambda value: value
         self.mp_context = mp_context
         self.observer = observer
-        self.speculate = bool(speculate)
 
     # -- planning phase -------------------------------------------------
 
@@ -622,9 +590,6 @@ class ExecutionEngine:
             "timeout": self.timeout,
             "attempt": attempt,
             "delay": delay,
-            "speculate": self.speculate,
-            "store_dir": (str(self.store.directory)
-                          if self.store is not None else None),
         }
         if self.observer is not None and self.observer.want_sim_probe:
             payload["probe"] = True
@@ -668,12 +633,6 @@ class ExecutionEngine:
                 worker=out.get("worker"), attempt=attempt,
                 duration=out.get("duration"),
             )
-            for event in out.get("speculation", ()):
-                journal.record(
-                    "speculated", job_id,
-                    mode=event.get("speculation"),
-                    detail=event.get("detail"),
-                )
             if self.observer is not None:
                 self.observer.job_finished(payload, out)
         elif attempt <= self.max_retries:

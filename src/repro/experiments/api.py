@@ -234,14 +234,7 @@ class RunOptions:
 
     Nothing here may change the rendered report's bytes — that is the
     byte-identity contract every option rides on (parallel == sequential,
-    journaled == bare, cached == recomputed, memoized == replayed: an
-    identical placement is the same simulation, which is why
-    ``speculate`` may live here rather than in :class:`SuiteRequest`).
-    ``speculate`` gates all of the incremental machinery: the
-    identical-placement result memo and the placement search's
-    incremental state — ``False`` is the
-    from-scratch reference computation the differential tier compares
-    against.
+    journaled == bare, cached == recomputed).
     """
 
     jobs: int = 1
@@ -253,7 +246,6 @@ class RunOptions:
     cache_dir: str | None = None
     observer: object | None = None
     mp_context: str = "spawn"
-    speculate: bool = True
 
     def __post_init__(self) -> None:
         check_positive("jobs", self.jobs)
@@ -325,7 +317,6 @@ def run_suite(
         cache_dir=options.cache_dir,
         check_invariants=request.check_invariants,
         engine=request.engine, strict=strict,
-        speculate=options.speculate,
         stream_chunk_refs=request.stream_chunk_refs,
         topology=request.topology,
     )

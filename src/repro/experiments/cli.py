@@ -190,15 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
              "bounded resident replay state; see docs/STREAMING.md)",
     )
     parser.add_argument(
-        "--no-speculate",
-        action="store_true",
-        help="disable the incremental machinery (the identical-placement "
-             "result memo and incremental placement-search state) and "
-             "compute every cell from scratch; results are bit-for-bit identical either "
-             "way — this only trades speed for the simpler reference "
-             "computation (see docs/PERFORMANCE.md)",
-    )
-    parser.add_argument(
         "--check-invariants",
         action="store_true",
         help="audit every simulation with the oracle's runtime conservation "
@@ -306,7 +297,6 @@ def main(argv: list[str] | None = None) -> int:
         jobs=args.jobs, timeout=args.timeout, hang_timeout=args.hang_timeout,
         retries=args.retries, journal=args.journal, resume=args.resume,
         cache_dir=args.cache_dir, observer=observer,
-        speculate=not args.no_speculate,
     )
     run_info = None
     try:

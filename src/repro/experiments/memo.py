@@ -11,14 +11,11 @@ are *not* the same simulation — the min-time heap breaks time ties by
 processor id, which the directory can observe — so only byte-identical
 assignments share an entry.)
 
-Reuse outcomes ride a small worker -> coordinator channel
-(:func:`stash_speculation` / :func:`take_speculation`) so the engine can
-journal them as ``speculated`` events with ``mode="clone"``.
+Reuse is counted by the suite's :class:`~repro.obs.probes.SimProbe`
+(``sim_memo_lookups`` / ``sim_memo_hits``).
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 import numpy as np
 
@@ -32,8 +29,7 @@ from repro.arch.stats import (
 )
 from repro.placement.base import PlacementMap
 
-__all__ = ["ResultMemo", "clone_result", "stash_speculation",
-           "take_speculation"]
+__all__ = ["ResultMemo", "clone_result"]
 
 
 def clone_result(result: SimulationResult) -> SimulationResult:
@@ -96,25 +92,3 @@ class ResultMemo:
         """Remember ``result`` under ``key`` (the first one wins)."""
         self._results.setdefault(key, result)
 
-
-# ----------------------------------------------------------------------
-# Worker -> coordinator hand-off (mirrors repro.obs.probes' channel)
-# ----------------------------------------------------------------------
-
-#: Reuse events the current job's runner left for the engine's invoke
-#: harness to ship to the coordinator's journal.  Bounded: on the
-#: sequential (engine-less) path nothing drains the channel, and dropping
-#: old observability events beats growing without limit.
-_PENDING_EVENTS: deque = deque(maxlen=4096)
-
-
-def stash_speculation(event: dict) -> None:
-    """Deposit one cell's reuse outcome (worker side)."""
-    _PENDING_EVENTS.append(event)
-
-
-def take_speculation() -> list[dict]:
-    """Pop every stashed reuse event (engine invoke harness)."""
-    events = list(_PENDING_EVENTS)
-    _PENDING_EVENTS.clear()
-    return events

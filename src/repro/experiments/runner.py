@@ -26,7 +26,7 @@ from repro.arch.config import ArchConfig
 from repro.arch.simulator import ENGINES, simulate
 from repro.arch.stats import SimulationResult
 from repro.experiments.cache import ResultStore, cell_store_key
-from repro.experiments.memo import ResultMemo, stash_speculation
+from repro.experiments.memo import ResultMemo
 from repro.placement.algorithms import algorithm_by_name
 from repro.placement.base import PlacementInputs, PlacementMap
 from repro.placement.dynamic import measure_coherence_matrix
@@ -80,23 +80,23 @@ class ExperimentSuite:
             oracle's :class:`~repro.oracle.invariants.InvariantChecker`
             (``--check-invariants`` on the CLI).  Results are unchanged;
             cells served from a persistent store or by engine workers were
-            not simulated here and are not re-audited.
+            not simulated here and are not re-audited.  This is the one
+            from-scratch path: the result memo is off and the placement
+            search runs the reference clustering loop
+            (:func:`repro.placement.clustering.agglomerate` with
+            ``incremental=False``), so every cell is a real replay the
+            oracle can audit.  Otherwise a cell whose placement is
+            identical to one already simulated on the same application
+            and machine is answered from the
+            :class:`~repro.experiments.memo.ResultMemo` (a deep copy,
+            never a replay) and the search keeps incremental state; both
+            are exact, so results are bit-for-bit identical either way
+            (enforced by ``tests/speculation/``).
         engine: Replay engine for every simulation —
             ``"fast"`` (the default) or ``"classic"`` (see
             :func:`repro.arch.simulator.simulate`).  The engines are
             bit-for-bit equivalent, so results, memo keys and the
             persistent store are engine-agnostic.
-        speculate: Enable the incremental machinery: a cell whose
-            placement is identical to one already simulated on the same
-            application and machine is answered from the
-            :class:`~repro.experiments.memo.ResultMemo` (a deep copy,
-            never a replay), and the placement search keeps incremental
-            state (:func:`repro.placement.clustering.agglomerate` with
-            ``incremental=True``).  Both are exact, so results are
-            bit-for-bit identical either way (enforced by
-            ``tests/speculation/``).  Disabled automatically under
-            ``check_invariants`` (the oracle must audit real
-            from-scratch runs).
         topology: Machine topology every cell simulates under — a
             :class:`~repro.topo.model.Topology`, a spec string
             (``numa:4:50:150``) or None.  Canonicalized on construction:
@@ -134,7 +134,6 @@ class ExperimentSuite:
         check_invariants: bool = False,
         engine: str = "fast",
         strict: bool = True,
-        speculate: bool = True,
         stream_chunk_refs: int | None = None,
         topology: Topology | str | None = None,
     ) -> None:
@@ -160,7 +159,6 @@ class ExperimentSuite:
         self.check_invariants = bool(check_invariants)
         self.engine = engine
         self.strict = bool(strict)
-        self.speculate = bool(speculate)
         self.stream_chunk_refs = stream_chunk_refs
         #: Canonical topology (None = the flat baseline machine) and its
         #: spec string — the spelling that extends store keys.
@@ -177,12 +175,6 @@ class ExperimentSuite:
         #: (engine workers arm their own per-job probe).
         self.probe = None
         self._store = ResultStore(cache_dir) if cache_dir is not None else None
-        #: Read-only store consulted for identical-placement siblings
-        #: when a cell carries planner hints.  Defaults to the suite's own
-        #: store; engine workers (which hold no writable store) get one
-        #: injected from the job payload.  Loads never fire
-        #: fault-injection sites, so chaos schedules stay deterministic.
-        self._neighbor_store = self._store
         #: Exact reuse: every result this suite simulated, keyed by
         #: (cell group, config, placement assignment).
         self._memo = ResultMemo()
@@ -214,7 +206,7 @@ class ExperimentSuite:
             _rebuild_suite,
             (self.scale, self.seed, self.quantum_refs,
              self.random_replicates, self.cache_dir, self.check_invariants,
-             self.engine, self.speculate, self.stream_chunk_refs,
+             self.engine, self.stream_chunk_refs,
              self.topology_spec),
         )
 
@@ -299,7 +291,7 @@ class ExperimentSuite:
                     if algo.name == "COHERENCE-TRAFFIC"
                     else None
                 ),
-                incremental=self.speculate and not self.check_invariants,
+                incremental=not self.check_invariants,
             )
             self._placements[key] = algo.place(inputs)
         return self._placements[key]
@@ -338,7 +330,6 @@ class ExperimentSuite:
         associativity: int = 1,
         cache_words: int | None = None,
         replicate: int = 0,
-        neighbors: tuple = (),
     ) -> SimulationResult:
         """Simulate one cell (memoized).
 
@@ -351,12 +342,6 @@ class ExperimentSuite:
             cache_words: Explicit cache size override (wins over
                 ``infinite`` and the application default).
             replicate: RANDOM draw index (see :meth:`placement`).
-            neighbors: Planner hints — ``(algorithm, replicate)`` pairs
-                naming sibling cells (same application/machine) likely
-                already completed; a stored sibling with an identical
-                placement is cloned instead of replayed.  Advisory only:
-                hints never affect the result, just how fast it is
-                produced.
         """
         name = spec_for(app).name
         key = (name, algorithm.upper(), processors, infinite, associativity,
@@ -390,10 +375,9 @@ class ExperimentSuite:
                 group = (name, processors, infinite, associativity,
                          cache_words)
                 memo_key = result = None
-                if self.speculate and not self.check_invariants:
+                if not self.check_invariants:
                     memo_key = ResultMemo.key(group, config, placement)
-                    result = self._reuse(memo_key, group, placement,
-                                         neighbors)
+                    result = self._reuse(memo_key)
                 if result is None:
                     result = simulate(
                         self.traces(name), placement, config,
@@ -413,63 +397,19 @@ class ExperimentSuite:
     # Exact reuse
     # ------------------------------------------------------------------
 
-    def _reuse(
-        self,
-        memo_key: tuple,
-        group: tuple,
-        placement: PlacementMap,
-        neighbors: tuple,
-    ) -> SimulationResult | None:
-        """The cell's result from an identical-placement sibling, or None.
+    def _reuse(self, memo_key: tuple) -> SimulationResult | None:
+        """The cell's result from an identical-placement sibling this suite
+        already simulated, or None.
 
-        First the in-process memo (cells this suite already simulated).
-        On a miss, engine workers walk the job's planner hints against
-        the read-only result store: a stat per hinted sibling, then a
-        placement comparison, and at most one load — only for a sibling
-        whose assignment is identical.  The probe's ``spec_*`` counters
-        record one attempt per memo consultation and one hit per reuse;
-        journal events ride the
-        :func:`repro.experiments.memo.take_speculation` channel.
+        The probe's ``memo_*`` counters record one lookup per memo
+        consultation and one hit per reuse.
         """
-        if self.probe is not None:
-            self.probe.spec_attempts += 1
         result = self._memo.get(memo_key)
-        source = "memo"
-        if result is None and neighbors and self._neighbor_store is not None:
-            result, source = self._clone_from_store(group, placement,
-                                                    neighbors)
-            if result is not None:
-                self._memo.put(memo_key, result)
-        if result is None:
-            return None
         if self.probe is not None:
-            self.probe.spec_hits += 1
-        stash_speculation({"speculation": "clone", "detail": source})
+            self.probe.memo_lookups += 1
+            if result is not None:
+                self.probe.memo_hits += 1
         return result
-
-    def _clone_from_store(
-        self, group: tuple, placement: PlacementMap, neighbors: tuple,
-    ) -> tuple[SimulationResult | None, str]:
-        (name, processors, infinite, associativity, cache_words) = group
-        for algorithm, replicate in neighbors:
-            store_key = cell_store_key(
-                scale=self.scale, seed=self.seed,
-                quantum_refs=self.quantum_refs,
-                app=name, algorithm=algorithm, processors=processors,
-                infinite=infinite, associativity=associativity,
-                cache_words=cache_words, replicate=replicate,
-                topology=self.topology_spec,
-            )
-            if not self._neighbor_store.contains(store_key):
-                continue
-            if self.placement(name, algorithm, processors,
-                              replicate=replicate) != placement:
-                continue
-            # An identical assignment implies an identical machine (the
-            # config is a function of the group and the placement).
-            return (self._neighbor_store.load(store_key),
-                    f"store:{algorithm}/r{replicate}")
-        return None, ""
 
     def prefetch(
         self,
@@ -522,7 +462,6 @@ class ExperimentSuite:
             max_retries=max_retries,
             backoff=backoff, store=self._store, journal_path=journal,
             resume=resume, mp_context=mp_context, observer=observer,
-            speculate=self.speculate,
         )
         report = engine.run(specs)
         by_job = {spec.job_id: spec for spec in specs}
@@ -604,13 +543,13 @@ class ExperimentSuite:
 
 
 def _rebuild_suite(scale, seed, quantum_refs, random_replicates, cache_dir,
-                   check_invariants=False, engine="fast", speculate=True,
+                   check_invariants=False, engine="fast",
                    stream_chunk_refs=None, topology=None):
     """Unpickling target for :meth:`ExperimentSuite.__reduce__`."""
     return ExperimentSuite(
         scale=scale, seed=seed, quantum_refs=quantum_refs,
         random_replicates=random_replicates, cache_dir=cache_dir,
         check_invariants=check_invariants, engine=engine,
-        speculate=speculate, stream_chunk_refs=stream_chunk_refs,
+        stream_chunk_refs=stream_chunk_refs,
         topology=topology,
     )

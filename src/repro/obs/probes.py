@@ -42,7 +42,7 @@ class SimProbe:
     """Event counters one simulation run fills in (single-threaded)."""
 
     __slots__ = ("quanta", "switches", "upgrades", "misses", "cells",
-                 "spec_attempts", "spec_hits")
+                 "memo_lookups", "memo_hits")
 
     def __init__(self) -> None:
         self.quanta = 0      #: scheduling quanta executed
@@ -54,9 +54,9 @@ class SimProbe:
         # replay loop): memo consultations, and cells answered by a copy
         # of an identical-placement result instead of a replay.  With the
         # memo the sim_* event counters above cover only the work
-        # actually replayed — the gap to a memo-off run is what hits saved.
-        self.spec_attempts = 0
-        self.spec_hits = 0
+        # actually replayed — the gap to an audited (memo-off) run is what hits saved.
+        self.memo_lookups = 0
+        self.memo_hits = 0
 
     def snapshot(self) -> dict[str, int]:
         """Flat ``{metric_name: count}`` view (ships between processes)."""
@@ -69,8 +69,8 @@ class SimProbe:
         for kind, name in _MISS_NAMES.items():
             out[name] = self.misses[kind]
         out["sim_misses_total"] = sum(self.misses.values())
-        out["sim_spec_attempts"] = self.spec_attempts
-        out["sim_spec_hits"] = self.spec_hits
+        out["sim_memo_lookups"] = self.memo_lookups
+        out["sim_memo_hits"] = self.memo_hits
         return out
 
     def merge(self, other: "SimProbe") -> None:
@@ -79,8 +79,8 @@ class SimProbe:
         self.switches += other.switches
         self.upgrades += other.upgrades
         self.cells += other.cells
-        self.spec_attempts += other.spec_attempts
-        self.spec_hits += other.spec_hits
+        self.memo_lookups += other.memo_lookups
+        self.memo_hits += other.memo_hits
         for kind in MissKind:
             self.misses[kind] += other.misses[kind]
 

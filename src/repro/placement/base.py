@@ -142,8 +142,9 @@ class PlacementInputs:
             (threads x threads), for the dynamic algorithm.
         incremental: Let the clustering engine keep incremental search
             state (bit-identical, much faster).  ``False`` forces the
-            from-scratch reference loop — the same escape hatch the
-            simulator's ``--no-speculate`` flag uses.
+            from-scratch reference loop, which the audited
+            ``--check-invariants`` path and the clustering differential
+            tier use.
     """
 
     analysis: TraceSetAnalysis

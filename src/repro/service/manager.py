@@ -179,9 +179,6 @@ class JobManager:
         retries: Per-cell retry budget passed to the engine.
         timeout: Per-cell timeout in seconds passed to the engine.
         registry: Metrics sink (a private one is created if omitted).
-        speculate: Let runs reuse the result of an identical-placement
-            sibling cell (see :mod:`repro.experiments.memo`); exact, so
-            reports are byte-identical either way.
     """
 
     def __init__(
@@ -195,7 +192,6 @@ class JobManager:
         retries: int = 2,
         timeout: float | None = None,
         registry: MetricsRegistry | None = None,
-        speculate: bool = True,
     ) -> None:
         self.data_dir = Path(data_dir)
         self.jobs_dir = self.data_dir / "jobs"
@@ -207,7 +203,6 @@ class JobManager:
         self.tenant_quota = int(tenant_quota)
         self.retries = int(retries)
         self.timeout = timeout
-        self.speculate = bool(speculate)
         self.registry = registry if registry is not None else MetricsRegistry()
         self._jobs: dict[str, Job] = {}
         self._queue: deque[Job] = deque()
@@ -438,7 +433,6 @@ class JobManager:
             timeout=self.timeout if self.run_jobs > 1 else None,
             journal=str(job.journal_path),
             cache_dir=str(self.store_dir),
-            speculate=self.speculate,
         )
         error: str | None = None
         try:

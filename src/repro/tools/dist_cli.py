@@ -68,9 +68,6 @@ def _node_parser() -> argparse.ArgumentParser:
     parser.add_argument("--timeout", type=float, default=None,
                         help="per-cell timeout in seconds (needs "
                              "--workers > 1)")
-    parser.add_argument("--no-speculate", action="store_true",
-                        help="disable identical-placement result reuse "
-                             "(reports are byte-identical either way)")
     return parser
 
 
@@ -82,7 +79,6 @@ def node_main(argv: list[str] | None = None) -> int:
         args.data_dir, args.store_dir,
         host=args.host, port=args.port, name=args.name,
         workers=args.workers, retries=args.retries, timeout=args.timeout,
-        speculate=not args.no_speculate,
     )
 
     async def serve() -> None:

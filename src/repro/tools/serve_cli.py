@@ -57,10 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--timeout", type=float, default=None,
                         help="per-cell timeout in seconds (needs "
                              "--run-jobs > 1)")
-    parser.add_argument("--no-speculate", action="store_true",
-                        help="disable the incremental machinery for "
-                             "every run (reports are byte-identical either "
-                             "way; see docs/PERFORMANCE.md)")
     parser.add_argument("--metrics-interval", type=float, default=None,
                         metavar="SECONDS",
                         help="export Prometheus metrics to "
@@ -81,7 +77,6 @@ def main(argv: list[str] | None = None) -> int:
         retries=args.retries,
         timeout=args.timeout,
         registry=MetricsRegistry(),
-        speculate=not args.no_speculate,
     )
     server = ServiceServer(manager, host=args.host, port=args.port,
                            metrics_interval=args.metrics_interval)

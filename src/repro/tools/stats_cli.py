@@ -158,6 +158,8 @@ def _journal_stats(path: Path) -> dict:
         elif entry["event"] == "interrupted":
             tallies["interrupted"] += 1
         elif entry["event"] == "speculated":
+            # Journals written before memo reuse moved to the metrics
+            # snapshot recorded one event per reused cell.
             tallies["reused"] += 1
         elif entry["event"] == "node-dead":
             node_deaths += 1
@@ -247,11 +249,13 @@ def _metrics_stats(path: Path) -> dict:
             name: value for name, value in sorted(counters.items())
             if name.startswith("sim_")
         },
-        # Snapshots from older runs may lack (or carry retired) spec_*
-        # counters; an absent one reads as zero.
+        # Snapshots from older runs carry the memo counters under their
+        # retired sim_spec_* names; an absent counter reads as zero.
         "reuse": {
-            "attempts": counters.get("sim_spec_attempts", 0),
-            "hits": counters.get("sim_spec_hits", 0),
+            "lookups": counters.get("sim_memo_lookups",
+                                    counters.get("sim_spec_attempts", 0)),
+            "hits": counters.get("sim_memo_hits",
+                                 counters.get("sim_spec_hits", 0)),
         },
         "snapshot": snapshot,
     }
@@ -400,9 +404,9 @@ def _render(stats: dict) -> str:
             f"{metrics['histograms']} histograms)"
         )
         reuse = metrics["reuse"]
-        if reuse["attempts"]:
+        if reuse["lookups"]:
             lines.append(f"  result memo       {reuse['hits']:g} hits / "
-                         f"{reuse['attempts']:g} lookups")
+                         f"{reuse['lookups']:g} lookups")
         for name, value in metrics["simulator"].items():
             lines.append(f"  {name:<28}{value:g}")
     else:

@@ -72,7 +72,6 @@ class CompressedTrace:
     num_runs: int
     blocks_np: np.ndarray = field(repr=False, compare=False)
     _charge_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _index_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def charge_prefix(self, hit_cycles: int) -> memoryview:
         """``C[i] = prefix_gaps[i] + i * hit_cycles``, memoized (up to a
@@ -88,14 +87,6 @@ class CompressedTrace:
             charge *= hit_cycles
             charge += self.prefix_gaps
             got = self._charge_cache[hit_cycles] = memoryview(charge)
-        return got
-
-    def block_index(self, mask: int) -> np.ndarray:
-        """``blocks_np & mask`` (each reference's cache-set index),
-        memoized per mask for the kernel's vectorized hit scan."""
-        got = self._index_cache.get(mask)
-        if got is None:
-            got = self._index_cache[mask] = self.blocks_np & mask
         return got
 
 

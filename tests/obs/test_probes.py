@@ -84,18 +84,18 @@ class TestSnapshotMerge:
             "sim_directory_upgrades", "sim_miss_compulsory",
             "sim_miss_intra_conflict", "sim_miss_inter_conflict",
             "sim_miss_invalidation", "sim_misses_total",
-            "sim_spec_attempts", "sim_spec_hits",
+            "sim_memo_lookups", "sim_memo_hits",
         }
         assert all(v == 0 for v in snap.values())
 
     def test_merge_adds_speculation_counters(self):
         a, b = SimProbe(), SimProbe()
-        a.spec_attempts, a.spec_hits = 4, 3
-        b.spec_attempts, b.spec_hits = 2, 2
+        a.memo_lookups, a.memo_hits = 4, 3
+        b.memo_lookups, b.memo_hits = 2, 2
         a.merge(b)
         snap = a.snapshot()
-        assert snap["sim_spec_attempts"] == 6
-        assert snap["sim_spec_hits"] == 5
+        assert snap["sim_memo_lookups"] == 6
+        assert snap["sim_memo_hits"] == 5
 
     def test_merge_adds(self):
         a, b = SimProbe(), SimProbe()

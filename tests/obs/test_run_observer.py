@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.exec import engine as engine_module
 from repro.exec.engine import ExecutionEngine
 from repro.exec.jobs import JobSpec
 from repro.exec.summary import RunSummary
@@ -137,7 +138,7 @@ class TestFinalize:
 
 
 class TestEngineIntegration:
-    def test_observed_engine_run(self, tmp_path):
+    def test_observed_engine_run(self, tmp_path, monkeypatch):
         """A real (inline) engine run under a full observer: artifacts
         land, metrics include the probe counters shipped from the job
         runner, and the results are identical to an unobserved run."""
@@ -145,22 +146,27 @@ class TestEngineIntegration:
         obs = RunObserver(tmp_path / "obs", progress=True,
                           stream=stream, progress_enabled=True)
         jobs = specs(2)
-        # speculate=False: both replicates share one placement, so the
-        # default engine would clone the second cell and sim_cells would
-        # legitimately read 1.  This test counts real simulation work.
+        # A fresh worker suite cache, so no earlier test's memoized cell
+        # hides this run's work from the probe.
+        monkeypatch.setattr(engine_module, "_SUITES",
+                            engine_module._SUITES.__class__())
         observed = ExecutionEngine(
             workers=1, journal_path=tmp_path / "obs" / "journal.jsonl",
-            observer=obs, speculate=False,
+            observer=obs,
         ).run(jobs)
         artifacts = obs.finalize()
-        plain = ExecutionEngine(workers=1, speculate=False).run(jobs)
+        plain = ExecutionEngine(workers=1).run(jobs)
         assert observed.ok and plain.ok
         for spec in jobs:
             assert observed.result_for(spec).execution_time \
                 == plain.result_for(spec).execution_time
         snap = json.loads(
             artifacts["metrics_json"].read_text(encoding="utf-8"))
-        assert snap["counters"]["sim_cells"] == 2
+        # Both replicates share one placement: every cell is either
+        # replayed or answered by the result memo.
+        assert snap["counters"]["sim_memo_lookups"] == 2
+        assert snap["counters"]["sim_cells"] \
+            + snap["counters"]["sim_memo_hits"] == 2
         assert snap["counters"]['engine_events{event="finished"}'] == 2
         assert snap["counters"]["sim_misses_total"] > 0
         assert snap["histograms"]["job_seconds"]["count"] == 2

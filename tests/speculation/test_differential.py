@@ -111,11 +111,12 @@ _REFERENCE: dict[str, ExperimentSuite] = {}
 
 
 def _reference() -> ExperimentSuite:
-    """One shared memo-off suite: the from-scratch answer per cell."""
+    """One shared audited (memo-off) suite: the from-scratch answer per
+    cell."""
     if "suite" not in _REFERENCE:
         _REFERENCE["suite"] = ExperimentSuite(scale=SCALE, seed=0,
                                               engine="fast",
-                                              speculate=False)
+                                              check_invariants=True)
     return _REFERENCE["suite"]
 
 
@@ -163,6 +164,6 @@ class TestSuiteMemoTheorem:
                                  expected_name="memo-off")
             assert diffs == [], (
                 f"{app}/{algo}/{p}p/r{r}: " + "; ".join(diffs[:4]))
-        assert suite.probe.spec_attempts == len(cells)
-        assert suite.probe.spec_hits + suite.probe.cells == len(cells)
-        assert suite.probe.spec_hits >= len(forced)
+        assert suite.probe.memo_lookups == len(cells)
+        assert suite.probe.memo_hits + suite.probe.cells == len(cells)
+        assert suite.probe.memo_hits >= len(forced)

@@ -156,12 +156,13 @@ class TestIncrementalClusteringUnit:
             assert bool(got) == expected, (type(policy).__name__, i, j)
 
     def test_suite_placements_identical_with_and_without_machinery(self):
-        """End to end: the suite's placements must not depend on the
-        speculate switch (this is what makes reports byte-identical)."""
+        """End to end: the default suite's placements must equal the
+        audited suite's reference-loop placements (this is what makes
+        reports byte-identical)."""
         from repro.experiments.runner import ExperimentSuite
 
         on = ExperimentSuite(scale=0.001, seed=0)
-        off = ExperimentSuite(scale=0.001, seed=0, speculate=False)
+        off = ExperimentSuite(scale=0.001, seed=0, check_invariants=True)
         for algo in ("SHARE-REFS", "MIN-INVS+LB", "MIN-SHARE",
                      "MAX-WRITES+LB"):
             assert on.placement("Water", algo, 4) == \

@@ -1,30 +1,22 @@
-"""Unit tests for the placement-keyed result memo and its store path.
+"""Unit tests for the placement-keyed result memo.
 
 Hand-built scenarios with known structure pin each mechanism on its own:
-the deep copy, the event channel, that a memo hit never aliases memo
-state, and the exact number of store loads an engine worker pays for a
-hinted sibling.  The property suite (test_differential.py) covers the
-generated universe.
+the deep copy, that a memo hit never aliases memo state, and that an
+engine worker places and replays only its own cell.  The property suite
+(test_differential.py) covers the generated universe.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.arch.config import ArchConfig
 from repro.arch.simulator import simulate
+from repro.exec import ExecutionEngine, plan_sections
 from repro.exec import engine as engine_module
 from repro.exec.engine import simulate_cell
-from repro.exec.jobs import JobSpec
 from repro.experiments.cache import ResultStore, result_from_arrays
-from repro.experiments.memo import (
-    clone_result,
-    stash_speculation,
-    take_speculation,
-)
+from repro.experiments.memo import clone_result
 from repro.experiments.runner import ExperimentSuite
-from repro.obs.probes import take_pending
 from repro.oracle import diff_results
 from repro.placement.algorithms import all_algorithms
 from repro.placement.base import PlacementMap
@@ -46,10 +38,11 @@ def _thread(tid, rng):
 
 @pytest.fixture(scope="module")
 def scratch():
-    """A memo-off suite (the from-scratch answers) and the Water/4p
-    placement classes: algorithms grouped by identical assignment."""
+    """An audited, memo-off suite (the from-scratch answers) and the
+    Water/4p placement classes: algorithms grouped by identical
+    assignment."""
     suite = ExperimentSuite(scale=SCALE, seed=0, engine="fast",
-                            speculate=False)
+                            check_invariants=True)
     classes: dict[bytes, list[str]] = {}
     for algo in all_algorithms():
         placement = suite.placement(APP, algo.name, PROCESSORS)
@@ -81,18 +74,6 @@ class TestCloneResult:
         _results_equal(original, fresh, "original")
 
 
-class TestEventChannel:
-    def test_stash_take_roundtrip_and_drain(self):
-        take_speculation()  # drain anything a prior test left behind
-        stash_speculation({"speculation": "clone", "detail": "x"})
-        stash_speculation({"speculation": "clone", "detail": "y"})
-        assert take_speculation() == [
-            {"speculation": "clone", "detail": "x"},
-            {"speculation": "clone", "detail": "y"},
-        ]
-        assert take_speculation() == []
-
-
 class TestMemoAliasing:
     def test_mutating_a_hit_leaves_the_memo_unchanged(self, scratch):
         reference, classes = scratch
@@ -112,17 +93,24 @@ class TestMemoAliasing:
                        "later hit")
 
 
-class TestWorkerStorePath:
-    """An engine worker's hinted siblings: a stat each, at most one load."""
-
-    @pytest.fixture()
-    def worker(self, scratch, tmp_path, monkeypatch):
-        reference, classes = scratch
+class TestWorkerPlacement:
+    def test_worker_places_only_its_own_cell(self, scratch, tmp_path,
+                                             monkeypatch):
+        """A worker with a populated store next to it searches the
+        placement of its own cell and nothing else: an earlier-planned
+        sibling in the store is neither placed nor loaded."""
+        reference, _classes = scratch
+        planned = [s for s in plan_sections(["figure5"], scale=SCALE, seed=0)
+                   if s.app == APP and s.processors == PROCESSORS
+                   and s.replicate == 0]
+        job = planned[-1]
+        own = reference.placement(APP, job.algorithm, PROCESSORS)
+        sibling = next(
+            s for s in planned[:-1]
+            if reference.placement(APP, s.algorithm, PROCESSORS) != own)
         store = ResultStore(tmp_path / "store")
-        donor = classes[0][0]
-        spec = JobSpec(app=APP, algorithm=donor, processors=PROCESSORS,
-                       scale=SCALE, seed=0, engine="fast")
-        store.store(spec.store_key, reference.run(APP, donor, PROCESSORS))
+        store.store(sibling.store_key,
+                    reference.run(APP, sibling.algorithm, PROCESSORS))
         loads = []
         real_load = ResultStore.load
 
@@ -133,43 +121,11 @@ class TestWorkerStorePath:
         monkeypatch.setattr(ResultStore, "load", counting_load)
         monkeypatch.setattr(engine_module, "_SUITES",
                             engine_module._SUITES.__class__())
-        take_speculation()
-        take_pending()
-
-        def run(algorithm):
-            cell = replace(spec, algorithm=algorithm,
-                           neighbors=((donor, 0),))
-            out = simulate_cell({"spec": cell.to_payload(), "probe": True,
-                                 "store_dir": str(store.directory)})
-            return result_from_arrays(out), take_pending()
-
-        return reference, classes, donor, loads, run
-
-    def test_identical_sibling_costs_one_load(self, worker):
-        reference, classes, donor, loads, run = worker
-        twin = classes[0][1]
-        result, probe = run(twin)
-        assert len(loads) == 1
-        assert probe["sim_cells"] == 0 and probe["sim_spec_hits"] == 1
-        assert take_speculation() == [
-            {"speculation": "clone", "detail": f"store:{donor}/r0"}]
-        _results_equal(result, reference.run(APP, twin, PROCESSORS),
-                       "store clone")
-        # The clone is now in the worker's memo: a third identical cell
-        # is answered in process, without touching the store again.
-        if len(classes[0]) > 2:
-            third = classes[0][2]
-            result, _ = run(third)
-            assert len(loads) == 1
-            _results_equal(result, reference.run(APP, third, PROCESSORS),
-                           "memo hit")
-
-    def test_different_sibling_costs_no_load(self, worker):
-        reference, classes, _donor, loads, run = worker
-        other = classes[1][0]
-        result, probe = run(other)
+        payload = ExecutionEngine(store=store)._payload(job, 1)
+        result = result_from_arrays(simulate_cell(payload))
+        (suite,) = engine_module._SUITES.values()
+        assert list(suite._placements) == [
+            (APP, job.algorithm, PROCESSORS, 0)]
         assert loads == []
-        assert probe["sim_cells"] == 1 and probe["sim_spec_hits"] == 0
-        assert take_speculation() == []
-        _results_equal(result, reference.run(APP, other, PROCESSORS),
-                       "replay")
+        _results_equal(result, reference.run(APP, job.algorithm, PROCESSORS),
+                       "worker")

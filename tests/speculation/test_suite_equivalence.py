@@ -1,18 +1,23 @@
 """Suite- and engine-level result-memo equivalence.
 
 The user-visible contract: running the real experiment pipeline with the
-memo on produces *exactly* the results (and therefore reports) it
-produces with the memo off — while actually reusing results (>0 hits)
-and journaling each reuse.
+memo on produces *exactly* the results (and therefore reports) the
+audited from-scratch path (``check_invariants=True``: memo off,
+reference clustering loop) produces — while actually reusing results
+(>0 hits, counted by the probe).
 """
+
+import json
 
 import numpy as np
 import pytest
 
 from repro.exec import ExecutionEngine, plan_sections
+from repro.exec import engine as engine_module
 from repro.experiments.cache import ResultStore
 from repro.experiments.runner import ExperimentSuite
 from repro.obs.probes import SimProbe
+from repro.obs.run import METRICS_JSON, RunObserver
 from repro.oracle import diff_results
 
 #: A small real grid slice with guaranteed duplicate placements (the
@@ -34,23 +39,23 @@ class TestSuiteEquivalence:
         spec.probe = SimProbe()
         speculated = _grid(spec)
         plain = ExperimentSuite(scale=0.001, seed=0, engine="fast",
-                                speculate=False)
+                                check_invariants=True)
         expected = _grid(plain)
         for algo in ALGOS:
             diffs = diff_results(speculated[algo], expected[algo],
                                  actual_name="speculative",
                                  expected_name="plain")
             assert diffs == [], f"{algo}: " + "; ".join(diffs[:4])
-        assert spec.probe.spec_attempts > 0
-        assert spec.probe.spec_hits > 0
+        assert spec.probe.memo_lookups > 0
+        assert spec.probe.memo_hits > 0
         # One memo lookup per cell; every cell is a hit or a replay.
-        assert spec.probe.spec_attempts == len(ALGOS)
-        assert spec.probe.spec_hits + spec.probe.cells == len(ALGOS)
+        assert spec.probe.memo_lookups == len(ALGOS)
+        assert spec.probe.memo_hits + spec.probe.cells == len(ALGOS)
 
     def test_speculation_matches_classic_engine_too(self):
         spec = ExperimentSuite(scale=0.001, seed=0, engine="fast")
         classic = ExperimentSuite(scale=0.001, seed=0, engine="classic",
-                                  speculate=False)
+                                  check_invariants=True)
         for algo in ALGOS[:4]:
             diffs = diff_results(
                 spec.run(APP, algo, PROCESSORS),
@@ -64,14 +69,14 @@ class TestSuiteEquivalence:
         suite.probe = SimProbe()
         suite.run(APP, "LOAD-BAL", PROCESSORS)
         suite.run(APP, "SHARE-REFS+LB", PROCESSORS)
-        assert suite.probe.spec_attempts == 0
+        assert suite.probe.memo_lookups == 0
 
     def test_random_replicates_speculate_exactly(self):
         """RANDOM draws differ per replicate; whether or not the memo
         hits, the replicate average must be unchanged."""
         spec = ExperimentSuite(scale=0.001, seed=0, engine="fast")
         plain = ExperimentSuite(scale=0.001, seed=0, engine="fast",
-                                speculate=False)
+                                check_invariants=True)
         for r in range(3):
             diffs = diff_results(
                 spec.run(APP, "RANDOM", PROCESSORS, replicate=r),
@@ -81,52 +86,36 @@ class TestSuiteEquivalence:
 
 
 class TestEngineIntegration:
-    def test_planner_assigns_deterministic_hints(self):
-        specs = plan_sections(["figure5"], scale=0.001, seed=0)
-        again = plan_sections(["figure5"], scale=0.001, seed=0)
-        assert [s.neighbors for s in specs] == [s.neighbors for s in again]
-        hinted = [s for s in specs if s.neighbors]
-        assert hinted, "later-planned cells must carry hints"
-        for s in specs:
-            assert len(s.neighbors) <= 8
-            assert (s.algorithm, s.replicate) not in s.neighbors
-            # Hints never leak into the content address.
-            assert "neighbors" not in str(s.store_key)
-
-    def test_hints_do_not_change_job_identity(self):
-        specs = plan_sections(["figure5"], scale=0.001, seed=0)
-        stripped = [s.__class__(**{**s.to_payload(), "neighbors": ()})
-                    for s in specs]
-        assert [s.job_id for s in specs] == [s.job_id for s in stripped]
-
-    def test_engine_run_speculates_and_journals(self, tmp_path):
+    def test_engine_run_speculates_and_journals(self, tmp_path,
+                                                monkeypatch):
         specs = [s for s in plan_sections(["figure5"], scale=0.001, seed=0,
                                           engine="fast")
                  if s.processors == 4 and s.replicate == 0]
-        journal = tmp_path / "journal.jsonl"
+        monkeypatch.setattr(engine_module, "_SUITES",
+                            engine_module._SUITES.__class__())
+        observer = RunObserver(tmp_path / "obs", progress=False)
         engine = ExecutionEngine(workers=1,
                                  store=ResultStore(tmp_path / "store"),
-                                 journal_path=str(journal))
+                                 journal_path=str(tmp_path / "journal.jsonl"),
+                                 observer=observer)
         report = engine.run(specs)
+        observer.finalize()
         assert report.ok
-        kinds = [e["event"] for e in report.events]
-        assert "speculated" in kinds
-        for event in report.events:
-            if event["event"] == "speculated":
-                assert event["mode"] == "clone"
-                assert event["detail"]
+        counters = json.loads((tmp_path / "obs" / METRICS_JSON).read_text(
+            encoding="utf-8"))["counters"]
+        assert counters["sim_memo_hits"] > 0
+        assert counters["sim_memo_lookups"] == len(specs)
+        assert counters["sim_cells"] + counters["sim_memo_hits"] \
+            == len(specs)
 
-        baseline = ExecutionEngine(workers=1,
-                                   store=ResultStore(tmp_path / "plain"),
-                                   speculate=False)
-        expected = baseline.run(specs)
-        assert expected.ok
-        assert "speculated" not in [e["event"] for e in expected.events]
+        reference = ExperimentSuite(scale=0.001, seed=0, engine="fast",
+                                    check_invariants=True)
         for s in specs:
             diffs = diff_results(report.results[s.job_id],
-                                 expected.results[s.job_id],
-                                 actual_name="engine-speculative",
-                                 expected_name="engine-plain")
+                                 reference.run(s.app, s.algorithm,
+                                               s.processors),
+                                 actual_name="engine",
+                                 expected_name="audited")
             assert diffs == [], f"{s.describe()}: " + "; ".join(diffs[:4])
 
     def test_store_roundtrip_preserves_speculated_results(self, tmp_path):

@@ -112,18 +112,6 @@ class TestChargePrefix:
         assert c.charge_prefix(1) is not c.charge_prefix(2)
 
 
-class TestBlockIndex:
-    def test_masked_indices(self):
-        c = compress_trace(make_trace(gaps=[0] * 3, addrs=[4, 8, 44],
-                                      writes=[False] * 3), block_bits=2)
-        assert c.block_index(0x3).tolist() == [1, 2, 3]
-
-    def test_memoized_per_mask(self):
-        c = compress_trace(make_trace(), block_bits=2)
-        assert c.block_index(3) is c.block_index(3)
-        assert c.block_index(3) is not c.block_index(7)
-
-
 class TestRunLengthStats:
     def test_counts_runs_across_threads(self):
         ts = TraceSet("t", [
