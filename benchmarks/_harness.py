@@ -7,7 +7,7 @@ to invent its own JSON shape; this harness fixes a single envelope,
 
     {
       "schema": "repro-bench/v1",
-      "name": "core_speed",              # which benchmark
+      "name": "topology",                # which benchmark
       "params": {"scale": 0.002, ...},   # inputs that shaped the run
       "wall_s": 12.34,                   # whole-run wall clock
       "cpu_s": 12.01,                    # whole-run process CPU time

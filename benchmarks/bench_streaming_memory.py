@@ -1,7 +1,7 @@
 """Benchmark: peak-RSS of streaming vs materialized million-reference replay.
 
 The streaming-trace architecture's headline claim: a scenario whose
-materialized replay needs every reference column (and the fast kernel's
+materialized replay needs every reference column (and the replay kernel's
 whole-trace run columns) resident completes under a hard peak-RSS cap
 when replayed chunk by chunk.  This script measures both modes on the
 canonical 1,000,448-reference / 1024-thread scenario
@@ -63,8 +63,7 @@ def replay(mode: str) -> dict:
         block_words=16,
     )
     start = time.perf_counter()
-    result = simulate(traces, placement, config, quantum_refs=256,
-                      engine="fast")
+    result = simulate(traces, placement, config, quantum_refs=256)
     wall = time.perf_counter() - start
     fingerprint = hashlib.sha256(json.dumps({
         "execution_time": result.execution_time,

@@ -1,11 +1,10 @@
-"""Benchmark: the topology experiment family across engines.
+"""Benchmark: the topology experiment family.
 
 Computes every cell of the topology report section (policies x
-topologies x applications) on both replay engines, checks them
-bit-identical, and reports per-topology execution-time ratios, migration
-counts and the engine wall-clocks.  A reduced-scale round additionally
-times the full oracle audit (every cell recomputed on the naive
-reference interpreter).
+topologies x applications) and reports per-topology execution-time
+ratios, migration counts and the section's wall-clock.  A reduced-scale
+round additionally times the full oracle audit (every cell recomputed on
+the naive reference interpreter and checked bit-identical).
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_topology.py -s``,
 or as a script emitting the uniform repro-bench/v1 JSON::
@@ -37,9 +36,9 @@ def _execution_time(cell) -> int:
     return int(getattr(cell, "result", cell).execution_time)
 
 
-def measure_section(engine: str):
-    """All section cells on one engine: (cells, wall seconds)."""
-    suite = ExperimentSuite(scale=SECTION_SCALE, seed=0, engine=engine)
+def measure_section():
+    """All section cells: (cells, wall seconds)."""
+    suite = ExperimentSuite(scale=SECTION_SCALE, seed=0)
     with Stopwatch() as watch:
         cells = topology_cells(suite)
     return cells, watch.wall_s
@@ -64,27 +63,19 @@ def section_metrics(cells) -> dict:
 def measure_audit():
     """Wall seconds of the full oracle audit at reduced scale."""
     suite = ExperimentSuite(scale=AUDIT_SCALE, seed=0)
-    topology_cells(suite)          # engine side, excluded from the timing
+    topology_cells(suite)          # kernel side, excluded from the timing
     with Stopwatch() as watch:
         audit_topology_section(suite)
     return watch.wall_s
 
 
 def measure() -> dict:
-    fast_cells, fast_wall = measure_section("fast")
-    classic_cells, classic_wall = measure_section("classic")
-    divergent = [
-        key for key in fast_cells
-        if _execution_time(fast_cells[key]) != _execution_time(classic_cells[key])
-    ]
-    assert not divergent, f"engines diverge on {divergent[:3]}"
+    cells, section_wall = measure_section()
     audit_wall = measure_audit()
-    metrics = section_metrics(fast_cells)
+    metrics = section_metrics(cells)
     metrics.update({
-        "cells": len(fast_cells),
-        "fast_wall_s": round(fast_wall, 3),
-        "classic_wall_s": round(classic_wall, 3),
-        "fast_speedup": round(classic_wall / fast_wall, 3) if fast_wall else 0.0,
+        "cells": len(cells),
+        "section_wall_s": round(section_wall, 3),
         "audit_wall_s": round(audit_wall, 3),
         "audit_scale": AUDIT_SCALE,
     })
@@ -95,9 +86,7 @@ def render(metrics: dict) -> str:
     lines = [
         f"Topology section ({metrics['cells']} cells, scale "
         f"{SECTION_SCALE:g}):",
-        f"  fast engine    : {metrics['fast_wall_s']:7.2f} s",
-        f"  classic engine : {metrics['classic_wall_s']:7.2f} s  "
-        f"(fast is {metrics['fast_speedup']:.2f}x)",
+        f"  section        : {metrics['section_wall_s']:7.2f} s",
         f"  oracle audit   : {metrics['audit_wall_s']:7.2f} s  "
         f"(scale {metrics['audit_scale']:g})",
     ]

@@ -13,17 +13,16 @@ Typical use::
     print(result.execution_time, result.miss_breakdown())
 """
 
-from repro.arch.cache import DirectMappedCache, SetAssociativeCache, make_cache
+from repro.arch.cache import (
+    ArrayDirectMappedCache,
+    SetAssociativeCache,
+    make_cache,
+)
 from repro.arch.config import ArchConfig
 from repro.arch.contention import ContentionResult, simulate_with_contention
 from repro.arch.directory import Directory
-from repro.arch.kernel import (
-    ArrayDirectMappedCache,
-    FastProcessor,
-    make_fast_cache,
-)
-from repro.arch.processor import HardwareContext, Processor
-from repro.arch.simulator import ENGINES, simulate
+from repro.arch.kernel import FastProcessor
+from repro.arch.simulator import simulate
 from repro.arch.markov import MarkovEfficiencyModel
 from repro.arch.models import (
     EfficiencyModel,
@@ -42,16 +41,13 @@ from repro.arch.stats import (
 __all__ = [
     "ArchConfig",
     "simulate",
-    "ENGINES",
     "FastProcessor",
     "ArrayDirectMappedCache",
-    "make_fast_cache",
     "MissKind",
     "CacheStats",
     "ProcessorStats",
     "InterconnectStats",
     "SimulationResult",
-    "DirectMappedCache",
     "SetAssociativeCache",
     "make_cache",
     "Directory",
@@ -63,6 +59,4 @@ __all__ = [
     "MarkovEfficiencyModel",
     "predicted_utilization",
     "measured_run_length",
-    "Processor",
-    "HardwareContext",
 ]

@@ -26,16 +26,21 @@ few thousand blocks.  The sizing is exact — see :func:`tag_lines`.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.arch.config import ArchConfig
 from repro.arch.stats import CacheStats, MissKind
 
-__all__ = ["DirectMappedCache", "SetAssociativeCache", "make_cache",
+__all__ = ["ArrayDirectMappedCache", "SetAssociativeCache", "make_cache",
            "max_block_of", "tag_lines"]
+
+#: Departure-record codes for the array-backed classifier.
+_NONE, _EVICTED, _INVALIDATED = 0, 1, 2
 
 
 def max_block_of(trace_set, block_bits: int) -> int:
     """Largest block number any thread references (sizes the tag stores
-    and the fast kernel's per-block classification arrays).  Memoized per
+    and the direct-mapped cache's per-block classification arrays).  Memoized per
     trace, so repeated simulate calls pay dict lookups only.  Streaming
     traces answer from their O(1) ``max_addr`` metadata — no chunk pass."""
     top = 0
@@ -73,29 +78,44 @@ def tag_lines(num_sets: int, max_block: int | None) -> int:
     return 1 << max_block.bit_length()
 
 
-class DirectMappedCache:
-    """Direct-mapped cache (the paper's configuration).
+class ArrayDirectMappedCache:
+    """Direct-mapped cache (the paper's configuration), array-backed.
 
     One block per set; the set index is the low bits of the block number.
-    ``max_block`` (when known) bounds the tag store; see :func:`tag_lines`.
+    The tag store is a flat list indexed by set, sized to the block range
+    (:func:`tag_lines` — exact, and it keeps §4.3's 2M-set "infinite"
+    cache as small as the blocks it can hold); the classification state
+    (first-touch flags plus the one departure record each block can have)
+    is flat lists indexed by block number — the workloads' word-granular
+    address spaces are small, so O(num_blocks) arrays beat hashing on
+    every miss.  The lists are plain Python, not ndarrays: the replay
+    kernel indexes them elementwise, where list access is severalfold
+    faster than numpy scalar access.
     """
 
-    def __init__(self, config: ArchConfig,
-                 max_block: int | None = None) -> None:
+    def __init__(self, config: ArchConfig, max_block: int) -> None:
         if config.associativity != 1:
-            raise ValueError("DirectMappedCache requires associativity 1")
+            raise ValueError("ArrayDirectMappedCache requires associativity 1")
         self.num_sets = config.num_sets
         lines = tag_lines(self.num_sets, max_block)
         self._mask = lines - 1
-        self._line_block: list[int] = [-1] * lines
-        self._seen: set[int] = set()
-        self._invalidated_by: dict[int, int] = {}
-        self._evicted_by: dict[int, int] = {}
+        self._tags = [-1] * lines
+        # Per-block residency flags for the kernel's vectorized
+        # whole-window hit scan: ``_resident[b]`` is 1 exactly when
+        # ``_tags[b & mask] == b``.  Set and cleared only where ``_tags``
+        # changes (miss install, eviction, invalidation); the numpy view
+        # shares the bytearray's memory, so the scan sees every store.
+        size = max_block + 1
+        self._resident = bytearray(size)
+        self._resident_np = np.frombuffer(self._resident, dtype=np.uint8)
+        self._seen = [False] * size
+        self._departure = [_NONE] * size
+        self._actor = [0] * size
         self.stats = CacheStats()
 
     def contains(self, block: int) -> bool:
         """Whether the block is currently resident."""
-        return self._line_block[block & self._mask] == block
+        return self._tags[block & self._mask] == block
 
     def access(
         self, block: int, thread_id: int
@@ -109,20 +129,27 @@ class DirectMappedCache:
         invalidated the block.
         """
         index = block & self._mask
-        if self._line_block[index] == block:
-            self.stats.record_hit()
+        tags = self._tags
+        if tags[index] == block:
+            self.stats.hits += 1
             return None, None, None
 
         # Miss: classify from the block's departure record.
         invalidator: int | None = None
-        if block not in self._seen:
+        if not self._seen[block]:
             kind = MissKind.COMPULSORY
-            self._seen.add(block)
-        elif block in self._invalidated_by:
-            invalidator = self._invalidated_by.pop(block)
+            self._seen[block] = True
+        elif self._departure[block] == _INVALIDATED:
+            invalidator = self._actor[block]
+            self._departure[block] = _NONE
             kind = MissKind.INVALIDATION
         else:
-            evictor = self._evicted_by.pop(block, thread_id)
+            evictor = (
+                self._actor[block]
+                if self._departure[block] == _EVICTED
+                else thread_id
+            )
+            self._departure[block] = _NONE
             kind = (
                 MissKind.INTRA_THREAD_CONFLICT
                 if evictor == thread_id
@@ -130,33 +157,40 @@ class DirectMappedCache:
             )
         self.stats.record_miss(kind)
 
-        evicted = self._line_block[index]
+        evicted = tags[index]
         if evicted != -1:
-            self._evicted_by[evicted] = thread_id
-        self._line_block[index] = block
+            self._departure[evicted] = _EVICTED
+            self._actor[evicted] = thread_id
+            self._resident[evicted] = 0
+        tags[index] = block
+        self._resident[block] = 1
         return kind, (evicted if evicted != -1 else None), invalidator
 
     def invalidate(self, block: int, by_processor: int) -> bool:
         """Coherence invalidation; True if the block was resident."""
         index = block & self._mask
-        if self._line_block[index] != block:
+        if self._tags[index] != block:
             return False
-        self._line_block[index] = -1
-        self._invalidated_by[block] = by_processor
+        self._tags[index] = -1
+        self._resident[block] = 0
+        self._departure[block] = _INVALIDATED
+        self._actor[block] = by_processor
         return True
 
     def invalidator_of(self, block: int) -> int | None:
         """Processor whose write invalidated ``block``, if any."""
-        return self._invalidated_by.get(block)
+        if self._departure[block] == _INVALIDATED:
+            return self._actor[block]
+        return None
 
     def resident_blocks(self) -> set[int]:
         """All blocks currently resident (for invariant checks)."""
-        return {b for b in self._line_block if b != -1}
+        return {b for b in self._tags if b != -1}
 
 
 class SetAssociativeCache:
     """LRU set-associative cache (the §4.1 extension).  ``max_block``
-    bounds the tag store as in :class:`DirectMappedCache`."""
+    bounds the tag store as in :class:`ArrayDirectMappedCache`."""
 
     def __init__(self, config: ArchConfig,
                  max_block: int | None = None) -> None:
@@ -180,7 +214,7 @@ class SetAssociativeCache:
     def access(
         self, block: int, thread_id: int
     ) -> tuple[MissKind | None, int | None, int | None]:
-        """One reference; see :meth:`DirectMappedCache.access`."""
+        """One reference; see :meth:`ArrayDirectMappedCache.access`."""
         lines = self._sets[block & self._mask]
         for position, resident in enumerate(lines):
             if resident == block:
@@ -231,9 +265,10 @@ class SetAssociativeCache:
         return {b for lines in self._sets for b in lines}
 
 
-def make_cache(config: ArchConfig, max_block: int | None = None):
+def make_cache(config: ArchConfig, max_block: int):
     """Cache of the organization the configuration asks for, its tag
-    store sized to blocks ``<= max_block`` (all sets when None)."""
+    store sized to blocks ``<= max_block``: array-backed when
+    direct-mapped, LRU otherwise (the replay kernel works with both)."""
     if config.associativity == 1:
-        return DirectMappedCache(config, max_block)
+        return ArrayDirectMappedCache(config, max_block)
     return SetAssociativeCache(config, max_block)

@@ -110,7 +110,7 @@ class ArchConfig:
     def tiered(self) -> bool:
         """True when miss latency varies by processor-pair tier.
 
-        A ``None`` topology and a uniform one both take the engines'
+        A ``None`` topology and a uniform one both take the kernel's
         constant-latency fast path — the flat machine stays bit-identical
         to the pre-topology baseline by construction.
         """

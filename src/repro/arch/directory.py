@@ -96,9 +96,9 @@ class Directory:
             sharers.clear()
             sharers.add(processor)
         self._last_writer[block] = processor
-        # Probed only when invalidations went out: the fast kernel may
-        # legally skip provable no-op upgrades, so counting sent>0 events
-        # keeps the probe engine-invariant.
+        # Probed only when invalidations went out: the kernel may legally
+        # skip provable no-op upgrades, so counting sent>0 events keeps
+        # the probe equal to a per-reference replay's count.
         if sent and self._probe is not None:
             self._probe.upgrades += 1
         return sent

@@ -1,11 +1,22 @@
-"""The fast replay kernel: run-compressed contexts + array-backed caches.
+"""The multithreaded processor model (paper §3.2) and its replay kernel.
 
-``simulate(..., engine="fast")`` (the default) swaps the per-reference
-replay loop of :class:`~repro.arch.processor.Processor` for this kernel
-while keeping the scheduling, coherence and classification semantics
-*identical* — the differential suite in ``tests/oracle/`` pins the two
-engines bit-for-bit against each other and against the reference
-interpreter.
+"Each processor models multiple hardware contexts and a round-robin
+context switch policy.  A context switch takes 6 cycles, the time to drain
+the execution pipeline.  A context switch is initiated by a cache miss
+from the currently executing thread."
+
+One hardware context holds one thread for the whole run.  A context
+executes instructions (one cycle each) and issues data references; a cache
+hit costs the hit time, a miss stalls the context for the memory latency
+and hands the pipeline to the next *ready* context in round-robin order.
+If no context is ready the processor idles (charged to the idle counter)
+until the earliest outstanding miss completes.
+
+The replay loop steps block *runs* of a run-compressed trace, not single
+references, while keeping the per-reference scheduling, coherence and
+classification semantics *identical* — the differential suite in
+``tests/oracle/`` pins it bit-for-bit against the reference interpreter
+(:mod:`repro.oracle.reference`), which steps one reference at a time.
 
 Why it is exact (the full argument is in ``docs/PERFORMANCE.md``):
 
@@ -21,32 +32,30 @@ Why it is exact (the full argument is in ``docs/PERFORMANCE.md``):
   returns 0 invalidations and changes nothing.
 
 So the kernel replays each run segment as: one slow-stepped reference
-(which may miss, exactly like the classic loop), one optional directory
-upgrade at the segment's first write, and one O(1) arithmetic step for
-the remaining hits.  Runs are split at quantum edges so coherence
+(which may miss, exactly like a per-reference loop), one optional
+directory upgrade at the segment's first write, and one O(1) arithmetic
+step for the remaining hits.  Runs are split at quantum edges so coherence
 invalidations between quanta are observed at exactly the same points as
-the classic engine.
+in a per-reference replay.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 
-import numpy as np
-
-from repro.arch.cache import SetAssociativeCache, tag_lines
+from repro.arch.cache import (
+    _EVICTED,
+    _INVALIDATED,
+    _NONE,
+    ArrayDirectMappedCache,
+)
 from repro.arch.config import ArchConfig
 from repro.arch.directory import Directory
-from repro.arch.processor import Processor
-from repro.arch.stats import CacheStats, MissKind, ProcessorStats
+from repro.arch.stats import MissKind, ProcessorStats
 from repro.trace.runs import CompressedTrace, compress_chunk, compress_traces
 from repro.trace.stream import ThreadTrace
 
-__all__ = ["ArrayDirectMappedCache", "ArrayFastProcessor", "FastContext",
-           "FastProcessor", "make_fast_cache"]
-
-#: Departure-record codes for the array-backed classifier.
-_NONE, _EVICTED, _INVALIDATED = 0, 1, 2
+__all__ = ["ArrayFastProcessor", "FastContext", "FastProcessor"]
 
 #: Module-level bindings of the miss kinds for the inlined classifier.
 _COMPULSORY = MissKind.COMPULSORY
@@ -55,128 +64,12 @@ _INTER = MissKind.INTER_THREAD_CONFLICT
 _INVALIDATION = MissKind.INVALIDATION
 
 
-class ArrayDirectMappedCache:
-    """Array-backed direct-mapped cache, interface-compatible with
-    :class:`~repro.arch.cache.DirectMappedCache`.
-
-    The tag store is a flat array indexed by set, sized to the block
-    range (:func:`~repro.arch.cache.tag_lines` — exact, and it keeps
-    §4.3's 2M-set "infinite" cache as small as the blocks it can hold);
-    the classification state (first-touch flags plus the one departure
-    record each block can have) is flat arrays indexed by block number —
-    the workloads' word-granular address spaces are small, so
-    O(num_blocks) arrays beat hashing on every miss.  The arrays are
-    plain Python lists, not ndarrays: the hot loop indexes them
-    elementwise, where list access is severalfold faster than numpy
-    scalar access.
-    """
-
-    def __init__(self, config: ArchConfig, max_block: int) -> None:
-        if config.associativity != 1:
-            raise ValueError("ArrayDirectMappedCache requires associativity 1")
-        self.num_sets = config.num_sets
-        lines = tag_lines(self.num_sets, max_block)
-        self._mask = lines - 1
-        self._tags = [-1] * lines
-        # Per-block residency flags for the kernel's vectorized
-        # whole-window hit scan: ``_resident[b]`` is 1 exactly when
-        # ``_tags[b & mask] == b``.  Set and cleared only where ``_tags``
-        # changes (miss install, eviction, invalidation); the numpy view
-        # shares the bytearray's memory, so the scan sees every store.
-        size = max_block + 1
-        self._resident = bytearray(size)
-        self._resident_np = np.frombuffer(self._resident, dtype=np.uint8)
-        self._seen = [False] * size
-        self._departure = [_NONE] * size
-        self._actor = [0] * size
-        self.stats = CacheStats()
-
-    def contains(self, block: int) -> bool:
-        """Whether the block is currently resident."""
-        return self._tags[block & self._mask] == block
-
-    def access(
-        self, block: int, thread_id: int
-    ) -> tuple[MissKind | None, int | None, int | None]:
-        """One reference; same contract as ``DirectMappedCache.access``."""
-        index = block & self._mask
-        tags = self._tags
-        if tags[index] == block:
-            self.stats.hits += 1
-            return None, None, None
-
-        invalidator: int | None = None
-        if not self._seen[block]:
-            kind = MissKind.COMPULSORY
-            self._seen[block] = True
-        elif self._departure[block] == _INVALIDATED:
-            invalidator = self._actor[block]
-            self._departure[block] = _NONE
-            kind = MissKind.INVALIDATION
-        else:
-            evictor = (
-                self._actor[block]
-                if self._departure[block] == _EVICTED
-                else thread_id
-            )
-            self._departure[block] = _NONE
-            kind = (
-                MissKind.INTRA_THREAD_CONFLICT
-                if evictor == thread_id
-                else MissKind.INTER_THREAD_CONFLICT
-            )
-        self.stats.record_miss(kind)
-
-        evicted = tags[index]
-        if evicted != -1:
-            self._departure[evicted] = _EVICTED
-            self._actor[evicted] = thread_id
-            self._resident[evicted] = 0
-        tags[index] = block
-        self._resident[block] = 1
-        return kind, (evicted if evicted != -1 else None), invalidator
-
-    def invalidate(self, block: int, by_processor: int) -> bool:
-        """Coherence invalidation; True if the block was resident."""
-        index = block & self._mask
-        if self._tags[index] != block:
-            return False
-        self._tags[index] = -1
-        self._resident[block] = 0
-        self._departure[block] = _INVALIDATED
-        self._actor[block] = by_processor
-        return True
-
-    def invalidator_of(self, block: int) -> int | None:
-        """Processor whose write invalidated ``block``, if any."""
-        if self._departure[block] == _INVALIDATED:
-            return self._actor[block]
-        return None
-
-    def resident_blocks(self) -> set[int]:
-        """All blocks currently resident (for invariant checks)."""
-        return {b for b in self._tags if b != -1}
-
-
-def make_fast_cache(config: ArchConfig, max_block: int):
-    """The fast engine's cache: array-backed when direct-mapped, the
-    standard LRU cache otherwise (the kernel's run loop works with both);
-    either way the tag store is sized to blocks ``<= max_block``."""
-    if config.associativity == 1:
-        return ArrayDirectMappedCache(config, max_block)
-    return SetAssociativeCache(config, max_block)
-
-
 class FastContext:
-    """One hardware context over a run-compressed trace.
+    """One hardware context: a thread's run-compressed trace plus its
+    replay cursor (``pos``, ``blocks``, ``ready_time``, ``done`` — the
+    surface the oracle's invariant checker audits).
 
-    Exposes the same replay-cursor surface as
-    :class:`~repro.arch.processor.HardwareContext` (``pos``, ``blocks``,
-    ``ready_time``, ``done``) so the oracle's invariant checker audits
-    both engines identically.
-
-    Like the classic context, the replay columns cover one chunk
-    ``[base, climit)`` at a time — run structure included, computed
+    The replay columns cover one chunk ``[base, climit)`` at a time — run structure included, computed
     chunk-locally (runs split at chunk edges, which is exact; see
     ``docs/STREAMING.md``).  A materialized trace is a single chunk, so
     its layout and hot-loop arithmetic are unchanged.  ``hlen`` is the
@@ -237,10 +130,9 @@ class FastContext:
         )
 
 
-class FastProcessor(Processor):
-    """A :class:`Processor` whose replay loop steps block runs, not
-    references.  Scheduling (``advance``) is inherited unchanged — only
-    ``_run`` and ``_schedule_next`` differ.
+class FastProcessor:
+    """One multithreaded processor: contexts + cache + cycle accounting,
+    its replay loop stepping block runs, not references.
 
     Constructing one over an :class:`ArrayDirectMappedCache` yields an
     :class:`ArrayFastProcessor`, whose ``_run`` is :meth:`_run_array`
@@ -254,7 +146,7 @@ class FastProcessor(Processor):
     def __new__(cls, pid: int, config: ArchConfig, cache, *args):
         if isinstance(cache, ArrayDirectMappedCache):
             cls = ArrayFastProcessor
-        return super().__new__(cls)
+        return object.__new__(cls)
 
     def __init__(
         self,
@@ -289,13 +181,13 @@ class FastProcessor(Processor):
         self.finished = all(c.done for c in self.contexts)
         if self.finished:
             self.stats.completion_time = 0
-        # Optional SimProbe; same single-test gating as the classic engine
-        # (``_pay_switch`` is inherited and reads it too).
+        #: Optional :class:`~repro.obs.probes.SimProbe`; every hook is
+        #: gated by one ``is not None`` test so the default path stays hot.
         self._probe = None
-        # Tier-latency bindings (see Processor.__init__): the per-source
-        # lookup row and per-home-group memory row are precomputed tables,
-        # so a tiered miss costs one list index; on the flat machine both
-        # are None and every charge site takes the constant path.
+        # Tier-latency bindings: the per-source lookup row and
+        # per-home-group memory row are precomputed tables, so a tiered
+        # miss costs one list index; on the flat machine both are None and
+        # every charge site takes the constant path.
         if config.tiered:
             topo = config.topology
             p = config.num_processors
@@ -338,10 +230,34 @@ class FastProcessor(Processor):
 
     # ------------------------------------------------------------------
 
+    def advance(self, quantum_refs: int) -> int | None:
+        """Run one scheduling quantum; return the next service time.
+
+        Executes the current (ready) context until it misses, finishes, or
+        exhausts the quantum; then applies the round-robin switch policy.
+        Returns the processor's new local time, or None when every context
+        has completed (the completion time is recorded in the stats).
+        """
+        if self.finished:
+            return None
+        context = self.contexts[self.current]
+        stalled = self._run(context, quantum_refs)
+        if not stalled and not context.done:
+            # Quantum expired mid-run: same context continues next turn.
+            return self.time
+        return self._schedule_next()
+
+    def _pay_switch(self) -> None:
+        cost = self.config.context_switch_cycles
+        self.time += cost
+        self.stats.switching += cost
+        if self._probe is not None:
+            self._probe.switches += 1
+
     def _run_array(self, context: FastContext, quantum_refs: int) -> bool:
         """Replay block runs with the direct-mapped hit test inlined.
 
-        Bit-for-bit equivalent to ``Processor._run`` (see the module
+        Bit-for-bit equivalent to a per-reference replay (see the module
         docstring for the argument); returns True when the context
         stalled on a miss or a sequentially-consistent upgrade.
 
@@ -360,7 +276,7 @@ class FastProcessor(Processor):
         flags: residency cannot change mid-window before the first miss
         (only this processor acts, and its own hits and upgrades never
         touch its tag store), so the scan's first non-resident reference
-        IS the classic loop's first miss.  The choice is a pure strategy
+        IS the per-run loop's first miss.  The choice is a pure strategy
         switch; both paths produce identical results.
         """
         # ``sharers_get``/``last_writer_get`` feed the upgrade no-op
@@ -542,7 +458,7 @@ class FastProcessor(Processor):
                         # .access — the hit test already ran), then the
                         # coherence transaction plus a full memory latency
                         # (the reference's cost is charged first, exactly
-                        # like the classic loop).
+                        # like a per-reference loop).
                         time += charge[i + 1] - charge[i]
                         is_write = writes[i]
                         invalidator = None
@@ -596,8 +512,8 @@ class FastProcessor(Processor):
         self._scan_windows += 1
         context.pos = pos
         # A context that stalled on its final reference is not done yet:
-        # it completes when that access returns (same rule as the classic
-        # engine).
+        # the thread completes only when that memory access returns, so it
+        # stays pending (with its ready_time) and is marked done on resume.
         # The ``done`` guard matters: ``advance`` can run the initial
         # current slot even when its (empty) context was done at
         # construction and therefore never entered ``_alive``.
@@ -733,8 +649,8 @@ class FastProcessor(Processor):
 
         context.pos = pos
         # A context that stalled on its final reference is not done yet:
-        # it completes when that access returns (same rule as the classic
-        # engine).
+        # the thread completes only when that memory access returns, so it
+        # stays pending (with its ready_time) and is marked done on resume.
         # The ``done`` guard matters: ``advance`` can run the initial
         # current slot even when its (empty) context was done at
         # construction and therefore never entered ``_alive``.
@@ -748,14 +664,15 @@ class FastProcessor(Processor):
     def _schedule_next(self) -> int | None:
         """Round-robin pick over live contexts only.
 
-        Identical policy to :meth:`Processor._schedule_next` — completed
-        contexts are exactly the ones the base scan would skip, and
-        ``_alive`` preserves ascending slot order, so walking it
-        cyclically from the first slot past ``current`` visits the
-        surviving candidates in the base loop's order (with ``current``
-        itself last).  Avoids O(total contexts) rescans per switch on
-        processors whose threads mostly finished — the classic engine
-        keeps the straightforward scan.
+        The scan is the plain round-robin one — the next ready context
+        after ``current``, else idle until the earliest outstanding miss
+        completes — restricted to live slots: completed contexts are
+        exactly the ones that scan would skip, and ``_alive`` preserves
+        ascending slot order, so walking it cyclically from the first
+        slot past ``current`` visits the surviving candidates in the full
+        scan's order (with ``current`` itself last).  Avoids O(total
+        contexts) rescans per switch on processors whose threads mostly
+        finished.
         """
         alive = self._alive
         if not alive:

@@ -23,18 +23,13 @@ import numpy as np
 from repro.arch.cache import make_cache, max_block_of
 from repro.arch.config import ArchConfig
 from repro.arch.directory import Directory
-from repro.arch.kernel import FastProcessor, make_fast_cache
-from repro.arch.processor import Processor
+from repro.arch.kernel import FastProcessor
 from repro.arch.stats import SimulationResult
 from repro.placement.base import PlacementMap
 from repro.trace.stream import TraceSet
 from repro.util.validate import check_positive
 
-__all__ = ["simulate", "ENGINES"]
-
-
-#: Replay engines :func:`simulate` can dispatch to.
-ENGINES = ("classic", "fast")
+__all__ = ["simulate"]
 
 
 def simulate(
@@ -44,7 +39,6 @@ def simulate(
     *,
     quantum_refs: int = 256,
     check_invariants: bool = False,
-    engine: str = "fast",
     probe=None,
 ) -> SimulationResult:
     """Simulate one application under one placement and configuration.
@@ -52,8 +46,8 @@ def simulate(
     Args:
         trace_set: The application's per-thread traces — a materialized
             :class:`~repro.trace.stream.TraceSet` or a chunked
-            :class:`~repro.trace.streaming.StreamingTraceSet`.  Both
-            engines replay the two bit-for-bit identically (the chunk
+            :class:`~repro.trace.streaming.StreamingTraceSet`.  The
+            kernel replays the two bit-for-bit identically (the chunk
             cursor seam; see ``docs/STREAMING.md``); streaming keeps
             only O(chunk × threads) reference data resident.
         placement: Thread-to-processor map; must target exactly
@@ -67,19 +61,12 @@ def simulate(
             (conservation laws after every quantum and at completion; see
             ``docs/VALIDATION.md``).  Off by default — the default path
             pays no checking cost.
-        engine: ``"fast"`` (the default) uses the run-length-compressed
-            kernel in :mod:`repro.arch.kernel`; ``"classic"`` replays
-            one reference at a time and is kept as the differential
-            reference.  The two are bit-for-bit equivalent on every
-            metric (enforced by ``tests/oracle/``); see
-            ``docs/PERFORMANCE.md``.
         probe: Optional :class:`~repro.obs.probes.SimProbe` counting
             quanta, miss classes, directory upgrades and context
             switches as the run replays.  Probes observe, never steer:
-            results are bit-for-bit identical with or without one, and
-            the counts are engine-invariant.  Off (None) by default —
-            the disabled path pays one pointer test per event, never
-            per reference.
+            results are bit-for-bit identical with or without one.  Off
+            (None) by default — the disabled path pays one pointer test
+            per event, never per reference.
 
     Returns:
         The run's :class:`~repro.arch.stats.SimulationResult`.
@@ -87,15 +74,11 @@ def simulate(
     Raises:
         ValueError: On any placement/configuration mismatch (wrong thread
             count, wrong processor count, more threads on a processor than
-            hardware contexts) or an unknown ``engine``.
+            hardware contexts).
         repro.oracle.invariants.InvariantViolation: When
             ``check_invariants`` is set and a conservation law fails.
     """
     check_positive("quantum_refs", quantum_refs)
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}: expected one of {ENGINES}"
-        )
     if check_invariants and getattr(trace_set, "streaming", False):
         raise ValueError(
             "check_invariants requires a materialized trace set: the "
@@ -103,48 +86,8 @@ def simulate(
             "state; materialize() the streaming set (or rerun without "
             "streaming) to audit it"
         )
-    if placement.num_threads != trace_set.num_threads:
-        raise ValueError(
-            f"placement covers {placement.num_threads} threads, trace set has "
-            f"{trace_set.num_threads}"
-        )
-    if placement.num_processors != config.num_processors:
-        raise ValueError(
-            f"placement targets {placement.num_processors} processors, "
-            f"config has {config.num_processors}"
-        )
-
-    p = config.num_processors
-    pairwise = np.zeros((p, p), dtype=np.int64)
-    # Tag stores cover only the block range the traces touch (exact; see
-    # repro.arch.cache.tag_lines).
-    max_block = max_block_of(trace_set, config.block_bits)
-    if engine == "fast":
-        caches = [make_fast_cache(config, max_block) for _ in range(p)]
-        processor_cls = FastProcessor
-    else:
-        caches = [make_cache(config, max_block) for _ in range(p)]
-        processor_cls = Processor
-    lat_rows = config.topology.latency_rows(p) if config.tiered else None
-    directory = Directory(caches, pairwise, lat_rows)
-    processors = [
-        processor_cls(
-            pid,
-            config,
-            caches[pid],
-            directory,
-            [trace_set[tid] for tid in placement.threads_on(pid)],
-        )
-        for pid in range(p)
-    ]
-
-    if probe is not None:
-        # Arm the event hooks: each site tests one attribute against
-        # None, so an unprobed run never leaves the fast path.
-        probe.cells += 1
-        directory._probe = probe
-        for proc in processors:
-            proc._probe = probe
+    processors, caches, directory = _build_machine(
+        trace_set, placement, config, probe)
 
     checker = None
     if check_invariants:
@@ -168,14 +111,71 @@ def simulate(
         if next_time is not None:
             heapq.heappush(heap, (next_time, pid))
 
-    result = SimulationResult(
+    result = _collect_result(trace_set, processors, caches, directory)
+    if checker is not None:
+        checker.at_completion(result)
+    return result
+
+
+def _build_machine(trace_set: TraceSet, placement: PlacementMap,
+                  config: ArchConfig, probe=None):
+    """Validate ``placement`` against the machine and build it.
+
+    Returns ``(processors, caches, directory)``: one
+    :class:`~repro.arch.kernel.FastProcessor` and one cache per
+    processor, all sharing the full-map directory (which owns the
+    pairwise coherence matrix).  Arms ``probe``'s event hooks when one is
+    given.  Shared by :func:`simulate` and
+    :func:`repro.topo.migration.simulate_migrating`.
+    """
+    if placement.num_threads != trace_set.num_threads:
+        raise ValueError(
+            f"placement covers {placement.num_threads} threads, trace set has "
+            f"{trace_set.num_threads}"
+        )
+    if placement.num_processors != config.num_processors:
+        raise ValueError(
+            f"placement targets {placement.num_processors} processors, "
+            f"config has {config.num_processors}"
+        )
+
+    p = config.num_processors
+    pairwise = np.zeros((p, p), dtype=np.int64)
+    # Tag stores cover only the block range the traces touch (exact; see
+    # repro.arch.cache.tag_lines).
+    max_block = max_block_of(trace_set, config.block_bits)
+    caches = [make_cache(config, max_block) for _ in range(p)]
+    lat_rows = config.topology.latency_rows(p) if config.tiered else None
+    directory = Directory(caches, pairwise, lat_rows)
+    processors = [
+        FastProcessor(
+            pid,
+            config,
+            caches[pid],
+            directory,
+            [trace_set[tid] for tid in placement.threads_on(pid)],
+        )
+        for pid in range(p)
+    ]
+
+    if probe is not None:
+        # Arm the event hooks: each site tests one attribute against
+        # None, so an unprobed run never leaves the fast path.
+        probe.cells += 1
+        directory._probe = probe
+        for proc in processors:
+            proc._probe = probe
+    return processors, caches, directory
+
+
+def _collect_result(trace_set: TraceSet, processors, caches,
+                   directory: Directory) -> SimulationResult:
+    """The finished machine's :class:`SimulationResult`."""
+    return SimulationResult(
         execution_time=max(proc.stats.completion_time for proc in processors),
         processors=[proc.stats for proc in processors],
         caches=[cache.stats for cache in caches],
         interconnect=directory.stats,
-        pairwise_coherence=pairwise,
+        pairwise_coherence=directory.pairwise,
         total_refs=trace_set.total_refs,
     )
-    if checker is not None:
-        checker.at_completion(result)
-    return result

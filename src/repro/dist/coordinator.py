@@ -633,7 +633,6 @@ def run_distributed(
         scale=request.scale, seed=request.seed,
         quantum_refs=request.quantum_refs,
         random_replicates=request.random_replicates,
-        engine=request.engine,
         stream_chunk_refs=request.stream_chunk_refs,
     )
     coordinator = DistributedCoordinator(
@@ -646,7 +645,7 @@ def run_distributed(
         random_replicates=request.random_replicates,
         cache_dir=str(store_dir),
         check_invariants=request.check_invariants,
-        engine=request.engine, strict=False,
+        strict=False,
         stream_chunk_refs=request.stream_chunk_refs,
     )
     by_job = {spec.job_id: spec for spec in cluster.specs}

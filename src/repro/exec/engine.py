@@ -94,18 +94,16 @@ _MAX_SUITES = 4
 
 
 def _suite_for(scale: float, seed: int, quantum_refs: int,
-               engine: str = "fast",
                stream_chunk_refs: int | None = None,
                topology: str | None = None):
     from repro.experiments.runner import ExperimentSuite
 
-    key = (scale, seed, quantum_refs, engine, stream_chunk_refs, topology)
+    key = (scale, seed, quantum_refs, stream_chunk_refs, topology)
     if key in _SUITES:
         _SUITES.move_to_end(key)
     else:
         _SUITES[key] = ExperimentSuite(scale=scale, seed=seed,
                                        quantum_refs=quantum_refs,
-                                       engine=engine,
                                        stream_chunk_refs=stream_chunk_refs,
                                        topology=topology)
         while len(_SUITES) > _MAX_SUITES:
@@ -127,7 +125,7 @@ def simulate_cell(payload: dict) -> dict:
     identical either way.
     """
     spec = JobSpec.from_payload(payload["spec"])
-    suite = _suite_for(spec.scale, spec.seed, spec.quantum_refs, spec.engine,
+    suite = _suite_for(spec.scale, spec.seed, spec.quantum_refs,
                        spec.stream_chunk_refs, spec.topology)
     probe = None
     if payload.get("probe"):

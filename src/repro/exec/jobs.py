@@ -56,16 +56,10 @@ class JobSpec:
     ``app`` and ``algorithm`` are canonicalized on construction (paper
     spelling), so equal cells always compare — and hash — equal.
 
-    ``engine`` selects the replay kernel the worker uses.  It is
-    deliberately *not* part of :attr:`store_key`/:attr:`job_id`: the
-    engines are bit-for-bit equivalent (see ``docs/PERFORMANCE.md``), so a
-    cell computed by either engine is the same result and caches under the
-    same content address.
-
     ``stream_chunk_refs`` selects chunked streaming replay in the worker
-    suite.  Like ``engine`` it is excluded from the content address:
-    streaming replay is bit-for-bit identical to whole-column replay
-    (see ``docs/STREAMING.md``), so either mode produces the same cell.
+    suite.  It is excluded from the content address: streaming replay is
+    bit-for-bit identical to whole-column replay (see
+    ``docs/STREAMING.md``), so either mode produces the same cell.
 
     ``topology`` — a spec string like ``numa:4:50:150`` (see
     :mod:`repro.topo.model`) — *is* part of the content address: a tiered
@@ -84,17 +78,12 @@ class JobSpec:
     scale: float = DEFAULT_SCALE
     seed: int = 0
     quantum_refs: int = 256
-    engine: str = "fast"
     stream_chunk_refs: int | None = None
     topology: str | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "app", spec_for(self.app).name)
         object.__setattr__(self, "algorithm", self.algorithm.upper())
-        if self.engine not in ("classic", "fast"):
-            raise ValueError(
-                f"unknown engine {self.engine!r}: expected 'classic' or 'fast'"
-            )
         canonical = canonical_topology(self.topology)
         object.__setattr__(
             self, "topology",
@@ -211,7 +200,6 @@ def plan_sections(
     seed: int = 0,
     quantum_refs: int = 256,
     random_replicates: int = 3,
-    engine: str = "fast",
     stream_chunk_refs: int | None = None,
     topology: str | None = None,
 ) -> list[JobSpec]:
@@ -222,8 +210,7 @@ def plan_sections(
     cells (if any) are computed sequentially at render time.
     """
     params = dict(scale=scale, seed=seed, quantum_refs=quantum_refs,
-                  engine=engine, stream_chunk_refs=stream_chunk_refs,
-                  topology=topology)
+                  stream_chunk_refs=stream_chunk_refs, topology=topology)
     chosen = set(sections) if sections is not None else set(SIMULATED_SECTIONS)
     jobs: list[JobSpec] = []
     for section, app in _FIGURE_APPS.items():
@@ -241,7 +228,6 @@ def plan_full_grid(
     seed: int = 0,
     quantum_refs: int = 256,
     random_replicates: int = 3,
-    engine: str = "fast",
     stream_chunk_refs: int | None = None,
     topology: str | None = None,
 ) -> list[JobSpec]:
@@ -249,8 +235,7 @@ def plan_full_grid(
     x machine cell (plus RANDOM replicates and the Table 5 infinite-cache
     cells) — ~900 simulations at default replication."""
     params = dict(scale=scale, seed=seed, quantum_refs=quantum_refs,
-                  engine=engine, stream_chunk_refs=stream_chunk_refs,
-                  topology=topology)
+                  stream_chunk_refs=stream_chunk_refs, topology=topology)
     jobs: list[JobSpec] = []
     for app in application_names():
         jobs += _figure_jobs(app, random_replicates=random_replicates,

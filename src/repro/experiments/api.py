@@ -33,7 +33,6 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import TextIO
 
-from repro.arch.simulator import ENGINES
 from repro.experiments.report import REPORT_SECTIONS, write_report
 from repro.experiments.runner import ExperimentSuite
 from repro.topo.model import canonical_topology
@@ -57,14 +56,11 @@ class SuiteRequest:
     workload identity, rendering switches) — execution mechanics
     (workers, timeouts, journals) belong in :class:`RunOptions`.
 
-    ``engine`` is the exception: it selects the replay kernel but is
-    excluded from :attr:`digest` because the engines are enforced
-    bit-for-bit equivalent (see ``docs/PERFORMANCE.md``) — a fast-engine
-    submission coalesces with a classic one.  ``stream_chunk_refs``
-    (chunked streaming replay; see ``docs/STREAMING.md``) is excluded on
-    the same grounds: streaming and whole-column replay are bit-for-bit
-    identical, so a streaming submission coalesces with a materialized
-    one.
+    ``stream_chunk_refs`` is the exception: it selects chunked streaming
+    replay (see ``docs/STREAMING.md``) but is excluded from
+    :attr:`digest` because streaming and whole-column replay are
+    bit-for-bit identical, so a streaming submission coalesces with a
+    materialized one.
     """
 
     sections: tuple[str, ...] | None = None
@@ -72,7 +68,6 @@ class SuiteRequest:
     seed: int = 0
     quantum_refs: int = 256
     random_replicates: int = 3
-    engine: str = "fast"
     charts: bool = False
     check_invariants: bool = False
     stream_chunk_refs: int | None = None
@@ -90,10 +85,6 @@ class SuiteRequest:
         )
         check_positive("quantum_refs", self.quantum_refs)
         check_positive("random_replicates", self.random_replicates)
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}: expected one of {ENGINES}"
-            )
         if self.stream_chunk_refs is not None:
             check_positive("stream_chunk_refs", self.stream_chunk_refs)
             if self.check_invariants:
@@ -125,11 +116,18 @@ class SuiteRequest:
 
         Unknown keys raise ``ValueError`` (a 400 at the HTTP layer, not a
         silently ignored typo); values are coerced to their field types.
+        The one tolerated legacy key is ``engine`` naming either retired
+        replay engine: requests persisted before that option was removed
+        carry it, and both engines computed exactly the results the one
+        remaining kernel computes.  Any other ``engine`` value still
+        raises.
         """
         if not isinstance(payload, dict):
             raise ValueError(
                 f"suite request must be an object, got {type(payload).__name__}"
             )
+        if payload.get("engine") in ("classic", "fast"):
+            payload = {k: v for k, v in payload.items() if k != "engine"}
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:
@@ -165,7 +163,6 @@ class SuiteRequest:
             "seed": self.seed,
             "quantum_refs": self.quantum_refs,
             "random_replicates": self.random_replicates,
-            "engine": self.engine,
             "charts": self.charts,
             "check_invariants": self.check_invariants,
             "stream_chunk_refs": self.stream_chunk_refs,
@@ -195,9 +192,8 @@ class SuiteRequest:
         cells' own SHA-256 content addresses, so the run key is derived
         from the same addressing scheme as the
         :class:`~repro.experiments.cache.ResultStore` entries it will
-        share.  Excludes ``engine`` (bit-for-bit equivalent kernels),
-        ``stream_chunk_refs`` (bit-for-bit equivalent replay modes) and
-        every :class:`RunOptions` mechanic.
+        share.  Excludes ``stream_chunk_refs`` (bit-for-bit equivalent
+        replay modes) and every :class:`RunOptions` mechanic.
         """
         fields_material = {
             "schema": REQUEST_SCHEMA,
@@ -316,7 +312,7 @@ def run_suite(
         random_replicates=request.random_replicates,
         cache_dir=options.cache_dir,
         check_invariants=request.check_invariants,
-        engine=request.engine, strict=strict,
+        strict=strict,
         stream_chunk_refs=request.stream_chunk_refs,
         topology=request.topology,
     )

@@ -32,7 +32,6 @@ import os
 import sys
 
 from repro import faults
-from repro.arch.simulator import ENGINES
 from repro.experiments.api import RunOptions, SuiteRequest, run_suite
 from repro.experiments.report import REPORT_SECTIONS, write_report
 from repro.obs.spans import trace_span
@@ -173,14 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
              "byte-identical to omitting the flag",
     )
     parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="fast",
-        help="replay engine: 'fast' (default) uses the run-length-"
-             "compressed kernel, 'classic' steps every reference "
-             "(bit-for-bit identical results; see docs/PERFORMANCE.md)",
-    )
-    parser.add_argument(
         "--stream-chunk-refs",
         type=int,
         default=None,
@@ -277,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     request = SuiteRequest(
         sections=tuple(args.sections) if args.sections else None,
         scale=args.scale, seed=args.seed, quantum_refs=args.quantum_refs,
-        engine=args.engine, charts=args.charts,
+        charts=args.charts,
         check_invariants=args.check_invariants,
         stream_chunk_refs=args.stream_chunk_refs,
         topology=args.topology,

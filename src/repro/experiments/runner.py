@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.arch.config import ArchConfig
-from repro.arch.simulator import ENGINES, simulate
+from repro.arch.simulator import simulate
 from repro.arch.stats import SimulationResult
 from repro.experiments.cache import ResultStore, cell_store_key
 from repro.experiments.memo import ResultMemo
@@ -92,26 +92,21 @@ class ExperimentSuite:
             never a replay) and the search keeps incremental state; both
             are exact, so results are bit-for-bit identical either way
             (enforced by ``tests/speculation/``).
-        engine: Replay engine for every simulation —
-            ``"fast"`` (the default) or ``"classic"`` (see
-            :func:`repro.arch.simulator.simulate`).  The engines are
-            bit-for-bit equivalent, so results, memo keys and the
-            persistent store are engine-agnostic.
         topology: Machine topology every cell simulates under — a
             :class:`~repro.topo.model.Topology`, a spec string
             (``numa:4:50:150``) or None.  Canonicalized on construction:
             the flat baseline collapses to None, so flat suites keep
             every pre-topology memo key, store key and report byte.
-            Unlike ``engine`` this *is* identity — a tiered machine
-            computes genuinely different results — so it extends memo
-            keys and store keys (only when non-None).
+            This *is* identity — a tiered machine computes genuinely
+            different results — so it extends memo keys and store keys
+            (only when non-None).
         stream_chunk_refs: When set, every simulation replays the
             application's traces through the chunked streaming view
             (:func:`repro.trace.streaming.as_streaming` with this chunk
             size) instead of whole-column replay state.  Results are
             bit-for-bit identical (see ``docs/STREAMING.md``), so the
-            setting is — like ``engine`` — excluded from memo keys, the
-            persistent store and job identity.  Incompatible with
+            setting is excluded from memo keys, the persistent store and
+            job identity.  Incompatible with
             ``check_invariants`` (the oracle audits whole-column state).
         strict: Failure policy for cells a parallel :meth:`prefetch`
             could not complete.  ``True`` (the default, the library
@@ -132,17 +127,12 @@ class ExperimentSuite:
         random_replicates: int = 3,
         cache_dir: str | None = None,
         check_invariants: bool = False,
-        engine: str = "fast",
         strict: bool = True,
         stream_chunk_refs: int | None = None,
         topology: Topology | str | None = None,
     ) -> None:
         check_positive("scale", scale)
         check_positive("random_replicates", random_replicates)
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}: expected one of {ENGINES}"
-            )
         if stream_chunk_refs is not None:
             check_positive("stream_chunk_refs", stream_chunk_refs)
             if check_invariants:
@@ -157,7 +147,6 @@ class ExperimentSuite:
         self.random_replicates = random_replicates
         self.cache_dir = cache_dir
         self.check_invariants = bool(check_invariants)
-        self.engine = engine
         self.strict = bool(strict)
         self.stream_chunk_refs = stream_chunk_refs
         #: Canonical topology (None = the flat baseline machine) and its
@@ -206,8 +195,7 @@ class ExperimentSuite:
             _rebuild_suite,
             (self.scale, self.seed, self.quantum_refs,
              self.random_replicates, self.cache_dir, self.check_invariants,
-             self.engine, self.stream_chunk_refs,
-             self.topology_spec),
+             self.stream_chunk_refs, self.topology_spec),
         )
 
     # ------------------------------------------------------------------
@@ -219,9 +207,8 @@ class ExperimentSuite:
 
         With ``stream_chunk_refs`` set this returns the memoized chunked
         streaming view over the materialized columns instead; every
-        consumer downstream (analysis, both engines)
-        branches on the set's ``streaming`` flag and produces identical
-        results.
+        consumer downstream (analysis, the replay kernel) branches on the
+        set's ``streaming`` flag and produces identical results.
         """
         name = spec_for(app).name
         if name not in self._traces:
@@ -383,7 +370,6 @@ class ExperimentSuite:
                         self.traces(name), placement, config,
                         quantum_refs=self.quantum_refs,
                         check_invariants=self.check_invariants,
-                        engine=self.engine,
                         probe=self.probe,
                     )
                     if memo_key is not None:
@@ -453,7 +439,6 @@ class ExperimentSuite:
             scale=self.scale, seed=self.seed,
             quantum_refs=self.quantum_refs,
             random_replicates=self.random_replicates,
-            engine=self.engine,
             stream_chunk_refs=self.stream_chunk_refs,
             topology=self.topology_spec,
         )
@@ -543,13 +528,12 @@ class ExperimentSuite:
 
 
 def _rebuild_suite(scale, seed, quantum_refs, random_replicates, cache_dir,
-                   check_invariants=False, engine="fast",
-                   stream_chunk_refs=None, topology=None):
+                   check_invariants=False, stream_chunk_refs=None,
+                   topology=None):
     """Unpickling target for :meth:`ExperimentSuite.__reduce__`."""
     return ExperimentSuite(
         scale=scale, seed=seed, quantum_refs=quantum_refs,
         random_replicates=random_replicates, cache_dir=cache_dir,
-        check_invariants=check_invariants, engine=engine,
-        stream_chunk_refs=stream_chunk_refs,
-        topology=topology,
+        check_invariants=check_invariants,
+        stream_chunk_refs=stream_chunk_refs, topology=topology,
     )

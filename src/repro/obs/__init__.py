@@ -11,7 +11,7 @@ small pieces compose into a per-run observability layer:
 * :mod:`repro.obs.spans` — span tracing (``with trace_span(...):``) into
   a per-run ``trace.jsonl``, exportable to Chrome trace-event JSON;
 * :mod:`repro.obs.probes` — cheap, default-off event counters inside the
-  replay engines (quanta, miss classes, directory upgrades, context
+  replay kernel (quanta, miss classes, directory upgrades, context
   switches), gated so the disabled path stays on the fast path;
 * :mod:`repro.obs.progress` — a single-line TTY progress meter fed from
   the engine's journal events.

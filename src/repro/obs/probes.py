@@ -1,4 +1,4 @@
-"""Simulator probes: cheap, default-off counters inside the replay engines.
+"""Simulator probes: cheap, default-off counters inside the replay kernel.
 
 A :class:`SimProbe` is a bag of plain integer slots the simulator bumps
 at four *event* sites — scheduling-quantum boundaries, cache-miss
@@ -12,10 +12,10 @@ and context switches.  The contract with the hot path:
   measured bound);
 * probes observe, never steer: a probed simulation is bit-for-bit
   identical to an unprobed one (pinned by
-  ``tests/obs/test_probes.py``), and the counters themselves are
-  engine-invariant — classic and fast replay report the same numbers,
-  because upgrades are counted only when invalidations are actually
-  sent (the one site the fast kernel provably skips no-ops at).
+  ``tests/obs/test_probes.py``), and the counters count machine events,
+  not kernel shortcuts: upgrades are counted only when invalidations
+  are actually sent (the one site the kernel provably skips no-ops at),
+  so they match a per-reference replay.
 
 Probe counters cross process boundaries as flat dicts: the engine
 worker stashes :meth:`SimProbe.snapshot` via :func:`stash_pending`, the

@@ -50,7 +50,7 @@ class InvariantChecker:
     """Audits one simulation's processors, caches and directory.
 
     Args:
-        processors: The live :class:`~repro.arch.processor.Processor` list.
+        processors: The live :class:`~repro.arch.kernel.FastProcessor` list.
         caches: The live per-processor caches.
         directory: The live coherence :class:`~repro.arch.directory.Directory`.
         directory_check_interval: Full directory/cache synchronization is

@@ -34,7 +34,7 @@ reproduction's stated timing rules (DESIGN.md, "Key design decisions"):
   trace-driven approximation.
 
 This module must stay independent of :mod:`repro.arch.cache`,
-:mod:`repro.arch.directory` and :mod:`repro.arch.processor`: it shares
+:mod:`repro.arch.directory` and :mod:`repro.arch.kernel`: it shares
 only the configuration, trace and result *types* with the production
 simulator, never its mechanisms.
 """
@@ -205,7 +205,7 @@ def _tier_latency(config: ArchConfig | None, pid: int, other: int) -> int:
     """Naive per-pair tier latency: explicit group arithmetic per call.
 
     Deliberately recomputed from first principles on every use — the
-    reference never touches the production engines' precomputed lookup
+    reference never touches the production kernel's precomputed lookup
     rows.
     """
     if config is None or config.topology is None:

@@ -397,8 +397,6 @@ def _build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--seed", type=int, default=None, help="base seed")
     submit.add_argument("--quantum-refs", type=int, default=None,
                         help="references per scheduling quantum")
-    submit.add_argument("--engine", default=None,
-                        help="replay engine (classic/fast)")
     submit.add_argument("--charts", action="store_true",
                         help="include ASCII charts in the report")
     submit.add_argument("--wait", action="store_true",
@@ -428,7 +426,7 @@ def _submit_payload(args: argparse.Namespace) -> dict:
     payload: dict = {}
     if args.sections is not None:
         payload["sections"] = args.sections
-    for name in ("scale", "seed", "quantum_refs", "engine"):
+    for name in ("scale", "seed", "quantum_refs"):
         value = getattr(args, name)
         if value is not None:
             payload[name] = value

@@ -127,8 +127,6 @@ def _coord_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="base seed")
     parser.add_argument("--quantum-refs", type=int, default=None,
                         help="references per scheduling quantum")
-    parser.add_argument("--engine", default=None,
-                        help="replay engine (classic/fast)")
     parser.add_argument("--charts", action="store_true",
                         help="include ASCII charts in the report")
     parser.add_argument("--resume", action="store_true",
@@ -167,7 +165,7 @@ def coord_main(argv: list[str] | None = None) -> int:
     request_fields: dict = {}
     if args.sections is not None:
         request_fields["sections"] = tuple(args.sections)
-    for name in ("scale", "seed", "quantum_refs", "engine"):
+    for name in ("scale", "seed", "quantum_refs"):
         value = getattr(args, name)
         if value is not None:
             request_fields[name] = value

@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from repro.arch.config import ArchConfig
-from repro.arch.simulator import ENGINES, simulate
+from repro.arch.simulator import simulate
 from repro.arch.stats import MissKind
 from repro.arch.thrashing import detect_thrashing
 from repro.placement.io import load_placement
@@ -46,11 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--contexts", type=int, default=None,
                         help="hardware contexts per processor "
                              "(default: the map's largest cluster)")
-    parser.add_argument("--engine", choices=ENGINES, default="fast",
-                        help="replay engine: 'fast' (default) uses the "
-                             "run-length-compressed kernel, 'classic' steps "
-                             "every reference (bit-for-bit identical "
-                             "results; see docs/PERFORMANCE.md)")
     parser.add_argument("--check-invariants", action="store_true",
                         help="audit the run with the oracle's conservation "
                              "laws (cycle accounting, miss bookkeeping, "
@@ -87,8 +82,7 @@ def main(argv: list[str] | None = None) -> int:
         context_switch_cycles=args.switch_cost,
     )
     result = simulate(traces, placement, config,
-                      check_invariants=args.check_invariants,
-                      engine=args.engine)
+                      check_invariants=args.check_invariants)
     if args.oracle:
         from repro.oracle import assert_equivalent, reference_simulate
 

@@ -118,7 +118,7 @@ def topology_cells(suite) -> dict[tuple[str, str, str], object]:
                         suite.traces(app), placement, config,
                         policy=TOPOLOGY_SECTION_MIGRATION,
                         quantum_refs=suite.quantum_refs,
-                        engine=suite.engine, probe=suite.probe,
+                        probe=suite.probe,
                     )
                 else:
                     from repro.arch.simulator import simulate
@@ -127,7 +127,7 @@ def topology_cells(suite) -> dict[tuple[str, str, str], object]:
                         suite.traces(app), placement, config,
                         quantum_refs=suite.quantum_refs,
                         check_invariants=suite.check_invariants,
-                        engine=suite.engine, probe=suite.probe,
+                        probe=suite.probe,
                     )
     return cache
 

@@ -33,11 +33,10 @@ placeholder, so every other context keeps its slot index and the
 round-robin order is untouched; the migrant is appended to the
 destination's context list (a fresh, highest-numbered slot).  A
 destination that had already finished is re-activated and re-enters the
-scheduler.  Both replay engines implement scheduling over "live slots in
-ascending order", so the transformation is engine-invariant — classic
-and fast runs migrate identically and stay bit-for-bit equal (pinned by
-``tests/topo/``), and :func:`repro.topo.oracle.reference_migrate`
-re-derives the whole thing over the naive reference interpreter.
+scheduler.  The processor schedules over "live slots in ascending
+order" (its ``_alive`` list, which the move keeps in step), and
+:func:`repro.topo.oracle.reference_migrate` re-derives the whole thing
+over the naive reference interpreter (pinned by ``tests/topo/``).
 """
 
 from __future__ import annotations
@@ -47,9 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.arch.cache import make_cache, max_block_of
 from repro.arch.config import ArchConfig
-from repro.arch.directory import Directory
+from repro.arch.simulator import _build_machine, _collect_result
 from repro.arch.stats import SimulationResult
 from repro.placement.base import PlacementMap
 from repro.trace.stream import TraceSet
@@ -110,8 +108,8 @@ class _GhostContext:
     """Placeholder for a vacated context slot: permanently done.
 
     Keeps every remaining context's slot index (and therefore the
-    round-robin order) exactly as it was; both engines' schedulers skip
-    done contexts, so a ghost is never run.
+    round-robin order) exactly as it was; the scheduler skips done
+    contexts, so a ghost is never run.
     """
 
     __slots__ = ("thread_id", "pos", "length", "ready_time", "done")
@@ -166,8 +164,8 @@ def choose_migration(
 
     Returns ``(source_pid, slot, dest_pid, traffic)`` or None when the
     window warrants no migration.  Pure decision — the caller performs
-    the move — and shared by both engines; the oracle mirror re-derives
-    the same rules independently (see :mod:`repro.topo.oracle`).
+    the move; the oracle mirror re-derives the same rules independently
+    (see :mod:`repro.topo.oracle`).
     """
     p = delta.shape[0]
     traffic = delta + delta.T
@@ -210,13 +208,9 @@ def apply_migration(processors, heap, source: int, slot: int, dest: int,
     dst = processors[dest]
     context = src.contexts[slot]
     src.contexts[slot] = _GhostContext(context.thread_id)
-    alive = getattr(src, "_alive", None)
-    if alive is not None:
-        alive.remove(slot)
+    src._alive.remove(slot)
     dst.contexts.append(context)
-    alive = getattr(dst, "_alive", None)
-    if alive is not None:
-        alive.append(len(dst.contexts) - 1)
+    dst._alive.append(len(dst.contexts) - 1)
     context.ready_time = (
         max(context.ready_time, src.time, dst.time) + flush_penalty
     )
@@ -233,72 +227,28 @@ def simulate_migrating(
     *,
     policy: MigrationPolicy | None = None,
     quantum_refs: int = 256,
-    engine: str = "fast",
     probe=None,
 ) -> MigrationRun:
     """Simulate with the dynamic migration policy enabled.
 
-    Same validation and engine choices as
-    :func:`repro.arch.simulator.simulate`; the returned
-    :class:`MigrationRun` carries the ordinary result plus the ordered
-    migration journal.  On a flat machine (``config.topology`` absent or
-    single-group) no pair is ever cross-group, so no migration fires and
-    the result is bit-identical to the static simulation.
+    Same validation and machine as :func:`repro.arch.simulator.simulate`;
+    the returned :class:`MigrationRun` carries the ordinary result plus
+    the ordered migration journal.  On a flat machine
+    (``config.topology`` absent or single-group) no pair is ever
+    cross-group, so no migration fires and the result is bit-identical to
+    the static simulation.
     """
-    from repro.arch.simulator import ENGINES
-
     if policy is None:
         policy = MigrationPolicy()
     check_positive("quantum_refs", quantum_refs)
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}: expected one of {ENGINES}"
-        )
-    if placement.num_threads != trace_set.num_threads:
-        raise ValueError(
-            f"placement covers {placement.num_threads} threads, trace set "
-            f"has {trace_set.num_threads}"
-        )
-    if placement.num_processors != config.num_processors:
-        raise ValueError(
-            f"placement targets {placement.num_processors} processors, "
-            f"config has {config.num_processors}"
-        )
+    processors, caches, directory = _build_machine(
+        trace_set, placement, config, probe)
 
     p = config.num_processors
     topology = config.topology
     groups = topology.groups if topology is not None else 1
     group_size = p // groups
-    pairwise = np.zeros((p, p), dtype=np.int64)
-    max_block = max_block_of(trace_set, config.block_bits)
-    if engine == "fast":
-        from repro.arch.kernel import FastProcessor, make_fast_cache
-
-        caches = [make_fast_cache(config, max_block) for _ in range(p)]
-        processor_cls = FastProcessor
-    else:
-        from repro.arch.processor import Processor
-
-        caches = [make_cache(config, max_block) for _ in range(p)]
-        processor_cls = Processor
-    lat_rows = config.topology.latency_rows(p) if config.tiered else None
-    directory = Directory(caches, pairwise, lat_rows)
-    processors = [
-        processor_cls(
-            pid,
-            config,
-            caches[pid],
-            directory,
-            [trace_set[tid] for tid in placement.threads_on(pid)],
-        )
-        for pid in range(p)
-    ]
-
-    if probe is not None:
-        probe.cells += 1
-        directory._probe = probe
-        for proc in processors:
-            proc._probe = probe
+    pairwise = directory.pairwise
 
     heap: list[tuple[int, int]] = [
         (proc.time, proc.pid) for proc in processors if not proc.finished
@@ -336,12 +286,5 @@ def simulate_migrating(
                 remaining -= 1
             window_base = pairwise.copy()
 
-    result = SimulationResult(
-        execution_time=max(proc.stats.completion_time for proc in processors),
-        processors=[proc.stats for proc in processors],
-        caches=[cache.stats for cache in caches],
-        interconnect=directory.stats,
-        pairwise_coherence=pairwise,
-        total_refs=trace_set.total_refs,
-    )
+    result = _collect_result(trace_set, processors, caches, directory)
     return MigrationRun(result=result, events=tuple(events))

@@ -7,7 +7,7 @@ group, ``remote_latency`` for one that crosses groups.  The flat machine
 of the paper is the one-group special case where both tiers collapse to
 Table 3's single memory latency.
 
-Where the tiers apply (the rules both engines and the oracle implement;
+Where the tiers apply (the rules the kernel and the oracle implement;
 the exactness argument is in ``docs/TOPOLOGY.md``):
 
 * a **miss sourced from another cache** (the directory's ``fetch``
@@ -22,8 +22,8 @@ the exactness argument is in ``docs/TOPOLOGY.md``):
   invalidated holders.
 
 Every latency is a pure function of ``(requester, source-or-block)``, so
-the model stays deterministic, engine-invariant and trivially auditable
-by the reference interpreter.
+the model stays deterministic and trivially auditable by the reference
+interpreter.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ class Topology:
     @property
     def uniform(self) -> bool:
         """True when every transaction costs the same latency — the flat
-        fast path: engines skip the per-pair lookup entirely."""
+        fast path: the kernel skips the per-pair lookup entirely."""
         return self.groups == 1 or self.local_latency == self.remote_latency
 
     @property
@@ -180,9 +180,8 @@ def canonical_topology(
     A topology whose every transaction costs exactly ``memory_latency``
     *is* the baseline machine; canonicalizing it to ``None`` keeps every
     flat artifact — configs, store keys, request digests, reports —
-    bit-identical to the pre-topology baseline (the same reasoning that
-    excludes the engine choice from content addresses: equivalent
-    mechanisms share one name).
+    bit-identical to the pre-topology baseline (equivalent machines
+    share one name).
     """
     if topology is None:
         return None

@@ -5,7 +5,7 @@ what :func:`repro.oracle.reference.reference_simulate` is to
 :func:`repro.arch.simulator.simulate`: a deliberately naive re-derivation
 over the reference machine model (history caches, dict directory,
 one-reference-at-a-time replay) that the differential tier pins
-bit-for-bit against both production engines — execution time, every
+bit-for-bit against the production kernel — execution time, every
 counter, the pairwise matrix, *and* the migration journal.
 
 The migration policy's rules (documented in

@@ -9,11 +9,11 @@ reproduction:
   trace sets (columnar, numpy-backed);
 * :mod:`repro.trace.io` — text and binary serialization;
 * :mod:`repro.trace.runs` — run-length compression of the block stream
-  (the fast replay engine's input form);
+  (the replay kernel's input form);
 * :mod:`repro.trace.chunks` — bounded-size trace chunks and their
   verified on-disk spill format;
 * :mod:`repro.trace.streaming` — chunked streaming traces/trace sets
-  the replay engines consume with O(chunk) resident reference data
+  the replay kernel consumes with O(chunk) resident reference data
   (see ``docs/STREAMING.md``);
 * :mod:`repro.trace.analysis` — the *static* per-thread analysis the
   paper's placement algorithms consume (address profiles, pairwise and

@@ -31,8 +31,8 @@ class ThreadTrace:
     """
 
     #: Materialized traces hold whole columns; the chunked counterpart in
-    #: :mod:`repro.trace.streaming` advertises True and the engines
-    #: branch on this flag alone.
+    #: :mod:`repro.trace.streaming` advertises True and the kernel
+    #: branches on this flag alone.
     streaming = False
 
     __slots__ = ("thread_id", "gaps", "addrs", "writes", "_replay_cache")

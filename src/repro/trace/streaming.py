@@ -8,11 +8,11 @@ address) but never holds its reference columns resident: consumers pull
 — a slice view over a materialized trace (the adapter the byte-identity
 suites pin), a verified on-disk spill, or a deterministic regenerating
 producer.  ``docs/STREAMING.md`` spells out the memory model and the
-exactness argument; the replay engines consume these traces through the
-chunk cursor seam in :mod:`repro.arch.processor` / ``repro.arch.kernel``.
+exactness argument; the replay kernel consumes these traces through the
+chunk cursor seam in :mod:`repro.arch.kernel`.
 
 Both classes advertise ``streaming = True``; materialized traces
-advertise ``streaming = False`` — the engines and the static analysis
+advertise ``streaming = False`` — the kernel and the static analysis
 branch on that flag, nothing else, so the two representations stay
 interchangeable at every call site that matters.
 """

@@ -69,7 +69,7 @@ class StreamScenario:
     instructions, multinomially distributed within its chunk.
 
     Two deliberate exactness anchors keep the summary metadata O(1) and
-    *honest* (the engines size kernel arrays from it):
+    *honest* (the kernel sizes its arrays from it):
 
     * the gap budget is exact per chunk (``gap_per_ref × chunk_refs``),
       so ``length = refs × (1 + gap_per_ref)`` without a pass;

@@ -4,14 +4,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arch.cache import DirectMappedCache, SetAssociativeCache, make_cache
+from repro.arch.cache import (
+    ArrayDirectMappedCache,
+    SetAssociativeCache,
+    make_cache,
+)
 from repro.arch.config import ArchConfig
 from repro.arch.stats import MissKind
 
 
+#: Bound on every block these tests touch (sizes the direct-mapped
+#: cache's per-block classification arrays).
+MAX_BLOCK = 511
+
+
 def dm_cache(cache_words=64, block_words=8):
-    return DirectMappedCache(
-        ArchConfig(1, 1, cache_words=cache_words, block_words=block_words)
+    return ArrayDirectMappedCache(
+        ArchConfig(1, 1, cache_words=cache_words, block_words=block_words),
+        MAX_BLOCK,
     )
 
 
@@ -25,16 +35,16 @@ def sa_cache(cache_words=64, block_words=8, ways=2):
 class TestMakeCache:
     def test_direct_mapped_for_one_way(self):
         cfg = ArchConfig(1, 1, cache_words=64)
-        assert isinstance(make_cache(cfg), DirectMappedCache)
+        assert isinstance(make_cache(cfg, MAX_BLOCK), ArrayDirectMappedCache)
 
     def test_set_associative_otherwise(self):
         cfg = ArchConfig(1, 1, cache_words=64, associativity=2)
-        assert isinstance(make_cache(cfg), SetAssociativeCache)
+        assert isinstance(make_cache(cfg, MAX_BLOCK), SetAssociativeCache)
 
     def test_direct_mapped_rejects_assoc_config(self):
         cfg = ArchConfig(1, 1, cache_words=64, associativity=2)
         with pytest.raises(ValueError):
-            DirectMappedCache(cfg)
+            ArrayDirectMappedCache(cfg, MAX_BLOCK)
 
 
 class TestClassification:
@@ -207,7 +217,7 @@ class TestAccountingInvariants:
     )
     def test_hits_plus_misses_equals_accesses(self, refs, cache_words, ways):
         cfg = ArchConfig(1, 1, cache_words=cache_words, associativity=ways)
-        cache = make_cache(cfg)
+        cache = make_cache(cfg, MAX_BLOCK)
         for block, tid in refs:
             cache.access(block, tid)
         assert cache.stats.total_accesses == len(refs)

@@ -9,10 +9,14 @@ from repro.arch.config import ArchConfig
 from repro.arch.directory import Directory
 from repro.arch.stats import MissKind
 
+#: Bound on every block these tests touch (sizes the caches' per-block
+#: classification arrays).
+MAX_BLOCK = 255
+
 
 def machine(num_procs=3, cache_words=64):
     cfg = ArchConfig(num_procs, 1, cache_words=cache_words)
-    caches = [make_cache(cfg) for _ in range(num_procs)]
+    caches = [make_cache(cfg, MAX_BLOCK) for _ in range(num_procs)]
     pairwise = np.zeros((num_procs, num_procs), dtype=np.int64)
     return caches, Directory(caches, pairwise), pairwise
 

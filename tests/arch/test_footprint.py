@@ -2,9 +2,9 @@
 and replay state that dies with the ``simulate`` call.
 
 The §4.3 "infinite" cache has 2M sets, but a run can only ever touch the
-sets of the blocks its traces reference; the tag stores of both engines
-are sized to that range (exact — see :func:`repro.arch.cache.tag_lines`).
-And nothing the fast kernel builds per call (processors, contexts, their
+sets of the blocks its traces reference; the tag stores are sized to
+that range (exact — see :func:`repro.arch.cache.tag_lines`).  And
+nothing the replay kernel builds per call (processors, contexts, their
 run-compressed columns) may outlive the call, not even until the next
 garbage collection.
 """
@@ -16,14 +16,14 @@ import numpy as np
 import pytest
 
 from repro.arch.cache import (
-    DirectMappedCache,
+    ArrayDirectMappedCache,
     SetAssociativeCache,
     max_block_of,
     tag_lines,
 )
 from repro.arch.config import ArchConfig
-from repro.arch.kernel import ArrayDirectMappedCache, FastProcessor
-from repro.arch.simulator import ENGINES, simulate
+from repro.arch.kernel import FastProcessor
+from repro.arch.simulator import simulate
 from repro.placement import LoadBal, PlacementInputs
 from repro.trace.analysis import TraceSetAnalysis
 from repro.workload import build_application
@@ -48,8 +48,6 @@ def _config(placement, associativity=1, cache_words=None):
 def _tag_store_size(cache) -> int:
     if isinstance(cache, ArrayDirectMappedCache):
         return len(cache._tags)
-    if isinstance(cache, DirectMappedCache):
-        return len(cache._line_block)
     return len(cache._sets)
 
 
@@ -74,14 +72,12 @@ class TestTagLines:
 
 class TestInfiniteCacheFootprint:
     @pytest.mark.parametrize("associativity", [1, 2])
-    @pytest.mark.parametrize("engine", ENGINES)
     def test_tag_stores_cover_only_the_block_range(
-            self, water_cell, monkeypatch, engine, associativity):
+            self, water_cell, monkeypatch, associativity):
         traces, placement = water_cell
         config = _config(placement, associativity)
         made = []
-        for cls in (DirectMappedCache, SetAssociativeCache,
-                    ArrayDirectMappedCache):
+        for cls in (ArrayDirectMappedCache, SetAssociativeCache):
             init = cls.__init__
 
             def spy(self, *args, _init=init, **kwargs):
@@ -89,7 +85,7 @@ class TestInfiniteCacheFootprint:
                 made.append(self)
 
             monkeypatch.setattr(cls, "__init__", spy)
-        simulate(traces, placement, config, engine=engine)
+        simulate(traces, placement, config)
         max_block = max_block_of(traces, config.block_bits)
         assert len(made) == config.num_processors
         for cache in made:
@@ -118,7 +114,7 @@ class TestReplayStateLifetime:
         gc.collect()
         gc.disable()
         try:
-            simulate(traces, placement, config, engine="fast")
+            simulate(traces, placement, config)
             assert len(refs) == config.num_processors
             assert all(ref() is None for ref in refs)
         finally:

@@ -26,7 +26,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.arch.simulator import ENGINES
 from repro.arch.stats import MissKind, SimulationResult
 from repro.experiments.runner import ExperimentSuite
 
@@ -77,29 +76,25 @@ def snapshot_dict(result: SimulationResult) -> dict:
 
 
 def compute(app: str, algorithm: str, processors: int, infinite: bool,
-            topology: str | None = None, engine: str = "classic") -> dict:
-    suite = ExperimentSuite(scale=SCALE, seed=SEED, engine=engine,
-                            topology=topology)
+            topology: str | None = None) -> dict:
+    suite = ExperimentSuite(scale=SCALE, seed=SEED, topology=topology)
     return snapshot_dict(suite.run(app, algorithm, processors,
                                    infinite=infinite))
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("slug,app,algorithm,processors,infinite,topology",
                          CASES, ids=[c[0] for c in CASES])
 def test_simulation_matches_golden_snapshot(slug, app, algorithm, processors,
-                                            infinite, topology, engine):
-    """Both replay engines must reproduce the *same* snapshot — the golden
-    files are engine-agnostic on purpose (bit-for-bit equivalence)."""
+                                            infinite, topology):
     path = DATA_DIR / f"golden_{slug}.json"
     assert path.exists(), (
         f"missing snapshot {path}; regenerate with "
         f"`PYTHONPATH=src python tests/arch/test_golden_snapshots.py`"
     )
     expected = json.loads(path.read_text())
-    actual = compute(app, algorithm, processors, infinite, topology, engine)
+    actual = compute(app, algorithm, processors, infinite, topology)
     assert actual == expected, (
-        f"{slug} [{engine}]: simulation diverged from its golden snapshot; "
+        f"{slug}: simulation diverged from its golden snapshot; "
         f"if the change is intentional, regenerate tests/data/ snapshots "
         f"and review the diff"
     )

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.arch.cache import make_cache
+from repro.arch.cache import make_cache, max_block_of
 from repro.arch.config import ArchConfig
 from repro.arch.directory import Directory
-from repro.arch.processor import HardwareContext, Processor
+from repro.arch.kernel import FastContext, FastProcessor
+from repro.trace.runs import compress_trace
 from repro.trace.stream import ThreadTrace
 
 
@@ -24,10 +25,10 @@ def build_processor(traces, contexts=None, **config_overrides):
     defaults.update(config_overrides)
     cfg = ArchConfig(1, contexts if contexts is not None else max(len(traces), 1),
                      **defaults)
-    cache = make_cache(cfg)
+    cache = make_cache(cfg, max_block_of(traces, cfg.block_bits))
     pairwise = np.zeros((1, 1), np.int64)
     directory = Directory([cache], pairwise)
-    return Processor(0, cfg, cache, directory, traces)
+    return FastProcessor(0, cfg, cache, directory, traces)
 
 
 def run_to_completion(proc, quantum=1 << 30):
@@ -38,13 +39,18 @@ def run_to_completion(proc, quantum=1 << 30):
     return proc
 
 
-class TestHardwareContext:
+def context(t, block_bits=3):
+    return FastContext(t, compress_trace(t, block_bits), block_bits,
+                       hit_cycles=1)
+
+
+class TestFastContext:
     def test_block_conversion(self):
-        ctx = HardwareContext(trace(0, [(0, 17, False)]), block_bits=3)
-        assert ctx.blocks == [2]
+        ctx = context(trace(0, [(0, 17, False)]))
+        assert list(ctx.blocks) == [2]
 
     def test_empty_trace_done(self):
-        ctx = HardwareContext(trace(0, []), block_bits=3)
+        ctx = context(trace(0, []))
         assert ctx.done
 
 

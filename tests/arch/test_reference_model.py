@@ -10,9 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arch.cache import DirectMappedCache, SetAssociativeCache
+from repro.arch.cache import ArrayDirectMappedCache, SetAssociativeCache
 from repro.arch.config import ArchConfig
 from repro.arch.stats import MissKind
+
+#: Bound on every block :func:`operation_sequences` draws (sizes the
+#: direct-mapped cache's per-block classification arrays).
+MAX_BLOCK = 40
 
 
 class ReferenceCache:
@@ -87,7 +91,7 @@ class TestDifferentialDirectMapped:
     @given(operation_sequences(), st.sampled_from([8, 16, 32]))
     def test_matches_reference(self, ops, sets):
         config = ArchConfig(1, 1, cache_words=sets * 4, block_words=4)
-        production = DirectMappedCache(config)
+        production = ArrayDirectMappedCache(config, MAX_BLOCK)
         reference = ReferenceCache(num_sets=sets, ways=1)
         for op, block, actor in ops:
             if op == "access":
@@ -125,7 +129,7 @@ class TestDifferentialResidency:
     @given(operation_sequences())
     def test_resident_sets_match(self, ops):
         config = ArchConfig(1, 1, cache_words=64, block_words=4)
-        production = DirectMappedCache(config)
+        production = ArrayDirectMappedCache(config, MAX_BLOCK)
         reference = ReferenceCache(num_sets=16, ways=1)
         for op, block, actor in ops:
             if op == "access":

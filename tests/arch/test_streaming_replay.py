@@ -1,7 +1,7 @@
 """Streaming replay ≡ materialized replay, bit for bit.
 
 The streaming-trace refactor's invariant: chunking is a *replay
-mechanism*, never a semantic change.  Both engines must produce the
+mechanism*, never a semantic change.  The kernel must produce the
 exact same :class:`SimulationResult` — execution time, per-processor
 cycle accounting, the four-way miss decomposition, interconnect traffic
 and the pairwise coherence matrix — whether a trace arrives as whole
@@ -26,16 +26,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arch.simulator import ENGINES, simulate
+from repro.arch.simulator import simulate
 from repro.experiments.runner import ExperimentSuite
-from repro.oracle import diff_results
+from repro.oracle import diff_results, reference_simulate
 from repro.trace.streaming import as_streaming, spill_trace_set
 
 from tests.arch.test_golden_snapshots import CASES, DATA_DIR, SCALE, SEED, \
     snapshot_dict
 from tests.oracle.strategies import simulation_cases
-
-both_engines = pytest.mark.parametrize("engine", ENGINES)
 
 #: Chunk sizes spanning the interesting regimes: every reference its own
 #: chunk, prime-sized seams, and a chunk larger than any generated trace.
@@ -43,69 +41,65 @@ CHUNK_SIZES = (1, 3, 17, 10_000)
 
 
 class TestStreamingDifferential:
-    @both_engines
     @settings(max_examples=120, deadline=None)
     @given(case=simulation_cases(), chunk_refs=st.sampled_from(CHUNK_SIZES))
-    def test_streaming_matches_materialized_exactly(self, case, chunk_refs,
-                                                    engine):
+    def test_streaming_matches_materialized_exactly(self, case, chunk_refs):
         traces, placement, config, quantum = case
         materialized = simulate(traces, placement, config,
-                                quantum_refs=quantum, engine=engine)
+                                quantum_refs=quantum)
         streaming = simulate(as_streaming(traces, chunk_refs), placement,
-                             config, quantum_refs=quantum, engine=engine)
+                             config, quantum_refs=quantum)
         assert not diff_results(
             streaming, materialized,
             actual_name=f"streaming(c{chunk_refs})",
             expected_name="materialized",
-        ), (f"{engine}/c{chunk_refs}/{traces.num_threads}t/"
+        ), (f"c{chunk_refs}/{traces.num_threads}t/"
             f"q{quantum}: streaming replay diverged")
 
     @settings(max_examples=40, deadline=None)
     @given(case=simulation_cases(max_threads=4, max_refs=40),
            chunk_refs=st.sampled_from((1, 5, 13)))
-    def test_fast_streaming_matches_classic_materialized(self, case,
-                                                         chunk_refs):
-        """The cross product holds too: the fast kernel fed chunks equals
-        the classic engine fed whole columns."""
+    def test_streaming_matches_reference_materialized(self, case,
+                                                      chunk_refs):
+        """The cross product holds too: the kernel fed chunks equals the
+        reference interpreter fed whole columns."""
         traces, placement, config, quantum = case
-        classic = simulate(traces, placement, config, quantum_refs=quantum,
-                           engine="classic")
-        fast_stream = simulate(as_streaming(traces, chunk_refs), placement,
-                               config, quantum_refs=quantum, engine="fast")
-        assert not diff_results(fast_stream, classic,
-                                actual_name="fast+streaming",
-                                expected_name="classic+materialized")
+        expected = reference_simulate(traces, placement, config,
+                                      quantum_refs=quantum)
+        streamed = simulate(as_streaming(traces, chunk_refs), placement,
+                            config, quantum_refs=quantum)
+        assert not diff_results(streamed, expected,
+                                actual_name="kernel+streaming",
+                                expected_name="reference+materialized")
 
 
 class TestStreamingGoldenSnapshots:
-    @both_engines
     @pytest.mark.parametrize("stream_chunk_refs", [64, 4096])
     @pytest.mark.parametrize(
         "slug,app,algorithm,processors,infinite,topology",
         CASES, ids=[c[0] for c in CASES])
     def test_streaming_suite_matches_golden_snapshot(
             self, slug, app, algorithm, processors, infinite, topology,
-            stream_chunk_refs, engine):
+            stream_chunk_refs):
         """The paper pipeline under ``stream_chunk_refs`` reproduces the
         *same* golden files the materialized pipeline pins — streaming is
         excluded from every content address on exactly this guarantee."""
         path = DATA_DIR / f"golden_{slug}.json"
         assert path.exists(), f"missing snapshot {path}"
         expected = json.loads(path.read_text())
-        suite = ExperimentSuite(scale=SCALE, seed=SEED, engine=engine,
+        suite = ExperimentSuite(scale=SCALE, seed=SEED,
                                 stream_chunk_refs=stream_chunk_refs,
                                 topology=topology)
         actual = snapshot_dict(suite.run(app, algorithm, processors,
                                          infinite=infinite))
         assert actual == expected, (
-            f"{slug} [{engine}, c{stream_chunk_refs}]: streaming replay "
+            f"{slug} [c{stream_chunk_refs}]: streaming replay "
             f"diverged from the golden snapshot"
         )
 
 
 class TestSpilledReplay:
-    @both_engines
-    def test_disk_backed_replay_is_identical(self, tmp_path, engine):
+    def test_disk_backed_replay_is_identical(self, tmp_path):
         """A spill replayed cold from the verified store equals in-memory
         replay — the full generate → spill → drop → replay loop."""
         import numpy as np
@@ -119,9 +113,9 @@ class TestSpilledReplay:
             np.arange(traces.num_threads, dtype=np.int64) % 2, 2)
         config = ArchConfig(num_processors=2, contexts_per_processor=max(
             1, int(placement.cluster_sizes().max())))
-        expected = simulate(traces, placement, config, engine=engine)
+        expected = simulate(traces, placement, config)
         spilled = spill_trace_set(traces, tmp_path, chunk_refs=64)
-        actual = simulate(spilled, placement, config, engine=engine)
+        actual = simulate(spilled, placement, config)
         assert not diff_results(actual, expected, actual_name="spilled",
                                 expected_name="materialized")
 

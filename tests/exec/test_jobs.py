@@ -113,30 +113,17 @@ class TestPlanSections:
             (s.scale, s.seed, s.quantum_refs) == (0.002, 7, 64) for s in plan
         )
 
-    def test_engine_threaded_through(self):
-        plan = plan_sections(["figure4"], scale=0.001, engine="fast")
-        assert all(s.engine == "fast" for s in plan)
 
-
-class TestEngineField:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            JobSpec(app="Water", algorithm="LOAD-BAL", processors=2,
-                    engine="warp")
-
-    def test_engine_does_not_change_content_address(self):
-        """The engines are bit-for-bit equivalent, so a cell computed by
-        either caches under the same content address."""
-        classic = JobSpec(app="Water", algorithm="LOAD-BAL", processors=2)
-        fast = JobSpec(app="Water", algorithm="LOAD-BAL", processors=2,
-                       engine="fast")
-        assert classic.job_id == fast.job_id
-        assert classic.store_key == fast.store_key
-
-    def test_engine_survives_payload_round_trip(self):
-        spec = JobSpec(app="Water", algorithm="LOAD-BAL", processors=2,
-                       engine="fast")
-        assert JobSpec.from_payload(spec.to_payload()).engine == "fast"
+class TestPayload:
+    def test_legacy_engine_key_rejected(self):
+        """A payload from a coordinator that predates the removal of the
+        replay-engine option still carries ``engine``; mixed-version
+        clusters are unsupported, so it is rejected, not ignored."""
+        payload = JobSpec(app="Water", algorithm="LOAD-BAL",
+                          processors=2).to_payload()
+        assert "engine" not in payload
+        with pytest.raises(TypeError, match="engine"):
+            JobSpec.from_payload(dict(payload, engine="fast"))
 
 
 class TestPlanFullGrid:

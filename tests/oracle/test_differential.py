@@ -7,68 +7,44 @@ four-way miss decomposition, per-processor cycle accounting, interconnect
 traffic and the pairwise coherence matrix.  Across the tests in this
 module well over 200 cases are generated per run, the floor the
 reproduction's acceptance criteria pin.
-
-Both replay engines carry the guarantee: every equivalence theorem is
-parametrized over ``ENGINES``, and a dedicated theorem pins ``fast``
-against ``classic`` directly (the engines must be bit-for-bit
-interchangeable, not merely each-close-to-the-oracle).
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch.cache import max_block_of
-from repro.arch.simulator import ENGINES, simulate
+from repro.arch.simulator import simulate
 from repro.oracle import assert_equivalent, diff_results, reference_simulate
 
 from tests.oracle.strategies import simulation_cases, tag_sizing_cases
 
 pytestmark = pytest.mark.oracle
 
-both_engines = pytest.mark.parametrize("engine", ENGINES)
-
 
 class TestDifferential:
-    @both_engines
     @settings(max_examples=150, deadline=None)
     @given(case=simulation_cases())
-    def test_simulator_matches_oracle_exactly(self, case, engine):
+    def test_simulator_matches_oracle_exactly(self, case):
         traces, placement, config, quantum = case
-        production = simulate(traces, placement, config, quantum_refs=quantum,
-                              engine=engine)
+        production = simulate(traces, placement, config, quantum_refs=quantum)
         reference = reference_simulate(traces, placement, config,
                                        quantum_refs=quantum)
         assert_equivalent(
             production, reference,
-            context=f"{engine}/{traces.num_threads}t/"
+            context=f"{traces.num_threads}t/"
                     f"{placement.num_processors}p/"
                     f"q{quantum}/{config.num_sets}s",
         )
 
-    @settings(max_examples=150, deadline=None)
-    @given(case=simulation_cases())
-    def test_fast_engine_matches_classic_exactly(self, case):
-        """The fast kernel is a drop-in replacement: same results, to the
-        bit, on every metric."""
-        traces, placement, config, quantum = case
-        classic = simulate(traces, placement, config, quantum_refs=quantum,
-                           engine="classic")
-        fast = simulate(traces, placement, config, quantum_refs=quantum,
-                        engine="fast")
-        assert not diff_results(fast, classic,
-                                actual_name="fast", expected_name="classic")
-
-    @both_engines
     @settings(max_examples=50, deadline=None)
     @given(case=simulation_cases(max_threads=6, max_refs=50))
-    def test_differential_with_invariants_enabled(self, case, engine):
+    def test_differential_with_invariants_enabled(self, case):
         """The invariant checker never fires on a valid run, and checking
         does not perturb the result."""
         traces, placement, config, quantum = case
         checked = simulate(traces, placement, config, quantum_refs=quantum,
-                           check_invariants=True, engine=engine)
-        unchecked = simulate(traces, placement, config, quantum_refs=quantum,
-                             engine=engine)
+                           check_invariants=True)
+        unchecked = simulate(traces, placement, config, quantum_refs=quantum)
         assert not diff_results(checked, unchecked,
                                 actual_name="checked", expected_name="unchecked")
         reference = reference_simulate(traces, placement, config,
@@ -80,36 +56,32 @@ class TestTagSizing:
     """Tag stores sized to the block range (``repro.arch.cache.tag_lines``)
     replay exactly like full-size ones: machines whose set count is far
     above, one above, equal to, one below and well below the block count,
-    on both engines and both organizations."""
+    on both organizations."""
 
-    @both_engines
     @pytest.mark.parametrize("associativity", [1, 2])
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_sized_tag_stores_match_oracle(self, data, engine, associativity):
+    def test_sized_tag_stores_match_oracle(self, data, associativity):
         traces, placement, config, quantum = data.draw(
             tag_sizing_cases(associativity))
-        production = simulate(traces, placement, config, quantum_refs=quantum,
-                              engine=engine)
+        production = simulate(traces, placement, config, quantum_refs=quantum)
         reference = reference_simulate(traces, placement, config,
                                        quantum_refs=quantum)
         assert_equivalent(
             production, reference,
-            context=f"{engine}/{config.num_sets}s/{associativity}w/"
+            context=f"{config.num_sets}s/{associativity}w/"
                     f"max_block={max_block_of(traces, config.block_bits)}",
         )
 
 
 class TestDifferentialDerivedMetrics:
-    @both_engines
     @settings(max_examples=40, deadline=None)
     @given(case=simulation_cases())
-    def test_derived_metrics_agree(self, case, engine):
+    def test_derived_metrics_agree(self, case):
         """The report-facing derived quantities match too (they are pure
         functions of the raw metrics, so this guards the accessors)."""
         traces, placement, config, quantum = case
-        production = simulate(traces, placement, config, quantum_refs=quantum,
-                              engine=engine)
+        production = simulate(traces, placement, config, quantum_refs=quantum)
         reference = reference_simulate(traces, placement, config,
                                        quantum_refs=quantum)
         assert production.miss_breakdown() == reference.miss_breakdown()

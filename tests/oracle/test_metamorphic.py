@@ -31,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch.config import ArchConfig
-from repro.arch.simulator import ENGINES, simulate
+from repro.arch.simulator import simulate
 from repro.arch.stats import MissKind
 from repro.oracle import diff_results
 from repro.placement.base import PlacementMap
@@ -45,10 +45,6 @@ from tests.oracle.strategies import (
 )
 
 pytestmark = pytest.mark.oracle
-
-#: Every theorem below must hold in each replay engine independently
-#: (both sides of a relation always use the same engine).
-both_engines = pytest.mark.parametrize("engine", ENGINES)
 
 
 def _relabel(placement: PlacementMap, perm: list[int]) -> PlacementMap:
@@ -67,16 +63,14 @@ def relabeling_cases(draw, case_strategy):
 
 
 class TestProcessorRelabeling:
-    @both_engines
     @settings(max_examples=40, deadline=None)
     @given(case=relabeling_cases(partitioned_cases()))
-    def test_partitioned_runs_are_fully_equivariant(self, case, engine):
+    def test_partitioned_runs_are_fully_equivariant(self, case):
         """No coherence coupling -> relabeling permutes *everything*."""
         traces, placement, perm, config, quantum = case
-        base = simulate(traces, placement, config, quantum_refs=quantum,
-                        engine=engine)
+        base = simulate(traces, placement, config, quantum_refs=quantum)
         relabeled = simulate(traces, _relabel(placement, perm), config,
-                             quantum_refs=quantum, engine=engine)
+                             quantum_refs=quantum)
         assert relabeled.execution_time == base.execution_time
         assert relabeled.total_refs == base.total_refs
         for pid in range(placement.num_processors):
@@ -91,20 +85,18 @@ class TestProcessorRelabeling:
         assert not base.pairwise_coherence.any()
         assert not relabeled.pairwise_coherence.any()
 
-    @both_engines
     @settings(max_examples=40, deadline=None)
     @given(case=relabeling_cases(simulation_cases()))
-    def test_label_independent_metrics_always_permute(self, case, engine):
+    def test_label_independent_metrics_always_permute(self, case):
         """Even with coherence coupling (where equal-time scheduling ties
         are broken by processor id, so miss *classification* may shift),
         metrics determined by the thread-to-processor clustering alone
         must permute exactly: busy cycles, cache accesses, and compulsory
         misses (= distinct blocks the processor's threads touch)."""
         traces, placement, perm, config, quantum = case
-        base = simulate(traces, placement, config, quantum_refs=quantum,
-                        engine=engine)
+        base = simulate(traces, placement, config, quantum_refs=quantum)
         relabeled = simulate(traces, _relabel(placement, perm), config,
-                             quantum_refs=quantum, engine=engine)
+                             quantum_refs=quantum)
         for pid in range(placement.num_processors):
             assert base.processors[pid].busy == \
                 relabeled.processors[perm[pid]].busy
@@ -156,15 +148,14 @@ class TestInfiniteCachePlacementInvariance:
     paper-workload version is asserted in ``test_paper_suite.py``.)
     """
 
-    @both_engines
     @settings(max_examples=40, deadline=None)
     @given(case=bijection_pairs(read_only=False))
-    def test_compulsory_invariant_across_bijections(self, case, engine):
+    def test_compulsory_invariant_across_bijections(self, case):
         traces, first, second, quantum = case
         config = _effectively_infinite_config(traces.num_threads)
         results = [
             simulate(traces, PlacementMap(assignment, traces.num_threads),
-                     config, quantum_refs=quantum, engine=engine)
+                     config, quantum_refs=quantum)
             for assignment in (first, second)
         ]
         expected = sum(
@@ -178,17 +169,15 @@ class TestInfiniteCachePlacementInvariance:
             assert breakdown[MissKind.INTRA_THREAD_CONFLICT] == 0
             assert breakdown[MissKind.INTER_THREAD_CONFLICT] == 0
 
-    @both_engines
     @settings(max_examples=40, deadline=None)
     @given(case=bijection_pairs(read_only=True))
-    def test_compulsory_plus_invalidation_invariant_read_only(self, case,
-                                                              engine):
+    def test_compulsory_plus_invalidation_invariant_read_only(self, case):
         traces, first, second, quantum = case
         config = _effectively_infinite_config(traces.num_threads)
         totals = []
         for assignment in (first, second):
             result = simulate(traces, PlacementMap(assignment, traces.num_threads),
-                              config, quantum_refs=quantum, engine=engine)
+                              config, quantum_refs=quantum)
             breakdown = result.miss_breakdown()
             assert breakdown[MissKind.INVALIDATION] == 0
             assert result.interconnect.invalidations_sent == 0
@@ -196,15 +185,14 @@ class TestInfiniteCachePlacementInvariance:
                           + breakdown[MissKind.INVALIDATION])
         assert totals[0] == totals[1]
 
-    @both_engines
     @settings(max_examples=25, deadline=None)
     @given(case=bijection_pairs(read_only=False))
-    def test_per_processor_compulsory_follows_its_thread(self, case, engine):
+    def test_per_processor_compulsory_follows_its_thread(self, case):
         traces, first, second, quantum = case
         config = _effectively_infinite_config(traces.num_threads)
         for assignment in (first, second):
             result = simulate(traces, PlacementMap(assignment, traces.num_threads),
-                              config, quantum_refs=quantum, engine=engine)
+                              config, quantum_refs=quantum)
             for tid, proc in enumerate(assignment):
                 distinct = len(set(
                     (traces[tid].addrs >> config.block_bits).tolist()
@@ -213,33 +201,26 @@ class TestInfiniteCachePlacementInvariance:
 
 
 class TestQuantumSize:
-    @both_engines
     @settings(max_examples=30, deadline=None)
     @given(case=partitioned_cases(), other_quantum=st.sampled_from(QUANTA))
-    def test_decoupled_runs_are_quantum_independent(self, case, other_quantum,
-                                                    engine):
+    def test_decoupled_runs_are_quantum_independent(self, case, other_quantum):
         """Without coherence coupling the quantum is unobservable: results
         are bit-identical under any quantum size."""
         traces, placement, config, quantum = case
-        a = simulate(traces, placement, config, quantum_refs=quantum,
-                     engine=engine)
-        b = simulate(traces, placement, config, quantum_refs=other_quantum,
-                     engine=engine)
+        a = simulate(traces, placement, config, quantum_refs=quantum)
+        b = simulate(traces, placement, config, quantum_refs=other_quantum)
         assert not diff_results(a, b, actual_name=f"q{quantum}",
                                 expected_name=f"q{other_quantum}")
 
-    @both_engines
     @settings(max_examples=30, deadline=None)
     @given(case=simulation_cases(), other_quantum=st.sampled_from(QUANTA))
-    def test_quantum_invariant_totals(self, case, other_quantum, engine):
+    def test_quantum_invariant_totals(self, case, other_quantum):
         """For coupled runs the quantum shifts which processor's coherence
         actions land first at equal times — classification may move between
         kinds — but clustering-determined totals cannot change."""
         traces, placement, config, quantum = case
-        a = simulate(traces, placement, config, quantum_refs=quantum,
-                     engine=engine)
-        b = simulate(traces, placement, config, quantum_refs=other_quantum,
-                     engine=engine)
+        a = simulate(traces, placement, config, quantum_refs=quantum)
+        b = simulate(traces, placement, config, quantum_refs=other_quantum)
         assert a.total_refs == b.total_refs
         for pid in range(placement.num_processors):
             assert a.processors[pid].busy == b.processors[pid].busy

@@ -72,26 +72,25 @@ class TestOracleOnPaperWorkloads:
                           context=f"{app}/{algorithm}/4p")
 
 
-class TestFastEngineOnPaperSuite:
-    """Tentpole acceptance: the fast kernel agrees with the classic
-    simulator bit-for-bit on every real paper workload, not just on
-    generated micro-traces."""
+class TestKernelOnPaperSuite:
+    """The replay kernel agrees with the reference interpreter
+    bit-for-bit on every real paper workload, not just on generated
+    micro-traces."""
 
     @pytest.mark.parametrize("app", application_names())
-    def test_fast_matches_classic(self, audited_suite, app):
+    def test_kernel_matches_reference(self, audited_suite, app):
         traces = audited_suite.traces(app)
         placement = audited_suite.placement(app, "SHARE-REFS", 4)
         config = audited_suite._machine(
             app, placement, infinite=False, associativity=1, cache_words=None,
         )
-        classic = simulate(traces, placement, config,
-                           quantum_refs=audited_suite.quantum_refs,
-                           engine="classic")
-        fast = simulate(traces, placement, config,
-                        quantum_refs=audited_suite.quantum_refs,
-                        engine="fast")
-        mismatches = diff_results(fast, classic, actual_name="fast",
-                                  expected_name="classic")
+        production = simulate(traces, placement, config,
+                              quantum_refs=audited_suite.quantum_refs)
+        reference = reference_simulate(traces, placement, config,
+                                       quantum_refs=audited_suite.quantum_refs)
+        mismatches = diff_results(production, reference,
+                                  actual_name="kernel",
+                                  expected_name="reference")
         assert not mismatches, f"{app}: {mismatches}"
 
 

@@ -1,5 +1,6 @@
 """Unit tests for the JobManager: queue, quotas, coalescing, persistence."""
 
+import json
 import threading
 import time
 
@@ -42,11 +43,6 @@ class TestSubmission:
         assert first is second
         assert second.coalesced == 1
         assert second.tenants == {"alice", "bob"}
-
-    def test_engine_choice_does_not_fork_jobs(self, manager):
-        first, _ = manager.submit(request(engine="classic"), "alice")
-        second, created = manager.submit(request(engine="fast"), "alice")
-        assert first is second and not created
 
     def test_distinct_requests_get_distinct_jobs(self, manager):
         first, _ = manager.submit(request(seed=0), "alice")
@@ -157,6 +153,34 @@ class TestPersistence:
             assert reloaded.report_path.read_bytes() == report
             # get() also reloads by id alone (no request needed).
             assert second.get(job.id) is reloaded
+
+    @pytest.mark.parametrize("legacy_engine", ["classic", "fast"])
+    def test_job_persisted_with_engine_key_reloads(self, manager,
+                                                   legacy_engine):
+        """A finished job written before the replay-engine option was
+        removed records ``"engine"`` in its request; it must still reload
+        (not 404) by id."""
+        digest = request().digest
+        directory = manager.jobs_dir / digest
+        directory.mkdir(parents=True)
+        (directory / "report.txt").write_text("report\n", encoding="utf-8")
+        record = {
+            "state": "done",
+            "request": dict(request().to_dict(), engine=legacy_engine),
+            "tenants": ["alice"],
+            "created": 1.0,
+            "started": 2.0,
+            "finished": 3.0,
+            "error": None,
+        }
+        (directory / "state.json").write_text(json.dumps(record),
+                                              encoding="utf-8")
+        job = manager.get(digest)
+        assert job is not None
+        assert job.state == "done"
+        assert job.request == request()
+        assert "engine" not in job.to_dict()["request"]
+        assert job.report_path.read_text(encoding="utf-8") == "report\n"
 
     def test_failed_job_is_retried_on_resubmit(self, tmp_path):
         mgr = JobManager(tmp_path / "svc")

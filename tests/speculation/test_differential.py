@@ -6,7 +6,8 @@ Two theorems:
   it on the same machine (half the time forced identical).  A memo holding
   the first placement's result answers the second exactly when the
   assignments are byte-identical, and that answer is bit-for-bit the
-  second placement's full replay on both engines.
+  second placement's full replay — by the kernel and by the reference
+  interpreter.
 * **Suite level.**  On real applications, algorithms and processor
   counts, a memo-on :class:`ExperimentSuite` produces every cell
   bit-identical to a memo-off suite — including cells whose placement is
@@ -29,7 +30,7 @@ from repro.arch.simulator import simulate  # noqa: E402
 from repro.experiments.memo import ResultMemo  # noqa: E402
 from repro.experiments.runner import ExperimentSuite  # noqa: E402
 from repro.obs.probes import SimProbe  # noqa: E402
-from repro.oracle import diff_results  # noqa: E402
+from repro.oracle import diff_results, reference_simulate  # noqa: E402
 from repro.placement.algorithms import all_algorithms  # noqa: E402
 from repro.placement.base import PlacementMap  # noqa: E402
 from repro.workload.applications import spec_for  # noqa: E402
@@ -76,24 +77,24 @@ class TestSpeculationDifferential:
     @given(case=neighbor_cases())
     def test_exact_or_absent_on_dense_worlds(self, case):
         """The memo hits exactly on identical assignments, and a hit is
-        the full replay's result on both engines."""
+        the full replay's result, by the kernel and by the reference
+        interpreter."""
         traces, a, b, config, quantum = case
         memo = ResultMemo()
         group = ("world", config.num_processors)
         memo.put(ResultMemo.key(group, config, a),
-                 simulate(traces, a, config, quantum_refs=quantum,
-                          engine="fast"))
+                 simulate(traces, a, config, quantum_refs=quantum))
         hit = memo.get(ResultMemo.key(group, config, b))
         assert (hit is not None) == (a == b)
         if hit is None:
             return
-        for engine in ("fast", "classic"):
-            full = simulate(traces, b, config, quantum_refs=quantum,
-                            engine=engine)
+        for name, replay in (("kernel", simulate),
+                             ("reference", reference_simulate)):
+            full = replay(traces, b, config, quantum_refs=quantum)
             diffs = diff_results(hit, full, actual_name="memo",
-                                 expected_name=f"full-{engine}")
+                                 expected_name=f"full-{name}")
             assert diffs == [], (
-                f"memo hit diverged from {engine} replay "
+                f"memo hit diverged from {name} replay "
                 f"({traces.num_threads}t/{config.num_processors}p/"
                 f"q{quantum}): " + "; ".join(diffs[:4]))
 
@@ -115,7 +116,6 @@ def _reference() -> ExperimentSuite:
     cell."""
     if "suite" not in _REFERENCE:
         _REFERENCE["suite"] = ExperimentSuite(scale=SCALE, seed=0,
-                                              engine="fast",
                                               check_invariants=True)
     return _REFERENCE["suite"]
 
@@ -146,7 +146,7 @@ class TestSuiteMemoTheorem:
     @given(case=suite_cases())
     def test_memo_on_suite_is_bit_identical_to_memo_off(self, case):
         app, cells, forced = case
-        suite = ExperimentSuite(scale=SCALE, seed=0, engine="fast")
+        suite = ExperimentSuite(scale=SCALE, seed=0)
         suite.probe = SimProbe()
         origin = {}     # forced cell -> the cell whose placement it runs
         for i, j in forced:

@@ -3,9 +3,9 @@
 The clustering engine has two loops: the from-scratch reference (every
 candidate re-derives sizes and re-asks ``allows``) and the incremental
 path (per-cluster size/load arrays carried across merges, one vectorized
-``pair_mask`` per state).  The contract mirrors the classic-vs-fast
-simulator engines: same trajectory, same backtracks, same fallback, same
-clusters — bit for bit, for every metric and balance policy.
+``pair_mask`` per state).  The contract: same trajectory, same
+backtracks, same fallback, same clusters — bit for bit, for every metric
+and balance policy.
 
 CI runs this file derandomized (``--hypothesis-profile=oracle-ci``).
 """

@@ -41,7 +41,7 @@ def scratch():
     """An audited, memo-off suite (the from-scratch answers) and the
     Water/4p placement classes: algorithms grouped by identical
     assignment."""
-    suite = ExperimentSuite(scale=SCALE, seed=0, engine="fast",
+    suite = ExperimentSuite(scale=SCALE, seed=0,
                             check_invariants=True)
     classes: dict[bytes, list[str]] = {}
     for algo in all_algorithms():
@@ -63,14 +63,14 @@ class TestCloneResult:
         traces = TraceSet("t", [_thread(t, rng) for t in range(4)])
         config = ArchConfig(2, 2, cache_words=64)
         placement = PlacementMap([0, 1, 0, 1], 2)
-        original = simulate(traces, placement, config, engine="fast")
+        original = simulate(traces, placement, config)
         copy = clone_result(original)
         assert copy is not original
         _results_equal(copy, original, "clone")
         copy.processors[0].busy += 1
         copy.caches[0].hits += 1
         copy.pairwise_coherence[0, 1] += 1
-        fresh = simulate(traces, placement, config, engine="fast")
+        fresh = simulate(traces, placement, config)
         _results_equal(original, fresh, "original")
 
 
@@ -81,7 +81,7 @@ class TestMemoAliasing:
         assert len(trio) >= 3, "Water/4p needs three identical placements"
         first, second, third = trio[:3]
         expected = reference.run(APP, first, PROCESSORS)
-        suite = ExperimentSuite(scale=SCALE, seed=0, engine="fast")
+        suite = ExperimentSuite(scale=SCALE, seed=0)
         simulated = suite.run(APP, first, PROCESSORS)
         hit = suite.run(APP, second, PROCESSORS)
         assert hit is not simulated

@@ -35,10 +35,10 @@ def _grid(suite):
 
 class TestSuiteEquivalence:
     def test_speculative_suite_is_bit_identical_and_hits(self):
-        spec = ExperimentSuite(scale=0.001, seed=0, engine="fast")
+        spec = ExperimentSuite(scale=0.001, seed=0)
         spec.probe = SimProbe()
         speculated = _grid(spec)
-        plain = ExperimentSuite(scale=0.001, seed=0, engine="fast",
+        plain = ExperimentSuite(scale=0.001, seed=0,
                                 check_invariants=True)
         expected = _grid(plain)
         for algo in ALGOS:
@@ -52,19 +52,8 @@ class TestSuiteEquivalence:
         assert spec.probe.memo_lookups == len(ALGOS)
         assert spec.probe.memo_hits + spec.probe.cells == len(ALGOS)
 
-    def test_speculation_matches_classic_engine_too(self):
-        spec = ExperimentSuite(scale=0.001, seed=0, engine="fast")
-        classic = ExperimentSuite(scale=0.001, seed=0, engine="classic",
-                                  check_invariants=True)
-        for algo in ALGOS[:4]:
-            diffs = diff_results(
-                spec.run(APP, algo, PROCESSORS),
-                classic.run(APP, algo, PROCESSORS),
-                actual_name="speculative-fast", expected_name="classic")
-            assert diffs == [], f"{algo}: " + "; ".join(diffs[:4])
-
     def test_check_invariants_disables_speculation(self):
-        suite = ExperimentSuite(scale=0.001, seed=0, engine="fast",
+        suite = ExperimentSuite(scale=0.001, seed=0,
                                 check_invariants=True)
         suite.probe = SimProbe()
         suite.run(APP, "LOAD-BAL", PROCESSORS)
@@ -74,8 +63,8 @@ class TestSuiteEquivalence:
     def test_random_replicates_speculate_exactly(self):
         """RANDOM draws differ per replicate; whether or not the memo
         hits, the replicate average must be unchanged."""
-        spec = ExperimentSuite(scale=0.001, seed=0, engine="fast")
-        plain = ExperimentSuite(scale=0.001, seed=0, engine="fast",
+        spec = ExperimentSuite(scale=0.001, seed=0)
+        plain = ExperimentSuite(scale=0.001, seed=0,
                                 check_invariants=True)
         for r in range(3):
             diffs = diff_results(
@@ -88,8 +77,7 @@ class TestSuiteEquivalence:
 class TestEngineIntegration:
     def test_engine_run_speculates_and_journals(self, tmp_path,
                                                 monkeypatch):
-        specs = [s for s in plan_sections(["figure5"], scale=0.001, seed=0,
-                                          engine="fast")
+        specs = [s for s in plan_sections(["figure5"], scale=0.001, seed=0)
                  if s.processors == 4 and s.replicate == 0]
         monkeypatch.setattr(engine_module, "_SUITES",
                             engine_module._SUITES.__class__())
@@ -108,7 +96,7 @@ class TestEngineIntegration:
         assert counters["sim_cells"] + counters["sim_memo_hits"] \
             == len(specs)
 
-        reference = ExperimentSuite(scale=0.001, seed=0, engine="fast",
+        reference = ExperimentSuite(scale=0.001, seed=0,
                                     check_invariants=True)
         for s in specs:
             diffs = diff_results(report.results[s.job_id],
@@ -121,8 +109,7 @@ class TestEngineIntegration:
     def test_store_roundtrip_preserves_speculated_results(self, tmp_path):
         """A speculated result written to the store must read back equal
         (dtype/layout quirks in composed results would surface here)."""
-        specs = [s for s in plan_sections(["figure5"], scale=0.001, seed=0,
-                                          engine="fast")
+        specs = [s for s in plan_sections(["figure5"], scale=0.001, seed=0)
                  if s.processors == 2 and s.replicate == 0]
         store = ResultStore(tmp_path / "store")
         engine = ExecutionEngine(workers=1, store=store)

@@ -39,7 +39,7 @@ MODULES = [
     "repro.placement.quality", "repro.placement.exhaustive",
     "repro.placement.io",
     "repro.arch.config", "repro.arch.stats", "repro.arch.cache",
-    "repro.arch.directory", "repro.arch.processor", "repro.arch.simulator",
+    "repro.arch.directory", "repro.arch.kernel", "repro.arch.simulator",
     "repro.arch.thrashing", "repro.arch.models", "repro.arch.markov",
     "repro.arch.contention",
     "repro.oracle.reference", "repro.oracle.invariants",

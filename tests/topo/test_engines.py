@@ -1,4 +1,4 @@
-"""Engine equivalence under tiered topologies.
+"""Kernel ≡ reference interpreter under tiered topologies.
 
 The differential tier (``tests/oracle``) fuzzes the same properties over
 random worlds; these are the fixed, paper-workload anchors that run in
@@ -7,7 +7,7 @@ tier 1 without hypothesis.
 
 import pytest
 
-from repro.arch.simulator import ENGINES, simulate
+from repro.arch.simulator import simulate
 from repro.experiments.runner import ExperimentSuite
 from repro.oracle import diff_results
 from repro.oracle.reference import reference_simulate
@@ -34,35 +34,28 @@ def case(suite):
 
 def test_flat_topology_is_a_no_op(case):
     """An explicit uniform topology at the baseline latency must be
-    bit-identical to no topology at all, on every engine."""
+    bit-identical to no topology at all."""
     traces, placement, config = case
-    for engine in ENGINES:
-        baseline = simulate(traces, placement, config,
-                            quantum_refs=256, engine=engine)
-        flat = simulate(traces, placement,
-                        config.with_topology(Topology.flat(50)),
-                        quantum_refs=256, engine=engine)
-        assert not diff_results(flat, baseline, actual_name="flat:50",
-                                expected_name="baseline")
+    baseline = simulate(traces, placement, config, quantum_refs=256)
+    flat = simulate(traces, placement,
+                    config.with_topology(Topology.flat(50)),
+                    quantum_refs=256)
+    assert not diff_results(flat, baseline, actual_name="flat:50",
+                            expected_name="baseline")
 
 
 def test_engines_agree_under_numa(case):
-    """classic == fast == oracle, bit for bit, on a tiered machine."""
+    """kernel == oracle, bit for bit, on a tiered machine."""
     traces, placement, config = case
     tiered = config.with_topology(NUMA)
-    results = {
-        engine: simulate(traces, placement, tiered,
-                         quantum_refs=256, engine=engine)
-        for engine in ENGINES
-    }
+    result = simulate(traces, placement, tiered, quantum_refs=256)
     oracle = reference_simulate(traces, placement, tiered, quantum_refs=256)
-    for engine, result in results.items():
-        assert not diff_results(result, oracle, actual_name=engine,
-                                expected_name="oracle")
+    assert not diff_results(result, oracle, actual_name="kernel",
+                            expected_name="oracle")
 
 
 def test_tiers_actually_change_the_outcome(case):
-    """Guard against the topology silently not reaching the engines: the
+    """Guard against the topology silently not reaching the kernel: the
     tiered run must differ from the flat one on this workload."""
     traces, placement, config = case
     flat = simulate(traces, placement, config, quantum_refs=256)
