@@ -27,7 +27,7 @@ from repro.arch.simulator import simulate
 from repro.arch.stats import SimulationResult
 from repro.experiments.cache import ResultStore, cell_store_key
 from repro.experiments.memo import ResultMemo
-from repro.placement.algorithms import algorithm_by_name
+from repro.placement.algorithms import ClusteringPlacement, algorithm_by_name
 from repro.placement.base import PlacementInputs, PlacementMap
 from repro.placement.dynamic import measure_coherence_matrix
 from repro.topo.model import Topology, canonical_topology
@@ -263,6 +263,10 @@ class ExperimentSuite:
         :attr:`random_replicates` draws, so a single unlucky map cannot
         distort every normalized result — important for workloads like FFT
         whose few giant threads make single draws high-variance).
+
+        The probe's ``placement_*`` counters record each clustering search
+        this suite runs, whether the fallback finished it and its
+        backtracks.
         """
         name = spec_for(app).name
         key = (name, algorithm.upper(), processors, replicate)
@@ -280,7 +284,12 @@ class ExperimentSuite:
                 ),
                 incremental=not self.check_invariants,
             )
-            self._placements[key] = algo.place(inputs)
+            placement = algo.place(inputs)
+            if self.probe is not None and isinstance(algo, ClusteringPlacement):
+                self.probe.placement_searches += 1
+                self.probe.placement_relaxed += placement.relaxed
+                self.probe.placement_backtracks += placement.backtracks
+            self._placements[key] = placement
         return self._placements[key]
 
     def _machine(

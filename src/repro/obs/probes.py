@@ -42,7 +42,8 @@ class SimProbe:
     """Event counters one simulation run fills in (single-threaded)."""
 
     __slots__ = ("quanta", "switches", "upgrades", "misses", "cells",
-                 "memo_lookups", "memo_hits")
+                 "memo_lookups", "memo_hits", "placement_searches",
+                 "placement_relaxed", "placement_backtracks")
 
     def __init__(self) -> None:
         self.quanta = 0      #: scheduling quanta executed
@@ -57,6 +58,12 @@ class SimProbe:
         # actually replayed — the gap to an audited (memo-off) run is what hits saved.
         self.memo_lookups = 0
         self.memo_hits = 0
+        # Placement searches the suite ran (clustering algorithms only),
+        # how many the metric-blind fallback finished, and the combines
+        # they undid — what the search cost and where it gave up.
+        self.placement_searches = 0
+        self.placement_relaxed = 0
+        self.placement_backtracks = 0
 
     def snapshot(self) -> dict[str, int]:
         """Flat ``{metric_name: count}`` view (ships between processes)."""
@@ -71,6 +78,9 @@ class SimProbe:
         out["sim_misses_total"] = sum(self.misses.values())
         out["sim_memo_lookups"] = self.memo_lookups
         out["sim_memo_hits"] = self.memo_hits
+        out["sim_placement_searches"] = self.placement_searches
+        out["sim_placement_relaxed"] = self.placement_relaxed
+        out["sim_placement_backtracks"] = self.placement_backtracks
         return out
 
     def merge(self, other: "SimProbe") -> None:
@@ -81,6 +91,9 @@ class SimProbe:
         self.cells += other.cells
         self.memo_lookups += other.memo_lookups
         self.memo_hits += other.memo_hits
+        self.placement_searches += other.placement_searches
+        self.placement_relaxed += other.placement_relaxed
+        self.placement_backtracks += other.placement_backtracks
         for kind in MissKind:
             self.misses[kind] += other.misses[kind]
 

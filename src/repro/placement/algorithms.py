@@ -84,9 +84,12 @@ class ClusteringPlacement(PlacementAlgorithm):
             maximize=self.maximize,
             incremental=inputs.incremental,
         )
-        return PlacementMap.from_clusters(
+        placement = PlacementMap.from_clusters(
             result.clusters, inputs.num_threads, inputs.num_processors
         )
+        placement.relaxed = result.relaxed
+        placement.backtracks = result.backtracks
+        return placement
 
 
 class ShareRefs(ClusteringPlacement):

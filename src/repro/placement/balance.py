@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -144,6 +144,24 @@ class BalancePolicy:
         """
         return None
 
+    def dead_merges(
+        self,
+        sizes: np.ndarray,
+        loads: np.ndarray,
+        num_threads: int,
+        num_processors: int,
+    ) -> Callable[[int, int], bool] | None:
+        """An exact, cheap test for merges that lead to a dead state.
+
+        Returns ``None`` ("unknown, compute the mask"; the default) or a
+        function ``dead(i, j)``, for cluster indices ``i < j`` of this
+        state, that is True iff the state after merging them has no
+        admissible pair: :meth:`pair_mask` over all its pairs is
+        all-False.  The clustering engine asks it before building a
+        child state, so a dead child is undone without being scored.
+        """
+        return None
+
 
 @dataclass(frozen=True)
 class ThreadBalance(BalancePolicy):
@@ -218,6 +236,25 @@ class LoadBalance(BalancePolicy):
         ideal = float(loads.sum()) / num_processors
         combined = (loads[pairs[:, 0]] + loads[pairs[:, 1]]).astype(float)
         return combined <= (1.0 + self.tolerance) * ideal
+
+    def dead_merges(self, sizes, loads, num_threads, num_processors):
+        """Exact: a state's smallest pair sum is its two lightest loads',
+        and int-to-float conversion is monotone, so it has an admissible
+        pair iff that one passes :meth:`pair_mask`.  After merging i and
+        j, the two lightest are among this state's four lightest other
+        than i and j, plus the union; the total (and so the limit) is
+        unchanged."""
+        limit = (1.0 + self.tolerance) * (float(loads.sum()) / num_processors)
+        lightest = np.argsort(loads, kind="stable")[:4].tolist()
+        light = loads[lightest].tolist()
+
+        def dead(i: int, j: int) -> bool:
+            kept = [load for k, load in zip(lightest, light)
+                    if k != i and k != j][:2]
+            first, second = sorted(kept + [int(loads[i]) + int(loads[j])])[:2]
+            return not float(first + second) <= limit
+
+        return dead
 
 
 @dataclass(frozen=True)

@@ -33,9 +33,17 @@ class PlacementMap:
         num_processors: Number of processors the map targets.  Processors
             may be empty (a map is not required to use them all, though
             every algorithm in this package produces non-empty clusters).
+        relaxed: True when a clustering search hit a dead end or its
+            backtrack budget and the metric-blind fallback finished the
+            map (see :class:`~repro.placement.clustering.ClusteringResult`).
+        backtracks: Combines the search undid (summed over stages).
+
+    ``relaxed`` and ``backtracks`` declare how the map was found; they are
+    not part of the map, so equality, serialization and every content
+    address ignore them.
     """
 
-    __slots__ = ("assignment", "num_processors")
+    __slots__ = ("assignment", "num_processors", "relaxed", "backtracks")
 
     def __init__(self, assignment: Sequence[int] | np.ndarray, num_processors: int) -> None:
         check_positive("num_processors", num_processors)
@@ -49,6 +57,8 @@ class PlacementMap:
             )
         self.assignment = array
         self.num_processors = int(num_processors)
+        self.relaxed = False
+        self.backtracks = 0
 
     @classmethod
     def from_clusters(

@@ -35,14 +35,24 @@ __all__ = [
     "agglomerate",
     "matrix_average_scorer",
     "cross_sums",
+    "pair_scores",
     "MatrixAverageScorer",
 ]
 
 # A scorer returns a comparable score for a cluster pair; tuples give
-# lexicographic secondary criteria.  Scorers may additionally provide a
-# ``pair_scores(clusters)`` method returning ``[(score, (i, j)), ...]`` for
-# all pairs at once; the engine uses it when present (one matrix product
-# per iteration instead of thousands of tiny reductions).
+# lexicographic secondary criteria.  A *matrix scorer* also exposes what
+# its score is a function of, so the engine can score many pairs at once
+# and carry the sums across merges:
+#
+# * ``pair_matrices``: tuple of (t, t) thread-pair matrices;
+# * ``thread_vector``: a per-thread vector summed per cluster, or None;
+# * ``score_columns(sums, size_a, size_b, vec_a, vec_b)``: the (n, k)
+#   score array of n cluster pairs, from one cross-sum array per matrix,
+#   the two clusters' sizes and their ``thread_vector`` sums (None
+#   without a vector).
+#
+# A scorer without ``pair_matrices`` is scored pair by pair through
+# ``__call__`` by the reference loop.
 ClusterScorer = Callable[[list[int], list[int]], tuple]
 
 
@@ -60,6 +70,29 @@ def cross_sums(matrix: np.ndarray, clusters: list[list[int]]) -> np.ndarray:
     return membership.T @ matrix @ membership
 
 
+def pair_scores(
+    scorer: ClusterScorer, clusters: list[list[int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """A matrix scorer's scores for every cluster pair: (scores, pairs).
+
+    ``scores`` is (n_pairs, k), one column per score component;
+    ``pairs`` the matching (n_pairs, 2) cluster index pairs, i < j.
+    """
+    upper_i, upper_j = np.triu_indices(len(clusters), k=1)
+    sums = [cross_sums(matrix, clusters)[upper_i, upper_j]
+            for matrix in scorer.pair_matrices]
+    sizes = np.array([len(c) for c in clusters], dtype=float)
+    vector = scorer.thread_vector
+    if vector is None:
+        vec_a = vec_b = None
+    else:
+        totals = np.array([float(vector[c].sum()) for c in clusters])
+        vec_a, vec_b = totals[upper_i], totals[upper_j]
+    scores = scorer.score_columns(sums, sizes[upper_i], sizes[upper_j],
+                                  vec_a, vec_b)
+    return scores, np.column_stack([upper_i, upper_j])
+
+
 class MatrixAverageScorer:
     """The paper's sharing metric: averaged cross-cluster pair sum.
 
@@ -69,9 +102,12 @@ class MatrixAverageScorer:
     ``normalize=False`` for MIN-INVS's unnormalized separation cost.
     """
 
+    thread_vector = None
+
     def __init__(self, matrix: np.ndarray, *, normalize: bool = True) -> None:
         self.matrix = np.asarray(matrix, dtype=float)
         self.normalize = normalize
+        self.pair_matrices = (self.matrix,)
 
     def __call__(self, cluster_a: list[int], cluster_b: list[int]) -> tuple:
         total = float(self.matrix[np.ix_(cluster_a, cluster_b)].sum())
@@ -79,18 +115,12 @@ class MatrixAverageScorer:
             total /= len(cluster_a) * len(cluster_b)
         return (total,)
 
-    def pair_scores_array(
-        self, clusters: list[list[int]]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized scores for every cluster pair: (scores, index pairs)."""
-        sums = cross_sums(self.matrix, clusters)
-        sizes = np.array([len(c) for c in clusters], dtype=float)
+    def score_columns(self, sums, size_a, size_b, vec_a, vec_b) -> np.ndarray:
+        """The (averaged) cross sum, as one score column."""
+        total = sums[0]
         if self.normalize:
-            sums = sums / np.outer(sizes, sizes)
-        upper_i, upper_j = np.triu_indices(len(clusters), k=1)
-        scores = sums[upper_i, upper_j][:, None]
-        pairs = np.column_stack([upper_i, upper_j])
-        return scores, pairs
+            total = total / (size_a * size_b)
+        return total[:, None]
 
 
 def matrix_average_scorer(matrix: np.ndarray) -> ClusterScorer:
@@ -115,18 +145,27 @@ class ClusteringResult:
     relaxed: bool
 
 
+def _candidate_order(pairs: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Permutation sorting candidates by key columns (most significant
+    first), ties broken by the index pair for determinism."""
+    # np.lexsort: last key is primary -> pair indices first (least
+    # significant), then score components from least to most significant.
+    columns = [pairs[:, 1], pairs[:, 0]]
+    columns += [keys[:, c] for c in range(keys.shape[1] - 1, -1, -1)]
+    return np.lexsort(tuple(columns))
+
+
 def _ordered_candidates(
     clusters: list[list[int]], scorer: ClusterScorer, maximize: bool
-) -> list[tuple[int, int]]:
+) -> np.ndarray:
     """All cluster index pairs, best score first (deterministic ties).
 
     Returns an (n_pairs, 2) integer array of cluster index pairs, ordered
     by score (lexicographic across score components), ties broken by the
-    index pair for determinism.
+    index pair.
     """
-    batch = getattr(scorer, "pair_scores_array", None)
-    if batch is not None:
-        scores, pairs = batch(clusters)
+    if getattr(scorer, "pair_matrices", None) is not None:
+        scores, pairs = pair_scores(scorer, clusters)
     else:
         rows = [
             (scorer(clusters[i], clusters[j]), (i, j))
@@ -137,12 +176,7 @@ def _ordered_candidates(
         pairs = np.array([pair for _, pair in rows], dtype=np.int64)
     if maximize:
         scores = -scores
-    # np.lexsort: last key is primary -> pair indices first (least
-    # significant), then score components from least to most significant.
-    keys = [pairs[:, 1], pairs[:, 0]]
-    keys += [scores[:, c] for c in range(scores.shape[1] - 1, -1, -1)]
-    order = np.lexsort(tuple(keys))
-    return pairs[order]
+    return pairs[_candidate_order(pairs, scores)]
 
 
 def _merge(clusters: list[list[int]], i: int, j: int) -> list[list[int]]:
@@ -208,12 +242,16 @@ def agglomerate(
         maximize: Direction of the metric.
         max_backtracks: Search budget before the fallback finishes the
             partition.
-        incremental: Use incrementally maintained search state (per-cluster
-            size/load arrays plus one vectorized admissibility mask per
-            state) instead of re-deriving everything per candidate.  The
-            trajectory — and therefore the result — is bit-identical to
-            the reference loop (``incremental=False``), which is kept as
-            the differential-testing oracle; policies without a
+        incremental: Use incrementally maintained search state: per-cluster
+            sizes, loads and cross sums carried across merges
+            (Lance–Williams), the candidate order kept and extended
+            instead of re-sorted, one vectorized admissibility mask per
+            state, and states the policy's ``has_admissible`` calls dead
+            undone before they are scored.  The trajectory — and
+            therefore the result — is bit-identical to the reference
+            loop (``incremental=False``), which is kept as the
+            differential-testing oracle; scorers without (exactly
+            summable integer) ``pair_matrices`` and policies without a
             :meth:`~repro.placement.balance.BalancePolicy.pair_mask`
             automatically fall back to the reference loop.
 
@@ -282,6 +320,71 @@ def agglomerate(
     return ClusteringResult(clusters, merges, backtracks, relaxed=False)
 
 
+def _exact_sums(arrays: Sequence[np.ndarray]) -> bool:
+    """Whether every partial sum of these arrays' entries is exact in
+    float64: integer-valued entries whose absolute total is below 2**53."""
+    return all(
+        np.array_equal(a, np.round(a)) and float(np.abs(a).sum()) < 2.0 ** 53
+        for a in arrays
+    )
+
+
+def _merged_sums(sums: np.ndarray, order: np.ndarray, j: int) -> np.ndarray:
+    """Cross sums after merging clusters ``order[-1]`` and ``j`` (Lance–
+    Williams).
+
+    ``order`` lists the kept clusters, then the first merged one; the
+    union takes that last slot, as :func:`_merge` appends it, and gets
+    row ``sums[i] + sums[j]`` and the matching column.  With exact integer
+    sums this equals :func:`cross_sums` of the merged partition bit for
+    bit.
+    """
+    rows = sums.take(order, axis=0)
+    out = rows.take(order, axis=1)
+    out[:, -1] += rows[:, j]
+    out[-1] += sums[j].take(order)
+    out[-1, -1] += sums[j, j]
+    return out
+
+
+def _merge_slots(
+    keys: np.ndarray, codes: np.ndarray,
+    new_keys: np.ndarray, new_codes: np.ndarray,
+) -> np.ndarray:
+    """Where each new candidate lands when merged into ordered ones.
+
+    Candidates order lexicographically by (key columns..., code), with
+    codes unique across both sides.  numpy orders complex numbers by
+    (real, imag), so each level is one ``searchsorted`` over two columns:
+    the first two, then (tie-run id so far, next column).
+    """
+    rank = np.lexsort((new_codes, *new_keys.T[::-1]))
+    slots = np.empty(rank.size, dtype=np.intp)
+    slots[rank] = np.arange(rank.size)
+    if codes.size == 0:
+        return slots
+    columns = [*keys.T, codes]
+    new_columns = [*new_keys.T, new_codes]
+    prefix, new_prefix = columns[0], new_columns[0]
+    # [lo, hi): the ordered candidates tied with each new one so far.
+    lo = np.zeros(new_codes.size, dtype=np.intp)
+    hi = np.full(new_codes.size, codes.size, dtype=np.intp)
+    for level in range(1, len(columns)):
+        ordered = np.empty(codes.size, dtype=complex)
+        ordered.real, ordered.imag = prefix, columns[level]
+        query = np.empty(new_codes.size, dtype=complex)
+        query.real, query.imag = new_prefix, new_columns[level]
+        tied = lo < hi
+        lo = np.where(tied, np.searchsorted(ordered, query, "left"), lo)
+        if level + 1 == len(columns):
+            break
+        hi = np.where(tied, np.searchsorted(ordered, query, "right"), lo)
+        prefix = np.zeros(codes.size)
+        np.cumsum(ordered[1:] != ordered[:-1], out=prefix[1:])
+        new_prefix = prefix[np.minimum(lo, codes.size - 1)]
+    return slots + lo
+
+
 def _agglomerate_incremental(
     num_threads: int,
     num_processors: int,
@@ -294,57 +397,137 @@ def _agglomerate_incremental(
 ) -> ClusteringResult | None:
     """The incremental-state twin of the reference loop in ``agglomerate``.
 
-    Same search, different bookkeeping: per-cluster thread counts and
-    instruction loads are carried across merges (and saved on the
-    backtrack stack) instead of being re-derived per candidate, and each
-    state's admissibility is one vectorized ``pair_mask`` call instead of
-    thousands of per-pair ``allows`` calls.  Policies are pure functions
-    of that state, so every decision — merge choice, backtrack, fallback —
-    lands on exactly the candidates the reference loop picks.
+    Same search, different bookkeeping.  Each state carries its sizes,
+    loads, cross-sum matrices and ordered candidates (all immutable once
+    made, so the backtrack stack shares them), and a merge derives the
+    child's from the parent's:
 
-    Returns ``None`` when the policy offers no vectorized form, signalling
-    the caller to run the reference loop instead.
+    * the cross sums by a Lance–Williams row update (:func:`_merged_sums`);
+    * the candidate order by keeping the surviving pairs' order — the
+      renumbering after a merge is monotone, so neither their order nor
+      their ties change — and slotting in the scored pairs with the new
+      cluster (:func:`_merge_slots`);
+    * admissibility by one vectorized ``pair_mask``, computed only for a
+      child the policy's ``dead_merges`` test, asked before the child is
+      built, does not call dead.  A dead child is undone at once, exactly
+      as its all-False mask would make the reference loop do.
+
+    Every sum is over integers below 2**53, so scores, order and every
+    decision — merge choice, backtrack, fallback — land on exactly the
+    reference loop's.  Returns ``None`` (run the reference loop) for a
+    scorer without ``pair_matrices``, sums that would not be exact, or a
+    policy without ``pair_mask``.
     """
+    matrices = getattr(scorer, "pair_matrices", None)
+    if matrices is None:
+        return None
+    vec = scorer.thread_vector
+    if not _exact_sums(matrices if vec is None else (*matrices, vec)):
+        return None
     clusters: list[list[int]] = [[tid] for tid in range(num_threads)]
     sizes = np.ones(num_threads, dtype=np.int64)
     loads = lengths.copy()
-    candidates = _ordered_candidates(clusters, scorer, maximize)
-    mask = balance.pair_mask(candidates, sizes, loads, num_threads,
+    sums = tuple(np.asarray(m, dtype=float) for m in matrices)
+    scores, pairs = pair_scores(scorer, clusters)
+    keys = -scores if maximize else scores
+    order = _candidate_order(pairs, keys)
+    pairs, keys = pairs[order], keys[order]
+    mask = balance.pair_mask(pairs, sizes, loads, num_threads,
                              num_processors)
     if mask is None:
         return None
-    # Stack levels mirror the reference loop's, extended with the arrays
-    # and mask of the state (all treated as immutable once pushed).
-    stack: list[tuple[list[list[int]], np.ndarray, int,
-                      np.ndarray, np.ndarray, np.ndarray]] = []
+    dead = balance.dead_merges(sizes, loads, num_threads, num_processors)
+    # The admissible candidates' positions, and how many are spent.
+    live: list[int] = np.flatnonzero(mask).tolist()
+    cursor = 0
+    stack: list[tuple] = []
     merges = 0
     backtracks = 0
-    next_index = 0
 
     while len(clusters) > num_processors:
-        admissible = np.flatnonzero(mask[next_index:])
-        if admissible.size == 0:
+        if cursor == len(live):
             if not stack or backtracks >= max_backtracks:
                 finished = _fallback_finish(
                     clusters, num_processors, lengths, num_threads
                 )
                 return ClusteringResult(finished, merges, backtracks,
                                         relaxed=True)
-            clusters, candidates, next_index, sizes, loads, mask = stack.pop()
+            (clusters, sizes, loads, vec, sums, pairs, keys, dead, live,
+             cursor) = stack.pop()
             backtracks += 1
             continue
-        k = next_index + int(admissible[0])
-        i, j = int(candidates[k][0]), int(candidates[k][1])
-        stack.append((clusters, candidates, k + 1, sizes, loads, mask))
-        clusters = _merge(clusters, i, j)
-        # _merge appends the union at the end; mirror that for the arrays.
-        keep = [idx for idx in range(len(sizes)) if idx not in (i, j)]
-        sizes = np.append(sizes[keep], sizes[i] + sizes[j])
-        loads = np.append(loads[keep], loads[i] + loads[j])
+        k = live[cursor]
+        cursor += 1
+        i, j = int(pairs[k, 0]), int(pairs[k, 1])
         merges += 1
-        candidates = _ordered_candidates(clusters, scorer, maximize)
-        mask = balance.pair_mask(candidates, sizes, loads, num_threads,
+        n = len(clusters)
+        if n - 1 == num_processors:
+            return ClusteringResult(_merge(clusters, i, j), merges,
+                                    backtracks, relaxed=False)
+        if dead is not None and dead(i, j):
+            if backtracks < max_backtracks:
+                backtracks += 1
+                continue
+            # Out of budget: the loop top finishes the dead child itself.
+            clusters, live, cursor = _merge(clusters, i, j), [], 0
+            continue
+        stack.append((clusters, sizes, loads, vec, sums, pairs, keys, dead,
+                      live, cursor))
+        # The child's clusters in _merge's order: the kept ones, then the
+        # union, which takes cluster i's entry plus cluster j's.
+        order = np.arange(n - 1)
+        order[i:] += 1
+        order[j - 1:] += 1
+        order[-1] = i
+        clusters = _merge(clusters, i, j)
+        child_sizes = sizes.take(order)
+        child_sizes[-1] += sizes[j]
+        child_loads = loads.take(order)
+        child_loads[-1] += loads[j]
+        sizes, loads = child_sizes, child_loads
+        if vec is not None:
+            child_vec = vec.take(order)
+            child_vec[-1] += vec[j]
+            vec = child_vec
+        sums = tuple(_merged_sums(s, order, j) for s in sums)
+
+        # Surviving pairs keep their order under the monotone renumbering;
+        # the pairs with the union (index m) are scored and slotted in.
+        m = n - 2
+        renumber = np.empty(n, dtype=np.int64)
+        renumber[order] = np.arange(n - 1)
+        renumber[j] = m
+        moved = renumber[pairs]
+        survive = moved.max(axis=1) < m
+        old_pairs, old_keys = moved[survive], keys[survive]
+        size_f = sizes.astype(float)
+        new_keys = scorer.score_columns(
+            [s[:m, m] for s in sums], size_f[:m], size_f[m],
+            None if vec is None else vec[:m],
+            None if vec is None else vec[m],
+        )
+        if maximize:
+            new_keys = -new_keys
+        new_codes = np.arange(m) * num_threads + m
+        slots = _merge_slots(
+            old_keys, old_pairs[:, 0] * num_threads + old_pairs[:, 1],
+            new_keys, new_codes,
+        )
+        is_old = np.ones(old_pairs.shape[0] + m, dtype=bool)
+        is_old[slots] = False
+        pairs = np.empty((is_old.size, 2), dtype=np.int64)
+        pairs[is_old] = old_pairs
+        pairs[slots, 0] = np.arange(m)
+        pairs[slots, 1] = m
+        keys = np.empty((is_old.size, old_keys.shape[1]))
+        keys[is_old] = old_keys
+        keys[slots] = new_keys
+
+        mask = balance.pair_mask(pairs, sizes, loads, num_threads,
                                  num_processors)
-        next_index = 0
+        dead = balance.dead_merges(sizes, loads, num_threads,
+                                   num_processors)
+        live = np.flatnonzero(mask).tolist()
+        cursor = 0
 
     return ClusteringResult(clusters, merges, backtracks, relaxed=False)

@@ -4,19 +4,17 @@ Every scorer consumes the static :class:`~repro.trace.analysis.TraceSetAnalysis`
 (or, for the dynamic algorithm, a measured coherence-traffic matrix) and
 returns a :data:`~repro.placement.clustering.ClusterScorer` for the
 agglomeration engine.  Scores are tuples so secondary criteria compose
-lexicographically.  All scorers implement the batch ``pair_scores`` path
-(one matrix product per clustering iteration).
+lexicographically.  Every scorer here is a matrix scorer: it exposes its
+thread-pair matrices (and MIN-PRIV its per-thread private counts) plus one
+``score_columns`` formula, from which the engine scores all pairs at once
+and carries the cross sums across merges.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.placement.clustering import (
-    ClusterScorer,
-    MatrixAverageScorer,
-    cross_sums,
-)
+from repro.placement.clustering import ClusterScorer, MatrixAverageScorer
 from repro.trace.analysis import TraceSetAnalysis
 
 __all__ = [
@@ -40,9 +38,12 @@ class ShareAddrScorer:
     more references per shared address." (§2, item 2)
     """
 
+    thread_vector = None
+
     def __init__(self, refs: np.ndarray, addrs: np.ndarray) -> None:
         self.refs = np.asarray(refs, dtype=float)
         self.addrs = np.asarray(addrs, dtype=float)
+        self.pair_matrices = (self.refs, self.addrs)
 
     def __call__(self, cluster_a: list[int], cluster_b: list[int]) -> tuple:
         index = np.ix_(cluster_a, cluster_b)
@@ -52,21 +53,12 @@ class ShareAddrScorer:
         density = total_refs / total_addrs if total_addrs > 0 else 0.0
         return (total_refs / size, density)
 
-    def pair_scores_array(
-        self, clusters: list[list[int]]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized (refs, density) scores for every cluster pair."""
-        ref_sums = cross_sums(self.refs, clusters)
-        addr_sums = cross_sums(self.addrs, clusters)
-        sizes = np.array([len(c) for c in clusters], dtype=float)
-        averaged = ref_sums / np.outer(sizes, sizes)
+    def score_columns(self, sums, size_a, size_b, vec_a, vec_b) -> np.ndarray:
+        """(averaged refs, refs per shared address) columns."""
+        refs, addrs = sums
         with np.errstate(divide="ignore", invalid="ignore"):
-            density = np.where(addr_sums > 0, ref_sums / addr_sums, 0.0)
-        upper_i, upper_j = np.triu_indices(len(clusters), k=1)
-        scores = np.column_stack(
-            [averaged[upper_i, upper_j], density[upper_i, upper_j]]
-        )
-        return scores, np.column_stack([upper_i, upper_j])
+            density = np.where(addrs > 0, refs / addrs, 0.0)
+        return np.column_stack([refs / (size_a * size_b), density])
 
 
 class MinPrivScorer:
@@ -80,6 +72,8 @@ class MinPrivScorer:
     def __init__(self, refs: np.ndarray, private_per_thread: np.ndarray) -> None:
         self.refs = np.asarray(refs, dtype=float)
         self.private = np.asarray(private_per_thread, dtype=float)
+        self.pair_matrices = (self.refs,)
+        self.thread_vector = self.private
 
     def __call__(self, cluster_a: list[int], cluster_b: list[int]) -> tuple:
         index = np.ix_(cluster_a, cluster_b)
@@ -87,20 +81,9 @@ class MinPrivScorer:
         combined = float(self.private[cluster_a].sum() + self.private[cluster_b].sum())
         return (float(self.refs[index].sum()) / size, -combined)
 
-    def pair_scores_array(
-        self, clusters: list[list[int]]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized (refs, -private) scores for every cluster pair."""
-        ref_sums = cross_sums(self.refs, clusters)
-        sizes = np.array([len(c) for c in clusters], dtype=float)
-        averaged = ref_sums / np.outer(sizes, sizes)
-        cluster_private = np.array([float(self.private[c].sum()) for c in clusters])
-        combined = cluster_private[:, None] + cluster_private[None, :]
-        upper_i, upper_j = np.triu_indices(len(clusters), k=1)
-        scores = np.column_stack(
-            [averaged[upper_i, upper_j], -combined[upper_i, upper_j]]
-        )
-        return scores, np.column_stack([upper_i, upper_j])
+    def score_columns(self, sums, size_a, size_b, vec_a, vec_b) -> np.ndarray:
+        """(averaged refs, -combined private addresses) columns."""
+        return np.column_stack([sums[0] / (size_a * size_b), -(vec_a + vec_b)])
 
 
 def share_refs_scorer(analysis: TraceSetAnalysis) -> ClusterScorer:

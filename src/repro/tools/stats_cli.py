@@ -257,6 +257,10 @@ def _metrics_stats(path: Path) -> dict:
             "hits": counters.get("sim_memo_hits",
                                  counters.get("sim_spec_hits", 0)),
         },
+        "placement": {
+            name: counters.get(f"sim_placement_{name}", 0)
+            for name in ("searches", "relaxed", "backtracks")
+        },
         "snapshot": snapshot,
     }
 
@@ -407,6 +411,11 @@ def _render(stats: dict) -> str:
         if reuse["lookups"]:
             lines.append(f"  result memo       {reuse['hits']:g} hits / "
                          f"{reuse['lookups']:g} lookups")
+        search = metrics["placement"]
+        if search["searches"]:
+            lines.append(f"  placement search  {search['searches']:g} searches, "
+                         f"{search['relaxed']:g} relaxed, "
+                         f"{search['backtracks']:g} backtracks")
         for name, value in metrics["simulator"].items():
             lines.append(f"  {name:<28}{value:g}")
     else:

@@ -48,20 +48,25 @@ __all__ = [
 class _SubsetScorer:
     """Restrict a global-thread-id scorer to a thread subset.
 
-    The processor stage agglomerates over local ids ``0..len(subset)-1``;
-    this wrapper maps them back to global ids before delegating, for both
-    the scalar protocol and the vectorized ``pair_scores_array`` batch
-    path (every scorer in :mod:`repro.placement.metrics` indexes its
-    matrices by global id, so clusters of global ids work unchanged).
+    The processor stage agglomerates over local ids ``0..len(subset)-1``.
+    The scalar protocol maps them back to global ids before delegating; a
+    matrix scorer's matrices (and thread vector) are sliced to the subset
+    instead, so the engine's batch and incremental paths index them by
+    local id directly and share the wrapped scorer's ``score_columns``.
     """
 
     def __init__(self, scorer, subset: list[int]) -> None:
         self._scorer = scorer
         self._subset = subset
-        # The engine probes for the attribute, so only expose the batch
-        # path when the wrapped scorer actually has one.
-        if hasattr(scorer, "pair_scores_array"):
-            self.pair_scores_array = self._pair_scores_array
+        # The engine probes for the attribute, so only expose the matrix
+        # protocol when the wrapped scorer actually has one.
+        matrices = getattr(scorer, "pair_matrices", None)
+        if matrices is not None:
+            index = np.ix_(subset, subset)
+            self.pair_matrices = tuple(m[index] for m in matrices)
+            vector = scorer.thread_vector
+            self.thread_vector = None if vector is None else vector[subset]
+            self.score_columns = scorer.score_columns
 
     def _globalize(self, cluster: list[int]) -> list[int]:
         subset = self._subset
@@ -69,11 +74,6 @@ class _SubsetScorer:
 
     def __call__(self, cluster_a: list[int], cluster_b: list[int]) -> tuple:
         return self._scorer(self._globalize(cluster_a), self._globalize(cluster_b))
-
-    def _pair_scores_array(self, clusters: list[list[int]]):
-        return self._scorer.pair_scores_array(
-            [self._globalize(c) for c in clusters]
-        )
 
 
 class HierarchicalPlacement(PlacementAlgorithm):
@@ -126,6 +126,7 @@ class HierarchicalPlacement(PlacementAlgorithm):
             subsets[short].append(subsets[big].pop())
             subsets[short].sort()
         clusters: list[list[int]] = [[] for _ in range(inputs.num_processors)]
+        stages = [group_stage]
         for group, subset in enumerate(subsets):
             sub_stage = agglomerate(
                 len(subset),
@@ -136,12 +137,16 @@ class HierarchicalPlacement(PlacementAlgorithm):
                 maximize=self.base.maximize,
                 incremental=inputs.incremental,
             )
+            stages.append(sub_stage)
             for slot, local_cluster in enumerate(sub_stage.clusters):
                 pid = group * group_size + slot
                 clusters[pid] = [subset[local] for local in local_cluster]
-        return PlacementMap.from_clusters(
+        placement = PlacementMap.from_clusters(
             clusters, inputs.num_threads, inputs.num_processors
         )
+        placement.relaxed = any(stage.relaxed for stage in stages)
+        placement.backtracks = sum(stage.backtracks for stage in stages)
+        return placement
 
 
 def hierarchical_algorithms(topology: Topology) -> list[HierarchicalPlacement]:

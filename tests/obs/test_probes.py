@@ -67,6 +67,8 @@ class TestSnapshotMerge:
             "sim_miss_intra_conflict", "sim_miss_inter_conflict",
             "sim_miss_invalidation", "sim_misses_total",
             "sim_memo_lookups", "sim_memo_hits",
+            "sim_placement_searches", "sim_placement_relaxed",
+            "sim_placement_backtracks",
         }
         assert all(v == 0 for v in snap.values())
 
@@ -78,6 +80,17 @@ class TestSnapshotMerge:
         snap = a.snapshot()
         assert snap["sim_memo_lookups"] == 6
         assert snap["sim_memo_hits"] == 5
+
+    def test_merge_adds_placement_counters(self):
+        a, b = SimProbe(), SimProbe()
+        a.placement_searches, a.placement_relaxed = 3, 1
+        a.placement_backtracks = 2000
+        b.placement_searches, b.placement_backtracks = 2, 40
+        a.merge(b)
+        snap = a.snapshot()
+        assert snap["sim_placement_searches"] == 5
+        assert snap["sim_placement_relaxed"] == 1
+        assert snap["sim_placement_backtracks"] == 2040
 
     def test_merge_adds(self):
         a, b = SimProbe(), SimProbe()
@@ -98,3 +111,32 @@ class TestSnapshotMerge:
         stash_pending({"sim_cells": 1})
         assert take_pending() == {"sim_cells": 1}
         assert take_pending() is None
+
+
+class TestPlacementSearchCounters:
+    def test_grid_reports_the_known_relaxed_count(self):
+        """Every clustering search of the seed-0 report grid at scale
+        0.001 is counted once, with the 26 the fallback finished (all of
+        them ``+LB`` runs) and their backtracks; LOAD-BAL and RANDOM are
+        not searches."""
+        from repro.exec import plan_sections
+        from repro.experiments.runner import ExperimentSuite
+
+        suite = ExperimentSuite(scale=0.001, seed=0)
+        suite.probe = SimProbe()
+        cells = {(spec.app, spec.algorithm, spec.processors, spec.replicate)
+                 for spec in plan_sections(None, scale=0.001, seed=0)}
+        relaxed = set()
+        for app, algorithm, processors, replicate in sorted(cells):
+            placement = suite.placement(app, algorithm, processors,
+                                        replicate=replicate)
+            if placement.relaxed:
+                relaxed.add((app, algorithm, processors))
+        snap = suite.probe.snapshot()
+        assert snap["sim_placement_searches"] == 360
+        assert snap["sim_placement_relaxed"] == len(relaxed) == 26
+        assert all(algorithm.endswith("+LB") for _, algorithm, _ in relaxed)
+        assert snap["sim_placement_backtracks"] == 41211
+        # Memoized placements are not searched (or counted) twice.
+        suite.placement(*sorted(relaxed)[0])
+        assert suite.probe.snapshot() == snap

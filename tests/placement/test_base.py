@@ -78,6 +78,18 @@ class TestPlacementMap:
         assert PlacementMap([0, 1], 2) == PlacementMap([0, 1], 2)
         assert PlacementMap([0, 1], 2) != PlacementMap([1, 0], 2)
 
+    def test_search_record_is_not_part_of_the_map(self):
+        """``relaxed``/``backtracks`` declare how a map was found; equality
+        and serialization see only the assignment."""
+        from repro.placement.io import placement_to_json
+
+        plain = PlacementMap([0, 1, 1], 2)
+        assert (plain.relaxed, plain.backtracks) == (False, 0)
+        searched = PlacementMap([0, 1, 1], 2)
+        searched.relaxed, searched.backtracks = True, 2000
+        assert searched == plain
+        assert placement_to_json(searched) == placement_to_json(plain)
+
 
 class TestPlacementInputs:
     def test_dimensions(self):

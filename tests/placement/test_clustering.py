@@ -11,6 +11,7 @@ from repro.placement.clustering import (
     agglomerate,
     cross_sums,
     matrix_average_scorer,
+    pair_scores,
 )
 
 
@@ -97,7 +98,7 @@ class TestMatrixAverageScorer:
         np.fill_diagonal(m, 0)
         scorer = MatrixAverageScorer(m)
         clusters = [[0, 3], [1], [2, 4, 5]]
-        scores, pairs = scorer.pair_scores_array(clusters)
+        scores, pairs = pair_scores(scorer, clusters)
         for (score,), (i, j) in zip(scores, pairs):
             assert score == pytest.approx(scorer(clusters[i], clusters[j])[0])
 

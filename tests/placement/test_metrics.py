@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.placement.clustering import pair_scores
 from repro.placement.metrics import (
     MinPrivScorer,
     ShareAddrScorer,
@@ -151,7 +152,7 @@ class TestBatchConsistency:
     def test_batch_matches_scalar(self, analysis, factory):
         scorer = factory(analysis)
         clusters = [[0, 2], [1], [3]]
-        scores, pairs = scorer.pair_scores_array(clusters)
+        scores, pairs = pair_scores(scorer, clusters)
         for score_row, (i, j) in zip(scores, pairs):
             expected = scorer(clusters[i], clusters[j])
             assert tuple(score_row) == pytest.approx(tuple(expected))

@@ -1,11 +1,12 @@
 """Differential tier for the incremental clustering-engine state.
 
 The clustering engine has two loops: the from-scratch reference (every
-candidate re-derives sizes and re-asks ``allows``) and the incremental
-path (per-cluster size/load arrays carried across merges, one vectorized
-``pair_mask`` per state).  The contract: same trajectory, same
-backtracks, same fallback, same clusters — bit for bit, for every metric
-and balance policy.
+state re-scores and re-sorts every pair, every candidate re-derives sizes
+and re-asks ``allows``) and the incremental path (cross sums carried by
+Lance–Williams updates, the candidate order kept across merges, one
+vectorized ``pair_mask`` per state and dead states undone before they are
+scored).  The contract: same trajectory, same backtracks, same fallback,
+same clusters — bit for bit, for every scorer and balance policy.
 
 CI runs this file derandomized (``--hypothesis-profile=oracle-ci``).
 """
@@ -24,8 +25,11 @@ from repro.placement.balance import (  # noqa: E402
 )
 from repro.placement.clustering import (  # noqa: E402
     MatrixAverageScorer,
+    _merge_slots,
     agglomerate,
 )
+from repro.placement.metrics import MinPrivScorer, ShareAddrScorer  # noqa: E402
+from repro.topo.placement import _SubsetScorer  # noqa: E402
 
 pytestmark = pytest.mark.speculation
 
@@ -38,22 +42,46 @@ def _assert_equal_runs(fast, ref):
 
 
 @st.composite
+def pair_matrices(draw, width, high):
+    """A symmetric integer-valued thread-pair matrix (zero diagonal);
+    small ``high`` values make score ties common."""
+    upper = draw(st.lists(st.integers(0, high),
+                          min_size=width * (width - 1) // 2,
+                          max_size=width * (width - 1) // 2))
+    matrix = np.zeros((width, width))
+    matrix[np.triu_indices(width, k=1)] = upper
+    return matrix + matrix.T
+
+
+@st.composite
 def clustering_problems(draw):
-    """(t, p, matrix, lengths, scorer, maximize) — integer-valued sharing
-    matrices so float reductions are exact in any summation order."""
-    t = draw(st.integers(min_value=2, max_value=12))
+    """(t, p, lengths, scorer, maximize) — integer-valued matrices so
+    float reductions are exact in any summation order.  The scorer is any
+    of the three scorer classes, optionally wrapped in the hierarchical
+    placement's ``_SubsetScorer`` over a subset of a wider thread set."""
+    t = draw(st.integers(min_value=2, max_value=16))
     p = draw(st.integers(min_value=1, max_value=t))
-    upper = draw(st.lists(st.integers(0, 50),
-                          min_size=t * (t - 1) // 2,
-                          max_size=t * (t - 1) // 2))
-    matrix = np.zeros((t, t))
-    matrix[np.triu_indices(t, k=1)] = upper
-    matrix += matrix.T
+    subset = None
+    width = t
+    if draw(st.booleans()):
+        width = t + draw(st.integers(0, 4))
+        subset = sorted(draw(st.permutations(range(width)))[:t])
+    high = draw(st.sampled_from([2, 50]))
+    kind = draw(st.sampled_from(["average", "share-addr", "min-priv"]))
+    refs = draw(pair_matrices(width, high))
+    if kind == "average":
+        scorer = MatrixAverageScorer(refs, normalize=draw(st.booleans()))
+    elif kind == "share-addr":
+        scorer = ShareAddrScorer(refs, draw(pair_matrices(width, 3)))
+    else:
+        private = draw(st.lists(st.integers(0, 5), min_size=width,
+                                max_size=width))
+        scorer = MinPrivScorer(refs, np.array(private, dtype=float))
+    if subset is not None:
+        scorer = _SubsetScorer(scorer, subset)
     lengths = draw(st.lists(st.integers(1, 1000), min_size=t, max_size=t))
-    normalize = draw(st.booleans())
     maximize = draw(st.booleans())
-    return t, p, matrix, lengths, MatrixAverageScorer(
-        matrix, normalize=normalize), maximize
+    return t, p, lengths, scorer, maximize
 
 
 POLICIES = [
@@ -69,7 +97,7 @@ class TestIncrementalClusteringDifferential:
     @given(problem=clustering_problems(),
            policy=st.sampled_from(POLICIES))
     def test_incremental_equals_reference(self, problem, policy):
-        t, p, _matrix, lengths, scorer, maximize = problem
+        t, p, lengths, scorer, maximize = problem
         fast = agglomerate(t, p, scorer, policy, lengths,
                            maximize=maximize, incremental=True)
         ref = agglomerate(t, p, scorer, policy, lengths,
@@ -78,18 +106,53 @@ class TestIncrementalClusteringDifferential:
 
     @settings(max_examples=60, deadline=None)
     @given(problem=clustering_problems(),
+           policy=st.sampled_from([ThreadBalance(), LoadBalance(0.10),
+                                   LoadBalance(0.0)]),
            budget=st.integers(min_value=0, max_value=5))
-    def test_equal_under_tiny_backtrack_budgets(self, problem, budget):
+    def test_equal_under_tiny_backtrack_budgets(self, problem, policy,
+                                                budget):
         """The budget cut-off and the metric-blind fallback must trigger
-        at exactly the same point in both loops."""
-        t, p, _matrix, lengths, scorer, maximize = problem
-        fast = agglomerate(t, p, scorer, ThreadBalance(), lengths,
+        at exactly the same point in both loops — under LoadBalance also
+        when the cut-off lands on a dead state the incremental loop never
+        builds."""
+        t, p, lengths, scorer, maximize = problem
+        fast = agglomerate(t, p, scorer, policy, lengths,
                            maximize=maximize, max_backtracks=budget,
                            incremental=True)
-        ref = agglomerate(t, p, scorer, ThreadBalance(), lengths,
+        ref = agglomerate(t, p, scorer, policy, lengths,
                           maximize=maximize, max_backtracks=budget,
                           incremental=False)
         _assert_equal_runs(fast, ref)
+
+    @settings(max_examples=100, deadline=None)
+    @given(clusters=st.integers(3, 12).flatmap(
+               lambda n: st.lists(st.integers(1, 1000), min_size=n,
+                                  max_size=n)),
+           processors=st.integers(1, 4),
+           tolerance=st.sampled_from([0.0, 0.10, 0.35]),
+           data=st.data())
+    def test_dead_merges_matches_mask_pointwise(self, clusters, processors,
+                                                tolerance, data):
+        """``dead(i, j)`` is exactly "the merged state's mask is
+        all-False", for every merge of a random state."""
+        policy = LoadBalance(tolerance)
+        loads = np.array(clusters, dtype=np.int64)
+        sizes = np.array(data.draw(st.lists(
+            st.integers(1, 3), min_size=loads.size, max_size=loads.size)),
+            dtype=np.int64)
+        dead = policy.dead_merges(sizes, loads, int(sizes.sum()), processors)
+        n = loads.size
+        for i in range(n):
+            for j in range(i + 1, n):
+                keep = [k for k in range(n) if k not in (i, j)]
+                child_sizes = np.append(sizes[keep], sizes[i] + sizes[j])
+                child_loads = np.append(loads[keep], loads[i] + loads[j])
+                pairs = np.array([(a, b) for a in range(n - 1)
+                                  for b in range(a + 1, n - 1)],
+                                 dtype=np.int64)
+                mask = policy.pair_mask(pairs, child_sizes, child_loads,
+                                        int(sizes.sum()), processors)
+                assert dead(i, j) == (not mask.any()), (i, j)
 
 
 class TestIncrementalClusteringUnit:
@@ -132,6 +195,33 @@ class TestIncrementalClusteringUnit:
         ref = agglomerate(t, 4, scorer, LoadBalance(0.10), lengths,
                           incremental=False)
         _assert_equal_runs(fast, ref)
+
+    @pytest.mark.parametrize("columns", [1, 2, 3])
+    def test_merge_slots_match_a_full_sort(self, columns):
+        """Slotting new candidates into ordered ones lands each where a
+        full lexicographic sort of both puts it, ties and -0.0 included,
+        for any number of key columns."""
+        rng = np.random.default_rng(columns)
+        for _ in range(200):
+            size = int(rng.integers(0, 30))
+            new_size = int(rng.integers(1, 8))
+            keys = rng.integers(-2, 3, size=(size + new_size, columns)) * 1.0
+            keys[keys == 0] *= rng.choice([-1.0, 1.0],
+                                          size=int((keys == 0).sum()))
+            codes = rng.permutation(100)[:size + new_size]
+            full = np.lexsort((codes, *keys.T[::-1]))
+            old = full[full < size]
+            slots = _merge_slots(keys[old], codes[old], keys[size:],
+                                 codes[size:])
+            expected = [int(np.flatnonzero(full == size + q)[0])
+                        for q in range(new_size)]
+            assert slots.tolist() == expected
+
+    @pytest.mark.parametrize("policy", [ThreadBalance(), Unconstrained()],
+                             ids=lambda p: type(p).__name__)
+    def test_policies_without_a_dead_test_say_unknown(self, policy):
+        sizes = np.array([1, 2, 3], dtype=np.int64)
+        assert policy.dead_merges(sizes, sizes * 10, 6, 2) is None
 
     @pytest.mark.parametrize("policy", POLICIES,
                              ids=lambda p: type(p).__name__)

@@ -222,3 +222,24 @@ class TestReuse:
         assert stats["metrics"]["reuse"] == {"lookups": 0, "hits": 0}
         assert stats_cli.main([str(tmp_path)]) == 0
         assert "result memo" not in capsys.readouterr().out
+
+    def test_placement_search_line(self, tmp_path, capsys):
+        self._metrics(tmp_path, {
+            "sim_cells": 3, "sim_placement_searches": 360,
+            "sim_placement_relaxed": 26, "sim_placement_backtracks": 41211,
+        })
+        stats = stats_cli.collect_stats(tmp_path)
+        assert stats["metrics"]["placement"] == {
+            "searches": 360, "relaxed": 26, "backtracks": 41211}
+        assert stats_cli.main([str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert ("placement search  360 searches, 26 relaxed, "
+                "41211 backtracks") in out
+
+    def test_absent_placement_counters_print_no_line(self, tmp_path, capsys):
+        self._metrics(tmp_path, {"sim_cells": 3})
+        stats = stats_cli.collect_stats(tmp_path)
+        assert stats["metrics"]["placement"] == {
+            "searches": 0, "relaxed": 0, "backtracks": 0}
+        assert stats_cli.main([str(tmp_path)]) == 0
+        assert "placement search" not in capsys.readouterr().out
