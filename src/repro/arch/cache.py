@@ -177,15 +177,11 @@ class ArrayDirectMappedCache:
         self._actor[block] = by_processor
         return True
 
-    def invalidator_of(self, block: int) -> int | None:
-        """Processor whose write invalidated ``block``, if any."""
-        if self._departure[block] == _INVALIDATED:
-            return self._actor[block]
-        return None
-
     def resident_blocks(self) -> set[int]:
         """All blocks currently resident (for invariant checks)."""
-        return {b for b in self._tags if b != -1}
+        blocks = set(self._tags)
+        blocks.discard(-1)
+        return blocks
 
 
 class SetAssociativeCache:
@@ -220,7 +216,7 @@ class SetAssociativeCache:
             if resident == block:
                 # LRU update: move to MRU position.
                 lines.insert(0, lines.pop(position))
-                self.stats.record_hit()
+                self.stats.hits += 1
                 return None, None, None
 
         invalidator: int | None = None
@@ -255,10 +251,6 @@ class SetAssociativeCache:
                 self._invalidated_by[block] = by_processor
                 return True
         return False
-
-    def invalidator_of(self, block: int) -> int | None:
-        """Processor whose write invalidated ``block``, if any."""
-        return self._invalidated_by.get(block)
 
     def resident_blocks(self) -> set[int]:
         """All blocks currently resident (for invariant checks)."""

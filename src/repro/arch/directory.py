@@ -26,15 +26,18 @@ class Directory:
     The owning simulator passes in the cache list so invalidations can be
     applied to remote caches immediately (at the issuing processor's
     current time — the trace-driven approximation described in DESIGN.md).
+    State is two flat per-block lists sized to ``max_block``: the sharer
+    set as a bitmask (bit ``pid`` set while ``pid`` holds the block) and
+    the last writer (-1 = none).
     """
 
     def __init__(
-        self, caches: list, pairwise: np.ndarray,
+        self, caches: list, pairwise: np.ndarray, max_block: int,
         lat_rows: list[list[int]] | None = None,
     ) -> None:
         self._caches = caches
-        self._sharers: dict[int, set[int]] = {}
-        self._last_writer: dict[int, int] = {}
+        self.sharers = [0] * (max_block + 1)
+        self.last_writer = [-1] * (max_block + 1)
         self.stats = InterconnectStats()
         self.pairwise = pairwise
         #: Per-processor-pair tier latencies (``lat_rows[writer][holder]``)
@@ -53,7 +56,7 @@ class Directory:
 
     def sharers_of(self, block: int) -> set[int]:
         """Current sharer set (copy) — for tests and invariant checks."""
-        return set(self._sharers.get(block, ()))
+        return _bits(self.sharers[block])
 
     def fetch(self, block: int, processor: int, is_write: bool) -> int | None:
         """A processor misses on ``block``; update global state.
@@ -64,16 +67,18 @@ class Directory:
         sharer), or None when only memory holds it.
         """
         self.stats.memory_fetches += 1
-        sharers = self._sharers.setdefault(block, set())
-        source: int | None = None
-        if sharers:
-            last_writer = self._last_writer.get(block)
-            source = last_writer if last_writer in sharers else min(sharers)
+        mask = self.sharers[block]
+        bit = 1 << processor
+        source = self.last_writer[block]
+        if source < 0 or not mask >> source & 1:
+            source = (mask & -mask).bit_length() - 1 if mask else None
         if is_write:
-            self._invalidate_others(block, processor, sharers)
-            sharers.clear()
-            self._last_writer[block] = processor
-        sharers.add(processor)
+            if mask & ~bit:
+                self._invalidate_others(block, processor, mask)
+            self.sharers[block] = bit
+            self.last_writer[block] = processor
+        else:
+            self.sharers[block] = mask | bit
         return source
 
     def write_hit(self, block: int, processor: int) -> int:
@@ -87,15 +92,13 @@ class Directory:
 
         Returns the number of invalidations sent.
         """
-        sharers = self._sharers.setdefault(block, set())
+        mask = self.sharers[block]
+        bit = 1 << processor
         sent = 0
-        if len(sharers) > 1 or (sharers and processor not in sharers):
-            before = self.stats.invalidations_sent
-            self._invalidate_others(block, processor, sharers)
-            sent = self.stats.invalidations_sent - before
-            sharers.clear()
-            sharers.add(processor)
-        self._last_writer[block] = processor
+        if mask & ~bit:
+            sent = self._invalidate_others(block, processor, mask)
+            self.sharers[block] = bit
+        self.last_writer[block] = processor
         # Probed only when invalidations went out: the kernel may legally
         # skip provable no-op upgrades, so counting sent>0 events keeps
         # the probe equal to a per-reference replay's count.
@@ -104,47 +107,54 @@ class Directory:
         return sent
 
     def evict(self, block: int, processor: int) -> None:
-        """A cache silently dropped its copy.
+        """A cache silently dropped its copy."""
+        self.sharers[block] &= ~(1 << processor)
 
-        Entries whose sharer set empties are pruned outright: long sweeps
-        over large address spaces would otherwise grow the directory by
-        one empty set per distinct block ever cached.  ``sharers_of`` and
-        ``check_invariants`` treat a missing entry and an empty set
-        identically, so pruning is unobservable.
-        """
-        sharers = self._sharers.get(block)
-        if sharers is not None:
-            sharers.discard(processor)
-            if not sharers:
-                del self._sharers[block]
-
-    def _invalidate_others(self, block: int, writer: int, sharers: set[int]) -> None:
+    def _invalidate_others(self, block: int, writer: int, mask: int) -> int:
+        """Invalidate every holder in ``mask`` but ``writer``; returns the
+        invalidations sent."""
         row = self._lat_rows[writer] if self._lat_rows is not None else None
-        worst = 0
-        for holder in sharers:
-            if holder == writer:
-                continue
+        worst = sent = 0
+        others = mask & ~(1 << writer)
+        while others:
+            holder = (others & -others).bit_length() - 1
+            others &= others - 1
             if self._caches[holder].invalidate(block, by_processor=writer):
-                self.stats.invalidations_sent += 1
+                sent += 1
                 self.pairwise[writer, holder] += 1
                 if row is not None and row[holder] > worst:
                     worst = row[holder]
+        self.stats.invalidations_sent += sent
         if row is not None:
             self.last_upgrade_latency = worst
+        return sent
 
     def check_invariants(self) -> None:
-        """Single-writer/multi-reader sanity check (used by tests).
+        """Single-writer/multi-reader sanity check (used by tests and the
+        invariant checker).
 
         Every block's sharer set must exactly match the caches that hold
-        it resident.
+        it resident, in both directions: every cached block with exactly
+        its holders, and no directory entry beyond those.  Python-level
+        work is one pass over the resident blocks; the empty entries are
+        counted in C.
         """
-        for block, sharers in self._sharers.items():
-            resident = {
-                pid for pid, cache in enumerate(self._caches)
-                if cache.contains(block)
-            }
-            if resident != sharers:
+        resident: dict[int, int] = {}
+        for pid, cache in enumerate(self._caches):
+            for block in cache.resident_blocks():
+                resident[block] = resident.get(block, 0) | 1 << pid
+        if len(self.sharers) - self.sharers.count(0) != len(resident):
+            # Some entry names holders no cache agrees with: audit them all.
+            resident = dict.fromkeys(range(len(self.sharers)), 0) | resident
+        for block, holders in resident.items():
+            if self.sharers[block] != holders:
                 raise AssertionError(
                     f"directory out of sync for block {block}: "
-                    f"directory={sorted(sharers)}, resident={sorted(resident)}"
+                    f"directory={sorted(_bits(self.sharers[block]))}, "
+                    f"resident={sorted(_bits(holders))}"
                 )
+
+
+def _bits(mask: int) -> set[int]:
+    """The processor ids whose bits ``mask`` sets."""
+    return {pid for pid in range(mask.bit_length()) if mask >> pid & 1}

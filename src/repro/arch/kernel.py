@@ -41,7 +41,7 @@ in a per-reference replay.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 from repro.arch.cache import (
     _EVICTED,
@@ -211,11 +211,10 @@ class FastProcessor:
                 cache._tags, cache._mask, cache._resident,
                 cache._resident_np, cache._seen,
                 cache._departure, cache._actor, cache.stats.misses,
-                directory.write_hit, directory._sharers.get,
-                directory._last_writer.get, directory.evict,
-                directory.fetch, directory.pairwise,
+                directory.write_hit, directory.sharers,
+                directory.last_writer, directory.fetch, directory.pairwise,
                 config.flat_miss_latency, config.write_upgrade_stalls,
-                pid, {pid}, self._lat_row, self._mem_lat,
+                pid, 1 << pid, self._lat_row, self._mem_lat,
                 self._topo_groups, directory,
             )
         # Cumulative refs/windows served by _run_array: picks between the
@@ -224,8 +223,8 @@ class FastProcessor:
         # Purely a strategy choice — both paths replay identically.
         self._scan_refs = 0
         self._scan_windows = 0
-        # Live (not-done) context slots in ascending order, so scheduling
-        # never re-scans completed contexts (see _schedule_next).
+        self._switch_cycles = config.context_switch_cycles
+        # Live (not-done) context slots in ascending order (see advance).
         self._alive = [i for i, c in enumerate(self.contexts) if not c.done]
 
     # ------------------------------------------------------------------
@@ -234,25 +233,58 @@ class FastProcessor:
         """Run one scheduling quantum; return the next service time.
 
         Executes the current (ready) context until it misses, finishes, or
-        exhausts the quantum; then applies the round-robin switch policy.
-        Returns the processor's new local time, or None when every context
-        has completed (the completion time is recorded in the stats).
+        exhausts the quantum, then makes the §3.2 round-robin pick inline:
+        the next ready context after ``current``, else idle until the
+        earliest outstanding miss completes.  The walk covers only live
+        slots (``_alive``, ascending), cyclically from the first slot past
+        ``current``: the full scan's order minus the completed contexts it
+        would skip.  Returns the new local time, or None once every
+        context has completed (the completion time is in the stats).
         """
         if self.finished:
             return None
-        context = self.contexts[self.current]
-        stalled = self._run(context, quantum_refs)
-        if not stalled and not context.done:
+        current = self.current
+        context = self.contexts[current]
+        if not self._run(context, quantum_refs) and not context.done:
             # Quantum expired mid-run: same context continues next turn.
             return self.time
-        return self._schedule_next()
-
-    def _pay_switch(self) -> None:
-        cost = self.config.context_switch_cycles
-        self.time += cost
-        self.stats.switching += cost
-        if self._probe is not None:
-            self._probe.switches += 1
+        alive = self._alive
+        time = self.time
+        if not alive:
+            self.finished = True
+            self.stats.completion_time = time
+            return None
+        contexts = self.contexts
+        m = len(alive)
+        # First live slot strictly after ``current`` (cyclic); negative
+        # indexing wraps the tail of the ring to the front.
+        start = bisect_right(alive, current) - m
+        for k in range(start, start + m):
+            index = alive[k]
+            if contexts[index].ready_time <= time:
+                break
+        else:
+            # Everyone is stalled: idle until the earliest miss completes,
+            # breaking ties in round-robin distance from ``current`` —
+            # ``current`` itself (distance 0) first, then the cyclic walk.
+            start = bisect_left(alive, current) - m
+            index = alive[start]
+            ready = contexts[index].ready_time
+            for k in range(start + 1, start + m):
+                if contexts[alive[k]].ready_time < ready:
+                    index = alive[k]
+                    ready = contexts[index].ready_time
+            self.stats.idle += ready - time
+            time = ready
+        if index != current:
+            # The 6-cycle pipeline drain of a context switch.
+            time += self._switch_cycles
+            self.stats.switching += self._switch_cycles
+            if self._probe is not None:
+                self._probe.switches += 1
+            self.current = index
+        self.time = time
+        return time
 
     def _run_array(self, context: FastContext, quantum_refs: int) -> bool:
         """Replay block runs with the direct-mapped hit test inlined.
@@ -279,21 +311,22 @@ class FastProcessor:
         IS the per-run loop's first miss.  The choice is a pure strategy
         switch; both paths produce identical results.
         """
-        # ``sharers_get``/``last_writer_get`` feed the upgrade no-op
-        # pre-test: when this processor is the last writer and the sole
-        # sharer, write_hit provably changes nothing (it would re-store
-        # the same last_writer and send 0 invalidations), so the kernel
-        # skips the call outright.
+        # ``sharers``/``last_writer`` feed the upgrade no-op pre-test: when
+        # this processor is the last writer and the sole sharer, write_hit
+        # provably changes nothing, so the kernel skips the call.  An
+        # eviction is the directory's ``evict`` (one ``&=``), inlined.
         (tags, mask, resident, resident_np, seen, departure, actor,
-         miss_counts, write_hit, sharers_get, last_writer_get, dir_evict,
-         dir_fetch, pairwise, memory_latency, upgrade_stalls, pid, pid_set,
-         lat_row, mem_lat, topo_groups, directory) = self._hot
+         miss_counts, write_hit, sharers, last_writer, dir_fetch, pairwise,
+         memory_latency, upgrade_stalls, pid, pid_bit, lat_row, mem_lat,
+         topo_groups, directory) = self._hot
         tid = context.thread_id
         time = self.time
         start_time = time
         start_pos = context.pos
         pos = start_pos
-        limit = min(pos + quantum_refs, context.length)
+        limit = pos + quantum_refs
+        if limit > context.length:
+            limit = context.length
         stalled = False
         missed = 0
 
@@ -314,7 +347,7 @@ class FastProcessor:
             next_write = context.next_write
             charge = context.charge
             i = pos - base
-            iend = min(limit, context.climit) - base
+            iend = (limit if limit < context.climit else context.climit) - base
 
             # Expected run iterations this window ≈ (average window length
             # so far) × (this span's runs per reference).  The ~2.7 µs scan
@@ -336,7 +369,7 @@ class FastProcessor:
                         w = next_write[i]
                         while w < miss_at:
                             wb = blocks[w]
-                            if last_writer_get(wb) != pid or sharers_get(wb) != pid_set:
+                            if last_writer[wb] != pid or sharers[wb] != pid_bit:
                                 write_hit(wb, pid)
                             seg = run_end[w]
                             if seg >= miss_at:
@@ -352,7 +385,7 @@ class FastProcessor:
                             time += charge[w + 1] - charge[i]
                             i = w + 1
                             wb = blocks[w]
-                            if last_writer_get(wb) != pid or sharers_get(wb) != pid_set:
+                            if last_writer[wb] != pid or sharers[wb] != pid_bit:
                                 if write_hit(wb, pid):
                                     context.ready_time = time + (
                                         memory_latency if lat_row is None
@@ -396,12 +429,11 @@ class FastProcessor:
                         departure[evicted] = _EVICTED
                         actor[evicted] = tid
                         resident[evicted] = 0
+                        sharers[evicted] &= ~pid_bit
                     tags[index] = block
                     resident[block] = 1
                     i += 1
                     missed = 1
-                    if evicted != -1:
-                        dir_evict(evicted, pid)
                     source = dir_fetch(block, pid, is_write)
                     if kind is _INVALIDATION and invalidator is not None:
                         pairwise[pid, invalidator] += 1
@@ -432,7 +464,7 @@ class FastProcessor:
                             # stall.
                             time += charge[w + 1] - charge[i]
                             i = w + 1
-                            if last_writer_get(block) != pid or sharers_get(block) != pid_set:
+                            if last_writer[block] != pid or sharers[block] != pid_bit:
                                 if write_hit(block, pid):
                                     context.ready_time = time + (
                                         memory_latency if lat_row is None
@@ -448,8 +480,8 @@ class FastProcessor:
                             # Write-buffered machine: the segment's one real
                             # upgrade (if any) cannot stall, so the whole
                             # run charges in a single span.
-                            if w < stop and (last_writer_get(block) != pid
-                                             or sharers_get(block) != pid_set):
+                            if w < stop and (last_writer[block] != pid
+                                             or sharers[block] != pid_bit):
                                 write_hit(block, pid)
                             time += charge[stop] - charge[i]
                             i = stop
@@ -483,12 +515,11 @@ class FastProcessor:
                             departure[evicted] = _EVICTED
                             actor[evicted] = tid
                             resident[evicted] = 0
+                            sharers[evicted] &= ~pid_bit
                         tags[index] = block
                         resident[block] = 1
                         i += 1
                         missed = 1
-                        if evicted != -1:
-                            dir_evict(evicted, pid)
                         source = dir_fetch(block, pid, is_write)
                         if kind is _INVALIDATION and invalidator is not None:
                             pairwise[pid, invalidator] += 1
@@ -549,7 +580,9 @@ class FastProcessor:
         time = self.time
         busy = 0
         pos = context.pos
-        limit = min(pos + quantum_refs, context.length)
+        limit = pos + quantum_refs
+        if limit > context.length:
+            limit = context.length
         stalled = False
 
         # Chunk-by-chunk within the quantum, like :meth:`_run_array`:
@@ -564,7 +597,7 @@ class FastProcessor:
             next_write = context.next_write
             charge = context.charge
             i = pos - base
-            iend = min(limit, context.climit) - base
+            iend = (limit if limit < context.climit else context.climit) - base
 
             while i < iend:
                 # Slow-step the first reference of the (remaining) run: it
@@ -660,53 +693,6 @@ class FastProcessor:
         self.time = time
         self.stats.busy += busy
         return stalled
-
-    def _schedule_next(self) -> int | None:
-        """Round-robin pick over live contexts only.
-
-        The scan is the plain round-robin one — the next ready context
-        after ``current``, else idle until the earliest outstanding miss
-        completes — restricted to live slots: completed contexts are
-        exactly the ones that scan would skip, and ``_alive`` preserves
-        ascending slot order, so walking it cyclically from the first
-        slot past ``current`` visits the surviving candidates in the full
-        scan's order (with ``current`` itself last).  Avoids O(total
-        contexts) rescans per switch on processors whose threads mostly
-        finished.
-        """
-        alive = self._alive
-        if not alive:
-            self.finished = True
-            self.stats.completion_time = self.time
-            return None
-        contexts = self.contexts
-        cur = self.current
-        time = self.time
-        m = len(alive)
-        # First live slot strictly after ``current`` (cyclic); negative
-        # indexing wraps the tail of the ring to the front.
-        start = bisect_right(alive, cur) - m
-        for k in range(m):
-            index = alive[start + k]
-            if contexts[index].ready_time <= time:
-                if index != cur:
-                    self._pay_switch()
-                self.current = index
-                return self.time
-
-        # Everyone is stalled: idle until the earliest miss completes,
-        # breaking ties in round-robin distance from ``current``.
-        n = len(contexts)
-        ready_time, index = min(
-            ((contexts[i].ready_time, i) for i in alive),
-            key=lambda item: (item[0], (item[1] - cur) % n),
-        )
-        self.stats.idle += ready_time - time
-        self.time = ready_time
-        if index != cur:
-            self._pay_switch()
-        self.current = index
-        return self.time
 
 
 class ArrayFastProcessor(FastProcessor):

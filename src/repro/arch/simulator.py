@@ -96,25 +96,38 @@ def simulate(
 
         checker = InvariantChecker(processors, caches, directory)
 
-    # Min-time scheduling over processors with runnable work.
-    heap: list[tuple[int, int]] = [
-        (proc.time, proc.pid) for proc in processors if not proc.finished
-    ]
-    heapq.heapify(heap)
-    while heap:
-        _, pid = heapq.heappop(heap)
-        next_time = processors[pid].advance(quantum_refs)
-        if probe is not None:
-            probe.quanta += 1
-        if checker is not None:
-            checker.after_quantum(pid)
-        if next_time is not None:
-            heapq.heappush(heap, (next_time, pid))
+    _run_quanta(processors, quantum_refs, probe,
+                None if checker is None
+                else lambda heap, pid: checker.after_quantum(pid))
 
     result = _collect_result(trace_set, processors, caches, directory)
     if checker is not None:
         checker.at_completion(result)
     return result
+
+
+def _run_quanta(processors, quantum_refs: int, probe=None,
+                after_quantum=None) -> None:
+    """Min-time scheduling: advance the processor with the smallest
+    ``(local time, pid)`` one quantum at a time until all finish.
+
+    One ``heapreplace`` re-keys it in place: the same pop order as pop +
+    push, since pids make every entry distinct.  ``after_quantum(heap,
+    pid)`` runs after each quantum and may push re-activated processors.
+    """
+    heap = [(proc.time, proc.pid) for proc in processors if not proc.finished]
+    heapq.heapify(heap)
+    while heap:
+        pid = heap[0][1]
+        next_time = processors[pid].advance(quantum_refs)
+        if next_time is None:
+            heapq.heappop(heap)
+        else:
+            heapq.heapreplace(heap, (next_time, pid))
+        if probe is not None:
+            probe.quanta += 1
+        if after_quantum is not None:
+            after_quantum(heap, pid)
 
 
 def _build_machine(trace_set: TraceSet, placement: PlacementMap,
@@ -146,7 +159,7 @@ def _build_machine(trace_set: TraceSet, placement: PlacementMap,
     max_block = max_block_of(trace_set, config.block_bits)
     caches = [make_cache(config, max_block) for _ in range(p)]
     lat_rows = config.topology.latency_rows(p) if config.tiered else None
-    directory = Directory(caches, pairwise, lat_rows)
+    directory = Directory(caches, pairwise, max_block, lat_rows)
     processors = [
         FastProcessor(
             pid,

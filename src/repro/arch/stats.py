@@ -33,6 +33,10 @@ class MissKind(enum.Enum):
     INTER_THREAD_CONFLICT = "inter-thread conflict"
     INVALIDATION = "invalidation"
 
+    # Members compare by identity, so identity hashing is exact, and in C
+    # it spares each ``misses[kind] += 1`` two Python-level Enum hashes.
+    __hash__ = object.__hash__
+
 
 @dataclass
 class CacheStats:
@@ -50,15 +54,6 @@ class CacheStats:
     @property
     def total_accesses(self) -> int:
         return self.hits + self.total_misses
-
-    @property
-    def miss_rate(self) -> float:
-        total = self.total_accesses
-        return self.total_misses / total if total else 0.0
-
-    def record_hit(self) -> None:
-        """Count one cache hit."""
-        self.hits += 1
 
     def record_miss(self, kind: MissKind) -> None:
         """Count one miss of the given kind."""

@@ -21,9 +21,10 @@ completion (C):
    cache's own first-touch bookkeeping.
 6. **Directory/cache synchronization** (sampled Q, C): every block's
    directory sharer set exactly matches the caches in which it is
-   resident.  This is a full scan of coherence state, so during the run it
-   is sampled every ``directory_check_interval`` quanta; completion always
-   checks it.
+   resident, in both directions (a cached block the directory never
+   fetched fails too).  This is a full scan of coherence state, so during
+   the run it is sampled every ``directory_check_interval`` quanta;
+   completion always checks it.
 7. **Fetch conservation** (C): interconnect memory fetches equal total
    misses (every miss performs exactly one fetch), and invalidation
    misses never exceed invalidations sent (each invalidation miss consumes

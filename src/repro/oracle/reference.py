@@ -92,7 +92,7 @@ class _HistoryCache:
         for position, (resident, _) in enumerate(lines):
             if resident == block:
                 lines.insert(0, lines.pop(position))  # promote to MRU
-                self.stats.record_hit()
+                self.stats.hits += 1
                 return None, None, None
 
         invalidator: int | None = None

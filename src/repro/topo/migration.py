@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.arch.config import ArchConfig
-from repro.arch.simulator import _build_machine, _collect_result
+from repro.arch.simulator import _build_machine, _collect_result, _run_quanta
 from repro.arch.stats import SimulationResult
 from repro.placement.base import PlacementMap
 from repro.trace.stream import TraceSet
@@ -250,21 +250,13 @@ def simulate_migrating(
     group_size = p // groups
     pairwise = directory.pairwise
 
-    heap: list[tuple[int, int]] = [
-        (proc.time, proc.pid) for proc in processors if not proc.finished
-    ]
-    heapq.heapify(heap)
     quanta = 0
     remaining = policy.max_migrations
     window_base = pairwise.copy()
     events: list[MigrationEvent] = []
-    while heap:
-        _, pid = heapq.heappop(heap)
-        next_time = processors[pid].advance(quantum_refs)
-        if probe is not None:
-            probe.quanta += 1
-        if next_time is not None:
-            heapq.heappush(heap, (next_time, pid))
+
+    def after_quantum(heap, pid):
+        nonlocal quanta, remaining, window_base
         quanta += 1
         if (groups > 1 and remaining > 0
                 and quanta % policy.interval_quanta == 0):
@@ -285,6 +277,8 @@ def simulate_migrating(
                 ))
                 remaining -= 1
             window_base = pairwise.copy()
+
+    _run_quanta(processors, quantum_refs, probe, after_quantum)
 
     result = _collect_result(trace_set, processors, caches, directory)
     return MigrationRun(result=result, events=tuple(events))

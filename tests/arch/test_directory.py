@@ -18,7 +18,7 @@ def machine(num_procs=3, cache_words=64):
     cfg = ArchConfig(num_procs, 1, cache_words=cache_words)
     caches = [make_cache(cfg, MAX_BLOCK) for _ in range(num_procs)]
     pairwise = np.zeros((num_procs, num_procs), dtype=np.int64)
-    return caches, Directory(caches, pairwise), pairwise
+    return caches, Directory(caches, pairwise, MAX_BLOCK), pairwise
 
 
 def load(cache, directory, block, proc, is_write=False):
@@ -111,12 +111,12 @@ class TestEvict:
         directory.evict(99, 0)  # must not raise
 
     def test_emptied_entry_is_pruned(self):
-        """An entry whose sharer set empties is removed outright; the
-        observable surface (sharers_of, check_invariants) is unchanged."""
+        """Once its last holder drops it, a block is unknown to the
+        directory again: no sharers, and the two-sided audit passes."""
         caches, directory, _ = machine()
         load(caches[0], directory, 5, 0)
+        caches[0].invalidate(5, by_processor=0)  # drop the cached copy
         directory.evict(5, 0)
-        assert 5 not in directory._sharers
         assert directory.sharers_of(5) == set()
         directory.check_invariants()
 
@@ -130,13 +130,14 @@ class TestEvict:
         directory.check_invariants()
 
     def test_no_empty_entries_accumulate_over_sweep(self):
-        """A long sweep through a small cache must not grow the directory
-        by one dead entry per block ever cached: live entries are bounded
-        by total cache residency."""
+        """A long sweep through a small cache leaves sharers on exactly
+        the blocks still resident: every conflict eviction reaches the
+        directory."""
         caches, directory, _ = machine(num_procs=1, cache_words=64)
         for block in range(200):
             load(caches[0], directory, block, 0)
-        assert len(directory._sharers) == len(caches[0].resident_blocks())
+        known = {b for b in range(MAX_BLOCK + 1) if directory.sharers_of(b)}
+        assert known == caches[0].resident_blocks()
         directory.check_invariants()
 
 
@@ -153,6 +154,15 @@ class TestInvariants:
         # Corrupt: drop the cached copy without telling the directory.
         caches[0].invalidate(5, by_processor=0)
         with pytest.raises(AssertionError, match="out of sync"):
+            directory.check_invariants()
+
+    def test_check_invariants_detects_cache_only_residency(self):
+        """The audit is two-sided: a block a cache holds but the directory
+        never heard of is a desync too."""
+        caches, directory, _ = machine()
+        caches[0].access(7, 0)  # filled without a directory fetch
+        with pytest.raises(AssertionError,
+                           match="block 7: directory=\\[\\], resident=\\[0\\]"):
             directory.check_invariants()
 
     @settings(max_examples=40, deadline=None)
@@ -198,3 +208,98 @@ class TestInvariants:
                     directory.evict(evicted, proc)
                 directory.fetch(block, proc, is_write=True)
             assert directory.sharers_of(block) == {proc}
+
+
+class _AcceptingCache:
+    """Stands in for a processor cache: every invalidation lands."""
+
+    def invalidate(self, block, by_processor):
+        return True
+
+
+class DictDirectory:
+    """The dict-of-sets full-map directory the bitmask one must equal."""
+
+    def __init__(self, p, lat_rows):
+        self.sharers, self.last_writer, self.lat_rows = {}, {}, lat_rows
+        self.pairwise = np.zeros((p, p), dtype=np.int64)
+        self.fetches = self.sent = self.worst = 0
+
+    def fetch(self, block, proc, is_write):
+        self.fetches += 1
+        held = self.sharers.setdefault(block, set())
+        writer = self.last_writer.get(block)
+        source = (writer if writer in held else min(held)) if held else None
+        if is_write:
+            self._invalidate(block, proc)
+            self.last_writer[block] = proc
+        self.sharers[block].add(proc)
+        return source
+
+    def write_hit(self, block, proc):
+        others = self.sharers.get(block, set()) - {proc}
+        sent = self._invalidate(block, proc) if others else 0
+        self.last_writer[block] = proc
+        return sent
+
+    def evict(self, block, proc):
+        self.sharers.get(block, set()).discard(proc)
+
+    def _invalidate(self, block, writer):
+        others = self.sharers.get(block, set()) - {writer}
+        for holder in others:
+            self.pairwise[writer, holder] += 1
+        self.worst = max((self.lat_rows[writer][h] for h in others), default=0)
+        self.sent += len(others)
+        self.sharers[block] = {writer}
+        return len(others)
+
+
+@st.composite
+def directory_programs(draw):
+    """A processor count in 1..16 and a random fetch/write-hit/evict
+    sequence over four blocks, read-heavy so sharer sets grow wide."""
+    p = draw(st.one_of(st.sampled_from([8, 16]), st.integers(1, 16)))
+    op = st.tuples(
+        st.sampled_from(["read", "read", "read", "write", "write_hit",
+                         "evict"]),
+        st.integers(0, 3), st.integers(0, p - 1))
+    return p, draw(st.lists(op, min_size=20, max_size=120))
+
+
+class TestBitmaskContract:
+    @settings(max_examples=150, deadline=None)
+    @given(directory_programs())
+    def test_matches_dict_of_sets_model(self, program):
+        """The bitmask directory answers every call exactly like a
+        dict-of-sets directory: sources, invalidations sent, sharer sets,
+        the pairwise matrix, traffic counters and (after an upgrade that
+        sent invalidations) the farthest tier reached."""
+        p, ops = program
+        lat_rows = [[(7 * w + 3 * h) % 11 for h in range(p)]
+                    for w in range(p)]
+        pairwise = np.zeros((p, p), dtype=np.int64)
+        directory = Directory([_AcceptingCache() for _ in range(p)],
+                              pairwise, 3, lat_rows)
+        model = DictDirectory(p, lat_rows)
+        for name, block, proc in ops:
+            if name == "evict":
+                directory.evict(block, proc)
+                model.evict(block, proc)
+            elif name == "write_hit":
+                sent = directory.write_hit(block, proc)
+                assert sent == model.write_hit(block, proc)
+                if sent:
+                    assert directory.last_upgrade_latency == model.worst
+            else:
+                is_write = name == "write"
+                assert (directory.fetch(block, proc, is_write)
+                        == model.fetch(block, proc, is_write))
+            assert directory.sharers_of(block) == model.sharers.get(block,
+                                                                    set())
+        for block in range(4):
+            assert directory.sharers_of(block) == model.sharers.get(block,
+                                                                    set())
+        assert (pairwise == model.pairwise).all()
+        assert directory.stats.memory_fetches == model.fetches
+        assert directory.stats.invalidations_sent == model.sent

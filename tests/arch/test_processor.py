@@ -25,9 +25,10 @@ def build_processor(traces, contexts=None, **config_overrides):
     defaults.update(config_overrides)
     cfg = ArchConfig(1, contexts if contexts is not None else max(len(traces), 1),
                      **defaults)
-    cache = make_cache(cfg, max_block_of(traces, cfg.block_bits))
+    max_block = max_block_of(traces, cfg.block_bits)
+    cache = make_cache(cfg, max_block)
     pairwise = np.zeros((1, 1), np.int64)
-    directory = Directory([cache], pairwise)
+    directory = Directory([cache], pairwise, max_block)
     return FastProcessor(0, cfg, cache, directory, traces)
 
 

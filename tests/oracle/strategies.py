@@ -33,6 +33,7 @@ __all__ = [
     "simulation_cases",
     "tag_sizing_cases",
     "partitioned_cases",
+    "wide_machine_cases",
     "QUANTA",
 ]
 
@@ -243,3 +244,39 @@ def partitioned_cases(
     config = draw(arch_configs_for(placement, tiered=False))
     quantum = draw(st.sampled_from(QUANTA))
     return traces, placement, config, quantum
+
+
+#: Word addresses the threads of a :func:`wide_machine_cases` machine
+#: share: with 1-4-word blocks, 8-32 blocks over up to 48 threads, so most
+#: blocks end up held by many processors at once.
+WIDE_SHARED_ADDR = 31
+
+
+@st.composite
+def wide_machine_cases(draw, p: int, max_refs: int = 24):
+    """A differential case on a ``p``-processor machine (the paper's
+    larger sizes).
+
+    Every processor runs 2-3 threads, all drawing from one small shared
+    address window with frequent writes, so sharer sets span many
+    processors (wide directory bitmasks), writes invalidate several
+    holders at once, fetches are sourced from the lowest remaining
+    sharer once the last writer lost its copy, and multithreaded
+    processors regularly idle with every context stalled.
+    """
+    per_processor = draw(st.integers(2, 3))
+    assignment = draw(st.permutations(
+        [tid % p for tid in range(p * per_processor)]))
+    threads = []
+    for _ in assignment:
+        n = draw(st.integers(1, max_refs))
+        threads.append((
+            draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+            draw(st.lists(st.integers(0, WIDE_SHARED_ADDR),
+                          min_size=n, max_size=n)),
+            draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+        ))
+    traces = make_trace_set(threads, name="wide-machine")
+    placement = PlacementMap(assignment, p)
+    config = draw(arch_configs_for(placement))
+    return traces, placement, config, draw(st.sampled_from(QUANTA))

@@ -16,7 +16,11 @@ from repro.arch.cache import max_block_of
 from repro.arch.simulator import simulate
 from repro.oracle import assert_equivalent, diff_results, reference_simulate
 
-from tests.oracle.strategies import simulation_cases, tag_sizing_cases
+from tests.oracle.strategies import (
+    simulation_cases,
+    tag_sizing_cases,
+    wide_machine_cases,
+)
 
 pytestmark = pytest.mark.oracle
 
@@ -50,6 +54,28 @@ class TestDifferential:
         reference = reference_simulate(traces, placement, config,
                                        quantum_refs=quantum)
         assert_equivalent(checked, reference)
+
+
+class TestPaperMachineSizes:
+    """The general tier draws at most 4 processors; the paper's machines
+    reach 16.  Wide sharer masks, multi-holder invalidation walks,
+    lowest-sharer source attribution and the all-stalled idle pick at
+    8 and 16 processors replay exactly like the reference interpreter."""
+
+    @pytest.mark.parametrize("processors", [8, 16])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_wide_machines_match_oracle(self, data, processors):
+        traces, placement, config, quantum = data.draw(
+            wide_machine_cases(processors))
+        production = simulate(traces, placement, config, quantum_refs=quantum)
+        reference = reference_simulate(traces, placement, config,
+                                       quantum_refs=quantum)
+        assert_equivalent(
+            production, reference,
+            context=f"{traces.num_threads}t/{placement.num_processors}p/"
+                    f"q{quantum}/{config.num_sets}s",
+        )
 
 
 class TestTagSizing:

@@ -236,3 +236,41 @@ class TestCompletionLaws:
                                    directory_check_interval=0)
         with pytest.raises(InvariantViolation, match="stale sharer"):
             checker.at_completion(result_for(processors, caches))
+
+
+class TestDirectoryAgreement:
+    """The directory audit over a real directory and real caches: residency
+    the directory never heard of is caught, not only stale sharers."""
+
+    @staticmethod
+    def machine():
+        from repro.arch.cache import make_cache
+        from repro.arch.config import ArchConfig
+        from repro.arch.directory import Directory
+
+        config = ArchConfig(2, 1, cache_words=64)
+        caches = [make_cache(config, 15) for _ in range(2)]
+        directory = Directory(caches, np.zeros((2, 2), dtype=np.int64), 15)
+        # One context that replayed block 7 once: a compulsory miss.
+        processors = [
+            FakeProcessor([FakeContext([7], pos=1)],
+                          time=1, busy=1, switching=0, idle=0),
+            FakeProcessor([], time=0, busy=0, switching=0, idle=0),
+        ]
+        caches[0].access(7, 0)
+        return processors, caches, directory
+
+    def test_fetched_block_passes(self):
+        processors, caches, directory = self.machine()
+        directory.fetch(7, 0, is_write=False)
+        checker = InvariantChecker(processors, caches, directory,
+                                   directory_check_interval=1)
+        checker.after_quantum(0)
+
+    def test_cache_only_residency_is_a_violation(self):
+        processors, caches, directory = self.machine()  # no directory fetch
+        checker = InvariantChecker(processors, caches, directory,
+                                   directory_check_interval=1)
+        with pytest.raises(InvariantViolation,
+                           match="block 7: directory=\\[\\], resident=\\[0\\]"):
+            checker.after_quantum(0)
