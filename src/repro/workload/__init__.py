@@ -44,7 +44,7 @@ from repro.workload.patterns import (
     PartitionedPattern,
     RandomCommPattern,
 )
-from repro.workload.shaping import distribute_gaps, run_lengths, shaped_lengths
+from repro.workload.shaping import distribute_gaps, shaped_lengths
 from repro.workload.streaming import (
     StreamScenario,
     million_reference_scenario,
@@ -90,7 +90,6 @@ __all__ = [
     "BuildContext",
     "shaped_lengths",
     "distribute_gaps",
-    "run_lengths",
     "StreamScenario",
     "million_reference_scenario",
     "spill_streaming_set",

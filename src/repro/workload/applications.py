@@ -19,7 +19,12 @@ from dataclasses import dataclass
 
 from repro.trace.stream import TraceSet
 from repro.workload.address_space import AddressSpace
-from repro.workload.generator import generate_trace_set
+from repro.workload.generator import (
+    ThreadProbe,
+    finish_thread,
+    probe_statistics,
+    probe_thread,
+)
 from repro.workload.patterns import (
     AccessPattern,
     AllSharePattern,
@@ -140,25 +145,18 @@ def spec_for(name: str) -> AppSpec:
         ) from None
 
 
-def _build_once(
-    spec: AppSpec,
-    lengths,
-    streams: RngStreams,
-    run_multiplier: float,
-    pool_multiplier: float,
-) -> TraceSet:
+def _probe_once(
+    spec: AppSpec, lengths, streams: RngStreams, pool_multiplier: float
+) -> list[ThreadProbe]:
     ctx = BuildContext(
         targets=spec.targets,
         lengths=lengths,
         space=AddressSpace(),
         rng=streams.get("structure"),
-        run_multiplier=run_multiplier,
         pool_multiplier=pool_multiplier,
     )
-    recipes = spec.pattern.build(ctx)
-    return generate_trace_set(
-        spec.targets.name, recipes, lambda tid: streams.get("thread", tid)
-    )
+    return [probe_thread(recipe, streams.get("thread", recipe.thread_id))
+            for recipe in spec.pattern.build(ctx)]
 
 
 def _clip(value: float, low: float, high: float) -> float:
@@ -182,6 +180,12 @@ def build_calibrated(
     shared address), adjust the region-size multiplier, rebuild.  Three
     refinement rounds land inside the calibration tolerances (see
     :mod:`repro.workload.calibration`).
+
+    Each round draws only the threads' shared runs
+    (:func:`~repro.workload.generator.probe_thread`), from which both
+    characteristics follow exactly
+    (:func:`~repro.workload.generator.probe_statistics`); only the
+    accepted round's threads are finished into traces.
     """
     check_positive("mean_instructions", mean_instructions)
     spec = AppSpec(targets=targets, pattern=pattern, cache_words=0)
@@ -193,15 +197,11 @@ def build_calibrated(
         floor=32,
     )
 
-    # Local import: calibration imports this module's types' siblings.
-    from repro.trace.analysis import TraceSetAnalysis
-
-    run_mult, pool_mult = 1.0, 1.0
-    trace_set = _build_once(spec, lengths, streams, run_mult, pool_mult)
+    pool_mult = 1.0
+    probes = _probe_once(spec, lengths, streams, pool_mult)
     for _ in range(3):
-        analysis = TraceSetAnalysis(trace_set)
-        measured_pct = analysis.percent_shared_refs.mean
-        measured_rpsa = analysis.refs_per_shared_address.mean
+        shared_pct, rpsa = probe_statistics(probes)
+        measured_pct, measured_rpsa = shared_pct.mean, rpsa.mean
         pct_ok = abs(measured_pct - targets.shared_refs_pct) <= 6.0
         rpsa_ratio = measured_rpsa / targets.refs_per_shared_addr
         rpsa_ok = 0.6 <= rpsa_ratio <= 1.6
@@ -216,8 +216,8 @@ def build_calibrated(
             # touched; shrink regions to force overlap.
             shortfall = max(measured_pct, 1.0) / targets.shared_refs_pct
             pool_mult *= _clip(shortfall**1.0, 0.2, 1.2)
-        trace_set = _build_once(spec, lengths, streams, run_mult, pool_mult)
-    return trace_set
+        probes = _probe_once(spec, lengths, streams, pool_mult)
+    return TraceSet(targets.name, [finish_thread(probe) for probe in probes])
 
 
 def build_application(

@@ -16,11 +16,20 @@ import numpy as np
 
 from repro.trace.stream import ThreadTrace, TraceSet
 from repro.workload.address_space import Region
-from repro.workload.channels import PoolChannel
+from repro.workload.channels import PoolChannel, draw_runs, run_positions, run_starts
 from repro.workload.shaping import distribute_gaps
+from repro.util.stats import Summary, summarize
 from repro.util.validate import check_positive, check_range
 
-__all__ = ["ThreadRecipe", "generate_thread", "generate_trace_set"]
+__all__ = [
+    "ThreadRecipe",
+    "ThreadProbe",
+    "probe_thread",
+    "finish_thread",
+    "probe_statistics",
+    "generate_thread",
+    "generate_trace_set",
+]
 
 # A single run never exceeds this many references; keeps pathological
 # geometric draws from serializing a whole thread into one run.
@@ -101,22 +110,27 @@ def _channel_quotas(channels: list[PoolChannel], total: int) -> np.ndarray:
     return quotas
 
 
-def _sample_shared_segments(
+def _empty_runs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return np.zeros(0, np.int64), np.zeros(0, bool), np.zeros(0, np.int64)
+
+
+def _shared_runs(
     rng: np.random.Generator, channels: list[PoolChannel], total: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Draw shared-run segments totalling exactly ``total`` references."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw shared runs totalling exactly ``total`` references.
+
+    Returns the (addresses, writes, run lengths) columns, channel by
+    channel in recipe order.
+    """
     if total == 0:
-        return []
+        return _empty_runs()
     if not channels:
         raise ValueError("shared references requested but no channels supplied")
-    segments = []
-    for channel, quota in zip(channels, _channel_quotas(channels, total)):
-        remaining = int(quota)
-        while remaining > 0:
-            addrs, writes = channel.sample_run(rng, min(remaining, _MAX_RUN))
-            segments.append((addrs, writes))
-            remaining -= addrs.size
-    return segments
+    drawn = [
+        channel.sample_runs(rng, int(quota), _MAX_RUN)
+        for channel, quota in zip(channels, _channel_quotas(channels, total))
+    ]
+    return tuple(np.concatenate(column) for column in zip(*drawn))
 
 
 def _private_working_set(
@@ -135,68 +149,121 @@ def _private_working_set(
     n_windows = max(1, -(-ws_words // window))
     available = region.size // window
     chosen = rng.choice(available, size=min(n_windows, available), replace=False)
-    offsets = []
-    for start in np.sort(chosen):
-        offsets.extend(range(start * window, min((start + 1) * window, region.size)))
-    return region.addrs(np.array(offsets, dtype=np.int64))
+    offsets = (np.sort(chosen)[:, None] * window + np.arange(window)).ravel()
+    return region.addrs(offsets[offsets < region.size])
 
 
-def _sample_private_segments(
+def _private_runs(
     rng: np.random.Generator, recipe: "ThreadRecipe", total: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Draw private-run segments totalling exactly ``total`` references.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw private runs totalling exactly ``total`` references.
 
     The private stream is a scattered working set scanned in short
     sequential runs starting at random offsets; reuse (and therefore the
     private cache footprint) is set by ``private_reuse``.
     """
     if total == 0:
-        return []
+        return _empty_runs()
     if recipe.private_region is None:
         raise ValueError("private references requested but no private region supplied")
     working_set = _private_working_set(rng, recipe, total)
     ws = int(working_set.size)
-    p = 1.0 / max(recipe.private_mean_run, 1.0)
-    segments = []
-    remaining = total
-    while remaining > 0:
-        run = min(int(rng.geometric(p)), remaining, _MAX_RUN)
-        base = int(rng.integers(0, ws))
-        offsets = (base + np.arange(run)) % ws
-        addrs = working_set[offsets]
-        writes = rng.random(run) < recipe.private_write_prob
-        segments.append((addrs, writes))
-        remaining -= run
-    return segments
+    lengths, bases, writes = draw_runs(
+        rng, total,
+        p=1.0 / max(recipe.private_mean_run, 1.0),
+        cap=_MAX_RUN,
+        high=ws,
+        write_prob=recipe.private_write_prob,
+        run_level_writes=False,
+    )
+    offsets = (np.repeat(bases, lengths) + run_positions(lengths, total)) % ws
+    return working_set[offsets], writes, lengths
 
 
-def _order_segments(
-    rng: np.random.Generator,
-    segments: list[tuple[np.ndarray, np.ndarray]],
-    phases: int,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Arrange run segments into the thread's final order.
+def _run_order(
+    rng: np.random.Generator, lengths: np.ndarray, writes: np.ndarray, phases: int
+) -> np.ndarray:
+    """The order the thread's runs appear in its final trace.
 
     One phase: a uniformly random shuffle (run boundaries preserved).
-    Several phases: segments are dealt randomly across phases; within a
-    phase, read-only segments come first and write-containing segments
-    last — the barrier structure of phase-parallel programs.
+    Several phases: runs are dealt randomly across phases (the shuffled
+    position modulo ``phases``); within a phase, read-only runs come first
+    and write-containing runs last, each group in shuffled order — the
+    barrier structure of phase-parallel programs.  That is a stable sort
+    of the shuffle by (phase, has-write).
     """
-    if not segments:
-        return []
-    order = rng.permutation(len(segments))
+    order = rng.permutation(lengths.size)
     if phases <= 1:
-        return [segments[i] for i in order]
-    buckets: list[tuple[list, list]] = [([], []) for _ in range(phases)]
-    for position, index in enumerate(order):
-        segment = segments[index]
-        reads, writes = buckets[position % phases]
-        (writes if bool(segment[1].any()) else reads).append(segment)
-    ordered: list[tuple[np.ndarray, np.ndarray]] = []
-    for reads, writes in buckets:
-        ordered.extend(reads)
-        ordered.extend(writes)
-    return ordered
+        return order
+    has_write = np.logical_or.reduceat(writes, run_starts(lengths))
+    phase = np.arange(order.size) % phases
+    return order[np.lexsort((has_write[order], phase))]
+
+
+@dataclass(frozen=True)
+class ThreadProbe:
+    """A thread's shared runs, drawn ahead of the rest of its trace.
+
+    Shared runs are the first draws of a thread's stream, so a probe is
+    exactly the prefix :func:`generate_thread` draws, and
+    :func:`finish_thread` continues the same generator to produce the
+    whole trace.  Probes carry everything the calibration loop measures
+    (see :func:`probe_statistics`) without drawing private runs, the
+    shuffle or the gaps.
+
+    Attributes:
+        recipe: The thread's recipe.
+        rng: The thread's generator, positioned just after the shared runs.
+        n_refs: References of the finished trace.
+        n_private: Private references still to draw.
+        addrs: Shared-run addresses, runs in channel order.
+        writes: Write flag of each shared reference.
+        lengths: Shared run lengths.
+    """
+
+    recipe: ThreadRecipe
+    rng: np.random.Generator
+    n_refs: int
+    n_private: int
+    addrs: np.ndarray
+    writes: np.ndarray
+    lengths: np.ndarray
+
+
+def probe_thread(recipe: ThreadRecipe, rng: np.random.Generator) -> ThreadProbe:
+    """Split the thread's references and draw its shared runs."""
+    n_refs = int(round(recipe.length * recipe.data_ref_fraction))
+    n_refs = max(1, min(n_refs, recipe.length))
+    n_shared = int(round(n_refs * recipe.shared_fraction))
+    if not recipe.channels:
+        n_shared = 0
+    n_private = n_refs - n_shared
+    if recipe.private_region is None:
+        n_shared, n_private = n_refs, 0
+    addrs, writes, lengths = _shared_runs(rng, recipe.channels, n_shared)
+    return ThreadProbe(recipe, rng, n_refs, n_private, addrs, writes, lengths)
+
+
+def finish_thread(probe: ThreadProbe) -> ThreadTrace:
+    """Draw the rest of a probed thread and assemble its trace.
+
+    Private runs follow the shared ones; the runs are ordered (see
+    :func:`_run_order`) and gathered into the thread's columns with one
+    fancy index, and the non-memory instruction budget is spread across
+    the references as gaps.
+    """
+    recipe, rng = probe.recipe, probe.rng
+    private = _private_runs(rng, recipe, probe.n_private)
+    addrs, writes, lengths = (
+        np.concatenate(pair) for pair in zip(
+            (probe.addrs, probe.writes, probe.lengths), private)
+    )
+    order = _run_order(rng, lengths, writes, recipe.phases)
+    ordered = lengths[order]
+    source = np.repeat(run_starts(lengths)[order] - run_starts(ordered), ordered)
+    source += np.arange(probe.n_refs)
+    gaps = distribute_gaps(rng, probe.n_refs, recipe.length - probe.n_refs)
+    return ThreadTrace(recipe.thread_id, gaps, addrs[source], writes[source])
 
 
 def generate_thread(recipe: ThreadRecipe, rng: np.random.Generator) -> ThreadTrace:
@@ -208,25 +275,51 @@ def generate_thread(recipe: ThreadRecipe, rng: np.random.Generator) -> ThreadTra
     non-memory instruction budget is spread across references as gaps so
     the trace's total length equals ``recipe.length`` exactly.
     """
-    n_refs = int(round(recipe.length * recipe.data_ref_fraction))
-    n_refs = max(1, min(n_refs, recipe.length))
-    n_shared = int(round(n_refs * recipe.shared_fraction))
-    if not recipe.channels:
-        n_shared = 0
-    n_private = n_refs - n_shared
-    if recipe.private_region is None:
-        n_shared, n_private = n_refs, 0
+    return finish_thread(probe_thread(recipe, rng))
 
-    segments = _sample_shared_segments(rng, recipe.channels, n_shared)
-    segments += _sample_private_segments(rng, recipe, n_private)
-    ordered = _order_segments(rng, segments, recipe.phases)
-    addrs = (np.concatenate([s[0] for s in ordered])
-             if ordered else np.zeros(0, np.int64))
-    writes = (np.concatenate([s[1] for s in ordered])
-              if ordered else np.zeros(0, bool))
 
-    gaps = distribute_gaps(rng, addrs.size, recipe.length - addrs.size)
-    return ThreadTrace(recipe.thread_id, gaps, addrs.astype(np.int64), writes)
+def probe_statistics(probes: list[ThreadProbe]) -> tuple[Summary, Summary]:
+    """Table 2's shared-reference percentage and references per shared address.
+
+    Equal, float for float, to ``percent_shared_refs`` and
+    ``refs_per_shared_address`` of the
+    :class:`~repro.trace.analysis.TraceSetAnalysis` of the finished
+    threads.  An address is shared when two threads reference it; a
+    private region is its thread's alone (checked here), so no private
+    reference can touch a shared address and the shared runs plus each
+    thread's reference count determine both columns.
+    """
+    _check_private_regions([probe.recipe for probe in probes])
+    profiles = [np.unique(probe.addrs, return_counts=True) for probe in probes]
+    touched_by = np.unique(np.concatenate([addrs for addrs, _ in profiles]),
+                           return_counts=True)
+    shared = touched_by[0][touched_by[1] >= 2]
+    refs, touched = [], []
+    for addrs, counts in profiles:
+        mask = np.isin(addrs, shared)
+        refs.append(int(counts[mask].sum()))
+        touched.append(int(mask.sum()))
+    shared_refs = np.array(refs, dtype=np.int64)
+    totals = np.array([probe.n_refs for probe in probes], dtype=float)
+    return (
+        summarize(100.0 * shared_refs / totals),
+        summarize([r / t if t else 0.0 for r, t in zip(shared_refs, touched)]),
+    )
+
+
+def _check_private_regions(recipes: list[ThreadRecipe]) -> None:
+    """Every private region must overlap no other private or shared region."""
+    private = sorted((r.private_region.start, r.private_region.end)
+                     for r in recipes if r.private_region is not None)
+    starts = np.array([start for start, _ in private], dtype=np.int64)
+    ends = np.array([end for _, end in private], dtype=np.int64)
+    overlapping = bool(np.any(starts[1:] < ends[:-1]))
+    for region in {c.region for r in recipes for c in r.channels}:
+        first = int(np.searchsorted(ends, region.start, side="right"))
+        overlapping |= first < starts.size and starts[first] < region.end
+    if overlapping:
+        raise ValueError("private regions must be disjoint from each other and "
+                         "from every shared channel region")
 
 
 def generate_trace_set(

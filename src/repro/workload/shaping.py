@@ -1,13 +1,11 @@
 """Distribution-shaping helpers for the workload generators.
 
-Three jobs:
+Two jobs:
 
 * draw per-thread lengths whose population mean and coefficient of
   variation match the paper's Table 2 targets (:func:`shaped_lengths`);
 * split a thread's non-memory instruction budget into per-reference gaps
-  (:func:`distribute_gaps`);
-* draw the sequential-run lengths that give shared data its long
-  single-thread access runs (:func:`run_lengths`).
+  (:func:`distribute_gaps`).
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ import numpy as np
 
 from repro.util.validate import check_positive
 
-__all__ = ["shaped_lengths", "distribute_gaps", "run_lengths"]
+__all__ = ["shaped_lengths", "distribute_gaps"]
 
 
 def shaped_lengths(
@@ -77,32 +75,3 @@ def distribute_gaps(
             raise ValueError("cannot place a non-zero gap budget with zero refs")
         return np.zeros(0, dtype=np.int64)
     return rng.multinomial(total_gap, np.full(num_refs, 1.0 / num_refs)).astype(np.int64)
-
-
-def run_lengths(
-    rng: np.random.Generator, total: int, mean_run: float, *, cap: int | None = None
-) -> np.ndarray:
-    """Draw sequential-run lengths summing exactly to ``total``.
-
-    Runs are geometric with the given mean (minimum 1), truncated so the
-    final run lands exactly on ``total``.  ``cap`` optionally bounds any
-    single run.  The long runs these produce are the paper's "sequential
-    sharing": a thread references a shared datum many times before any
-    other thread contends for it.
-    """
-    if total < 0:
-        raise ValueError(f"total must be >= 0, got {total}")
-    check_positive("mean_run", mean_run)
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    p = 1.0 / max(mean_run, 1.0)
-    lengths: list[int] = []
-    remaining = total
-    while remaining > 0:
-        run = int(rng.geometric(p))
-        if cap is not None:
-            run = min(run, cap)
-        run = min(run, remaining)
-        lengths.append(run)
-        remaining -= run
-    return np.array(lengths, dtype=np.int64)

@@ -5,9 +5,20 @@ suite reproduces the paper's Tables 1-2 characteristics; the tests hold the
 generators to it.
 """
 
+import numpy as np
 import pytest
 
+import repro.workload.applications as applications_module
 from repro.trace.analysis import TraceSetAnalysis
+from repro.util.rng import RngStreams
+from repro.workload.address_space import Region
+from repro.workload.channels import PoolChannel
+from repro.workload.generator import (
+    ThreadRecipe,
+    generate_trace_set,
+    probe_statistics,
+    probe_thread,
+)
 from repro.workload.applications import (
     APPLICATIONS,
     DEFAULT_SCALE,
@@ -103,3 +114,56 @@ class TestCalibrationFullSuite:
         dev_health = TraceSetAnalysis(health).pairwise_sharing.percent_dev
         assert dev_water < 30.0
         assert dev_health > 100.0
+
+
+class TestProbeStatistics:
+    """Calibration measures shared-run probes instead of finished traces;
+    on every round of every application the two must agree exactly, so
+    every round takes the decision the full analysis would."""
+
+    @pytest.mark.parametrize("scale", [0.004, 0.03])
+    @pytest.mark.parametrize("name", application_names())
+    def test_probe_statistics_equal_full_analysis(self, monkeypatch, name, scale):
+        rounds = []
+
+        def recording(probes):
+            measured = probe_statistics(probes)
+            rounds.append(([probe.recipe for probe in probes], measured))
+            return measured
+
+        monkeypatch.setattr(applications_module, "probe_statistics", recording)
+        build_application(name, scale=scale, seed=0)
+        assert rounds
+        streams = RngStreams(0).child("workload", name, f"scale={scale}")
+        for recipes, (shared_pct, rpsa) in rounds:
+            full = TraceSetAnalysis(generate_trace_set(
+                name, recipes, lambda tid: streams.get("thread", tid)))
+            assert shared_pct == full.percent_shared_refs
+            assert rpsa == full.refs_per_shared_address
+
+    @pytest.mark.parametrize("second_private,shared", [
+        (Region(32, 64), Region(200, 8)),   # two threads' private regions overlap
+        (Region(100, 64), Region(60, 8)),   # a shared region reaches into one
+    ])
+    def test_overlapping_private_regions_rejected(self, second_private, shared):
+        channel = PoolChannel(region=shared, weight=1.0, write_prob=0.0, mean_run=4.0)
+        probes = [
+            probe_thread(ThreadRecipe(thread_id=tid, length=100, channels=[channel],
+                                      private_region=private),
+                         np.random.default_rng(tid))
+            for tid, private in enumerate([Region(0, 64), second_private])
+        ]
+        with pytest.raises(ValueError, match="disjoint"):
+            probe_statistics(probes)
+
+    def test_disjoint_regions_accepted(self):
+        channel = PoolChannel(region=Region(64, 8), weight=1.0, write_prob=0.0,
+                              mean_run=4.0)
+        probes = [
+            probe_thread(ThreadRecipe(thread_id=tid, length=100, channels=[channel],
+                                      private_region=private),
+                         np.random.default_rng(tid))
+            for tid, private in enumerate([Region(0, 64), Region(72, 64)])
+        ]
+        shared_pct, _ = probe_statistics(probes)
+        assert shared_pct.count == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.workload.shaping import distribute_gaps, run_lengths, shaped_lengths
+from repro.workload.shaping import distribute_gaps, shaped_lengths
 
 
 def rng(seed=0):
@@ -79,27 +79,3 @@ class TestDistributeGaps:
         gaps = distribute_gaps(rng(n * 31 + total), n, total)
         assert gaps.sum() == total
         assert gaps.min() >= 0
-
-
-class TestRunLengths:
-    def test_exact_total(self):
-        runs = run_lengths(rng(), 100, 7.0)
-        assert runs.sum() == 100
-        assert runs.min() >= 1
-
-    def test_zero_total(self):
-        assert run_lengths(rng(), 0, 5.0).size == 0
-
-    def test_cap(self):
-        runs = run_lengths(rng(), 1000, 50.0, cap=10)
-        assert runs.max() <= 10
-
-    def test_mean_approx(self):
-        runs = run_lengths(rng(), 100000, 20.0)
-        assert runs.mean() == pytest.approx(20.0, rel=0.15)
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            run_lengths(rng(), -1, 5.0)
-        with pytest.raises(ValueError):
-            run_lengths(rng(), 10, 0.0)
