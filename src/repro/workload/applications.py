@@ -217,7 +217,12 @@ def build_calibrated(
             shortfall = max(measured_pct, 1.0) / targets.shared_refs_pct
             pool_mult *= _clip(shortfall**1.0, 0.2, 1.2)
         probes = _probe_once(spec, lengths, streams, pool_mult)
-    return TraceSet(targets.name, [finish_thread(probe) for probe in probes])
+    # Finish threads last to first, dropping each probe as it is used, so
+    # the probes' shared columns are freed while the traces are built.
+    threads = []
+    while probes:
+        threads.append(finish_thread(probes.pop()))
+    return TraceSet(targets.name, threads[::-1])
 
 
 def build_application(
