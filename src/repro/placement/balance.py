@@ -14,6 +14,7 @@ Two constraint families from the paper's §2:
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -96,7 +97,14 @@ def thread_balance_feasible(
 
 
 class BalancePolicy:
-    """Decides whether two clusters may be combined, given engine state."""
+    """Decides whether two clusters may be combined, given engine state.
+
+    :meth:`allows` is the one required answer, asked pair by pair by the
+    clustering engine's reference loop.  :meth:`pair_mask` (the same
+    answers for many pairs at once) and :meth:`failed_merges` (the exact
+    cost of searching below a merge that cannot complete) are optional
+    and let the incremental loop skip work without changing a result.
+    """
 
     def allows(
         self,
@@ -144,21 +152,27 @@ class BalancePolicy:
         """
         return None
 
-    def dead_merges(
+    def failed_merges(
         self,
         sizes: np.ndarray,
         loads: np.ndarray,
         num_threads: int,
         num_processors: int,
-    ) -> Callable[[int, int], bool] | None:
-        """An exact, cheap test for merges that lead to a dead state.
+        memo: dict,
+    ) -> Callable[[int, int, int], int | None] | None:
+        """An exact price for merges that lead to a failed subtree.
 
-        Returns ``None`` ("unknown, compute the mask"; the default) or a
-        function ``dead(i, j)``, for cluster indices ``i < j`` of this
-        state, that is True iff the state after merging them has no
-        admissible pair: :meth:`pair_mask` over all its pairs is
-        all-False.  The clustering engine asks it before building a
-        child state, so a dead child is undone without being scored.
+        Returns ``None`` (no such test; the default) or a function
+        ``cost(i, j, cap)``, for cluster indices ``i < j`` of this state.
+        An integer answer is exact: the number of backtracks the
+        reference loop spends exhaustively searching below the child
+        made by merging i and j, which therefore cannot reach
+        ``num_processors`` clusters; a dead child (:meth:`pair_mask` over
+        all its pairs is all-False) costs 0.  ``None`` means the child may
+        complete, or its subtree costs more than ``cap``.  ``None`` is
+        always safe: the clustering engine then builds the child and
+        searches below it.  ``memo`` is scratch the policy may fill,
+        one dict per search.
         """
         return None
 
@@ -177,8 +191,9 @@ class ThreadBalance(BalancePolicy):
 
     def pair_mask(self, pairs, sizes, loads, num_threads, num_processors):
         """Vectorized form: feasibility depends only on the merged pair's
-        *sizes*, so distinct ``(size_a, size_b)`` values are checked once
-        and shared across every pair with those sizes."""
+        *sizes* and the state's size multiset, so the blocked
+        ``(size_a, size_b)`` values are derived once per multiset
+        (:func:`_blocked_merges`) and masked out of every pair."""
         sizes = np.asarray(sizes, dtype=np.int64)
         size_a = sizes[pairs[:, 0]]
         size_b = sizes[pairs[:, 1]]
@@ -186,22 +201,42 @@ class ThreadBalance(BalancePolicy):
         mask = (size_a + size_b) <= ceil
         if not mask.any():
             return mask
-        # One feasibility question per distinct (larger, smaller) size
-        # pair, broadcast back to every candidate with those sizes.
-        hi = np.maximum(size_a, size_b)
-        lo = np.minimum(size_a, size_b)
-        codes = np.where(mask, hi * (num_threads + 1) + lo, -1)
-        all_sizes = sizes.tolist()
-        for code in np.unique(codes[mask]):
-            big, small = divmod(int(code), num_threads + 1)
-            multiset = list(all_sizes)
+        blocked = _blocked_merges(tuple(sorted(sizes.tolist())), num_threads,
+                                  num_processors)
+        if blocked:
+            codes = (np.maximum(size_a, size_b) * (num_threads + 1)
+                     + np.minimum(size_a, size_b))
+            mask &= ~np.isin(codes, blocked)
+        return mask
+
+
+@lru_cache(maxsize=4096)
+def _blocked_merges(
+    sizes: tuple[int, ...], num_threads: int, num_processors: int
+) -> tuple[int, ...]:
+    """Size pairs whose merge makes thread balance unreachable.
+
+    ``sizes`` is a state's cluster-size multiset, sorted.  Each pair of
+    sizes in it whose union fits in ⌈t/p⌉ and leaves no thread-balanced
+    partition reachable is coded ``big * (t + 1) + small``.  States
+    revisited by the search, and by searches of other algorithms over
+    the same threads, share multisets, so this is memoized on it.
+    """
+    ceil = -(-num_threads // num_processors)
+    distinct = sorted(set(sizes))
+    blocked = []
+    for a, big in enumerate(distinct):
+        for small in distinct[:a + 1]:
+            if big + small > ceil or (small == big and sizes.count(big) < 2):
+                continue
+            multiset = list(sizes)
             multiset.remove(big)
             multiset.remove(small)
             multiset.append(big + small)
             if not thread_balance_feasible(multiset, num_threads,
                                            num_processors):
-                mask[codes == code] = False
-        return mask
+                blocked.append(big * (num_threads + 1) + small)
+    return tuple(blocked)
 
 
 @dataclass(frozen=True)
@@ -237,24 +272,99 @@ class LoadBalance(BalancePolicy):
         combined = (loads[pairs[:, 0]] + loads[pairs[:, 1]]).astype(float)
         return combined <= (1.0 + self.tolerance) * ideal
 
-    def dead_merges(self, sizes, loads, num_threads, num_processors):
-        """Exact: a state's smallest pair sum is its two lightest loads',
-        and int-to-float conversion is monotone, so it has an admissible
-        pair iff that one passes :meth:`pair_mask`.  After merging i and
-        j, the two lightest are among this state's four lightest other
-        than i and j, plus the union; the total (and so the limit) is
-        unchanged."""
+    def failed_merges(self, sizes, loads, num_threads, num_processors,
+                      memo):
+        """Exact, because a state can still complete iff its loads pack
+        into p bins of the limit: every partial merge of a bin is a
+        subset of it, so passes :meth:`pair_mask`.  A state that cannot
+        complete is searched exhaustively below, so its cost depends on
+        its load multiset only, not on the scores.  Three tests, cheapest
+        first: the child is dead iff its two lightest loads (among this
+        state's four lightest other than i and j, plus the union) exceed
+        the limit; first-fit-decreasing packing it proves it may
+        complete; otherwise :func:`_failed_subtree` counts, memoized in
+        ``memo`` on the sorted loads."""
         limit = (1.0 + self.tolerance) * (float(loads.sum()) / num_processors)
         lightest = np.argsort(loads, kind="stable")[:4].tolist()
         light = loads[lightest].tolist()
+        ordered = sorted(loads.tolist())
 
-        def dead(i: int, j: int) -> bool:
+        def cost(i: int, j: int, cap: int) -> int | None:
+            if cap < 0 or len(loads) - 1 <= num_processors:
+                return None
+            union = int(loads[i]) + int(loads[j])
             kept = [load for k, load in zip(lightest, light)
                     if k != i and k != j][:2]
-            first, second = sorted(kept + [int(loads[i]) + int(loads[j])])[:2]
-            return not float(first + second) <= limit
+            first, second = sorted(kept + [union])[:2]
+            if not float(first + second) <= limit:
+                return 0
+            child = list(ordered)
+            child.remove(int(loads[i]))
+            child.remove(int(loads[j]))
+            insort(child, union)
+            if _first_fit(child, num_processors, limit):
+                return None
+            return _failed_subtree(tuple(child), cap, num_processors, limit,
+                                   memo)
 
-        return dead
+        return cost
+
+
+def _first_fit(loads: list[int], bins: int, limit: float) -> bool:
+    """Does first-fit-decreasing pack these (ascending) loads into
+    ``bins`` groups, each a single load or summing within ``limit``?"""
+    levels: list[int] = []
+    for load in reversed(loads):
+        for k, level in enumerate(levels):
+            if float(level + load) <= limit:
+                levels[k] = level + load
+                break
+        else:
+            if len(levels) == bins:
+                return False
+            levels.append(load)
+    return True
+
+
+def _failed_subtree(
+    loads: tuple[int, ...], cap: int, bins: int, limit: float, memo: dict
+) -> int | None:
+    """Backtracks an exhaustive ``LoadBalance`` search spends below a
+    state with these (ascending) cluster loads, or ``None`` if it may
+    reach ``bins`` clusters or costs more than ``cap``.
+
+    Each admissible pair is one merge, the child's own count, and one
+    backtrack undoing it.  ``memo`` maps a load tuple to its exact
+    count, or to ``-(c + 1)`` once it is known to cost more than ``c``.
+    """
+    if cap < 0:
+        return None
+    known = memo.get(loads)
+    if known is not None and (known >= 0 or cap < -known):
+        return known if 0 <= known <= cap else None
+    total = 0
+    n = len(loads)
+    for a in range(n - 1):
+        if not float(loads[a] + loads[a + 1]) <= limit:
+            break
+        for b in range(a + 1, n):
+            if not float(loads[a] + loads[b]) <= limit:
+                break
+            if n - 1 == bins:
+                memo[loads] = -(cap + 1)
+                return None
+            child = list(loads)
+            del child[b]
+            del child[a]
+            insort(child, loads[a] + loads[b])
+            below = _failed_subtree(tuple(child), cap - total - 1, bins, limit,
+                                    memo)
+            if below is None or total + below + 1 > cap:
+                memo[loads] = -(cap + 1)
+                return None
+            total += below + 1
+    memo[loads] = total
+    return total
 
 
 @dataclass(frozen=True)

@@ -246,10 +246,11 @@ def agglomerate(
             sizes, loads and cross sums carried across merges
             (Lance–Williams), the candidate order kept and extended
             instead of re-sorted, one vectorized admissibility mask per
-            state, and states the policy's ``has_admissible`` calls dead
-            undone before they are scored.  The trajectory — and
-            therefore the result — is bit-identical to the reference
-            loop (``incremental=False``), which is kept as the
+            state, and subtrees that cannot complete priced by the
+            policy's ``failed_merges`` instead of walked.  The
+            trajectory's counts — and therefore the result — are
+            bit-identical to the reference loop
+            (``incremental=False``), which is kept as the
             differential-testing oracle; scorers without (exactly
             summable integer) ``pair_matrices`` and policies without a
             :meth:`~repro.placement.balance.BalancePolicy.pair_mask`
@@ -407,10 +408,16 @@ def _agglomerate_incremental(
       renumbering after a merge is monotone, so neither their order nor
       their ties change — and slotting in the scored pairs with the new
       cluster (:func:`_merge_slots`);
-    * admissibility by one vectorized ``pair_mask``, computed only for a
-      child the policy's ``dead_merges`` test, asked before the child is
-      built, does not call dead.  A dead child is undone at once, exactly
-      as its all-False mask would make the reference loop do.
+    * admissibility by one vectorized ``pair_mask`` per built child.
+
+    Before it builds a child, the loop asks the policy's
+    ``failed_merges`` price with what is left of the budget.  An integer
+    n means the reference loop would merge n times below the child,
+    undo each of them and then the child itself, and never run out of
+    budget on the way; the loop adds that and tries the next candidate.
+    Otherwise it builds the child and searches below it, so when the
+    budget runs out inside a failed subtree, this loop is on the
+    reference's path and the fallback starts from the same clusters.
 
     Every sum is over integers below 2**53, so scores, order and every
     decision — merge choice, backtrack, fallback — land on exactly the
@@ -436,7 +443,9 @@ def _agglomerate_incremental(
                              num_processors)
     if mask is None:
         return None
-    dead = balance.dead_merges(sizes, loads, num_threads, num_processors)
+    memo: dict = {}
+    cost = balance.failed_merges(sizes, loads, num_threads, num_processors,
+                                 memo)
     # The admissible candidates' positions, and how many are spent.
     live: list[int] = np.flatnonzero(mask).tolist()
     cursor = 0
@@ -452,7 +461,7 @@ def _agglomerate_incremental(
                 )
                 return ClusteringResult(finished, merges, backtracks,
                                         relaxed=True)
-            (clusters, sizes, loads, vec, sums, pairs, keys, dead, live,
+            (clusters, sizes, loads, vec, sums, pairs, keys, cost, live,
              cursor) = stack.pop()
             backtracks += 1
             continue
@@ -464,14 +473,14 @@ def _agglomerate_incremental(
         if n - 1 == num_processors:
             return ClusteringResult(_merge(clusters, i, j), merges,
                                     backtracks, relaxed=False)
-        if dead is not None and dead(i, j):
-            if backtracks < max_backtracks:
-                backtracks += 1
+        if cost is not None:
+            # The child's failed subtree, if the budget outlasts it.
+            below = cost(i, j, max_backtracks - backtracks - 1)
+            if below is not None:
+                backtracks += below + 1
+                merges += below
                 continue
-            # Out of budget: the loop top finishes the dead child itself.
-            clusters, live, cursor = _merge(clusters, i, j), [], 0
-            continue
-        stack.append((clusters, sizes, loads, vec, sums, pairs, keys, dead,
+        stack.append((clusters, sizes, loads, vec, sums, pairs, keys, cost,
                       live, cursor))
         # The child's clusters in _merge's order: the kept ones, then the
         # union, which takes cluster i's entry plus cluster j's.
@@ -525,8 +534,8 @@ def _agglomerate_incremental(
 
         mask = balance.pair_mask(pairs, sizes, loads, num_threads,
                                  num_processors)
-        dead = balance.dead_merges(sizes, loads, num_threads,
-                                   num_processors)
+        cost = balance.failed_merges(sizes, loads, num_threads,
+                                     num_processors, memo)
         live = np.flatnonzero(mask).tolist()
         cursor = 0
 

@@ -2,9 +2,10 @@
 
 Under ``+LB`` the search can wander until it has undone
 ``max_backtracks`` combines; the metric-blind fallback then finishes the
-partition.  The incremental engine skips most of that wander's states
-(dead states are undone before they are scored), so these cells pin it
-to the reference loop where it matters most: every
+partition.  The incremental engine walks almost none of that wander: it
+prices each subtree that cannot complete and walks only the path on
+which the budget runs out.  These cells pin it to the reference loop
+where it matters most: every
 :class:`~repro.placement.clustering.ClusteringResult` field must match,
 and each cell must still hit the budget (or empty the stack), so the test
 cannot silently stop exercising the fallback.
@@ -19,31 +20,39 @@ from repro.placement.clustering import agglomerate
 
 pytestmark = pytest.mark.speculation
 
-#: (app, algorithm, processors, threads, backtracks) measured on the
-#: seed-0 suite at scale 0.001.  All but the last exhaust the default
-#: budget of 2000; the last empties the backtrack stack after 40.
+#: (scale, app, algorithm, processors, threads, backtracks) measured on
+#: the seed-0 suite.  All but the sixth exhaust the default budget of
+#: 2000; the sixth empties the backtrack stack after 40.
 CELLS = [
-    ("Fullconn", "SHARE-REFS+LB", 4, 36, 2000),
-    ("Fullconn", "SHARE-ADDR+LB", 4, 36, 2000),
-    ("Fullconn", "MIN-PRIV+LB", 4, 36, 2000),
-    ("LocusRoute", "MAX-WRITES+LB", 8, 24, 2000),
-    ("Vandermonde", "MIN-SHARE+LB", 8, 40, 2000),
-    ("LocusRoute", "SHARE-REFS+LB", 16, 24, 40),
+    (0.001, "Fullconn", "SHARE-REFS+LB", 4, 36, 2000),
+    (0.001, "Fullconn", "SHARE-ADDR+LB", 4, 36, 2000),
+    (0.001, "Fullconn", "MIN-PRIV+LB", 4, 36, 2000),
+    (0.001, "LocusRoute", "MAX-WRITES+LB", 8, 24, 2000),
+    (0.001, "Vandermonde", "MIN-SHARE+LB", 8, 40, 2000),
+    (0.001, "LocusRoute", "SHARE-REFS+LB", 16, 24, 40),
+    (0.004, "Health", "MAX-WRITES+LB", 16, 48, 2000),
 ]
 
 
 @pytest.fixture(scope="module")
-def suite():
-    return ExperimentSuite(scale=0.001, seed=0)
+def suites():
+    made: dict[float, ExperimentSuite] = {}
+
+    def suite(scale: float) -> ExperimentSuite:
+        if scale not in made:
+            made[scale] = ExperimentSuite(scale=scale, seed=0)
+        return made[scale]
+
+    return suite
 
 
 @pytest.mark.parametrize(
-    "app, algorithm, processors, threads, backtracks", CELLS,
-    ids=[f"{app}-{algorithm}@{p}" for app, algorithm, p, _, _ in CELLS])
-def test_budget_cell_matches_reference(suite, app, algorithm, processors,
-                                       threads, backtracks):
+    "scale, app, algorithm, processors, threads, backtracks", CELLS,
+    ids=[f"{app}-{algorithm}@{p}" for _, app, algorithm, p, _, _ in CELLS])
+def test_budget_cell_matches_reference(suites, scale, app, algorithm,
+                                       processors, threads, backtracks):
     algo = algorithm_by_name(algorithm)
-    inputs = PlacementInputs(suite.analysis(app), processors)
+    inputs = PlacementInputs(suites(scale).analysis(app), processors)
     assert inputs.num_threads == threads
     runs = [
         agglomerate(inputs.num_threads, processors, algo.scorer(inputs),

@@ -4,12 +4,16 @@ The clustering engine has two loops: the from-scratch reference (every
 state re-scores and re-sorts every pair, every candidate re-derives sizes
 and re-asks ``allows``) and the incremental path (cross sums carried by
 Lance–Williams updates, the candidate order kept across merges, one
-vectorized ``pair_mask`` per state and dead states undone before they are
-scored).  The contract: same trajectory, same backtracks, same fallback,
-same clusters — bit for bit, for every scorer and balance policy.
+vectorized ``pair_mask`` per state, and failed subtrees priced by the
+policy's ``failed_merges`` instead of walked).  The contract: same
+trajectory, same backtracks, same fallback, same clusters — bit for bit,
+for every scorer and balance policy.
 
-CI runs this file derandomized (``--hypothesis-profile=oracle-ci``).
+CI runs this file derandomized (``--hypothesis-profile=oracle-ci``); the
+tests marked ``oracle`` also run in the oracle job.
 """
+
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -113,8 +117,8 @@ class TestIncrementalClusteringDifferential:
                                                 budget):
         """The budget cut-off and the metric-blind fallback must trigger
         at exactly the same point in both loops — under LoadBalance also
-        when the cut-off lands on a dead state the incremental loop never
-        builds."""
+        when the cut-off lands in a subtree the incremental loop would
+        otherwise price without walking."""
         t, p, lengths, scorer, maximize = problem
         fast = agglomerate(t, p, scorer, policy, lengths,
                            maximize=maximize, max_backtracks=budget,
@@ -131,19 +135,27 @@ class TestIncrementalClusteringDifferential:
            processors=st.integers(1, 4),
            tolerance=st.sampled_from([0.0, 0.10, 0.35]),
            data=st.data())
-    def test_dead_merges_matches_mask_pointwise(self, clusters, processors,
-                                                tolerance, data):
-        """``dead(i, j)`` is exactly "the merged state's mask is
-        all-False", for every merge of a random state."""
+    def test_dead_merges_cost_zero_pointwise(self, clusters, processors,
+                                             tolerance, data):
+        """``cost(i, j, cap)`` is 0 exactly when the merged state's mask is
+        all-False, for every merge of a random state; a child that is
+        already a full partition, or a negative budget, is never
+        priced."""
         policy = LoadBalance(tolerance)
         loads = np.array(clusters, dtype=np.int64)
         sizes = np.array(data.draw(st.lists(
             st.integers(1, 3), min_size=loads.size, max_size=loads.size)),
             dtype=np.int64)
-        dead = policy.dead_merges(sizes, loads, int(sizes.sum()), processors)
+        cost = policy.failed_merges(sizes, loads, int(sizes.sum()),
+                                    processors, {})
         n = loads.size
         for i in range(n):
             for j in range(i + 1, n):
+                price = cost(i, j, 1000)
+                assert cost(i, j, -1) is None
+                if n - 1 <= processors:
+                    assert price is None, (i, j)
+                    continue
                 keep = [k for k in range(n) if k not in (i, j)]
                 child_sizes = np.append(sizes[keep], sizes[i] + sizes[j])
                 child_loads = np.append(loads[keep], loads[i] + loads[j])
@@ -152,7 +164,156 @@ class TestIncrementalClusteringDifferential:
                                  dtype=np.int64)
                 mask = policy.pair_mask(pairs, child_sizes, child_loads,
                                         int(sizes.sum()), processors)
-                assert dead(i, j) == (not mask.any()), (i, j)
+                assert (price == 0) == (not mask.any()), (i, j)
+
+    @pytest.mark.oracle
+    @settings(max_examples=100, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 4), min_size=2, max_size=12),
+           processors=st.integers(1, 6))
+    def test_thread_balance_mask_matches_allows(self, sizes, processors):
+        """The mask derived once per size multiset answers every pair of
+        a state as ``allows`` does."""
+        t = sum(sizes)
+        processors = min(processors, len(sizes))
+        policy = ThreadBalance()
+        n = len(sizes)
+        pairs = np.array([(i, j) for i in range(n) for j in range(i + 1, n)],
+                         dtype=np.int64)
+        array = np.array(sizes, dtype=np.int64)
+        mask = policy.pair_mask(pairs, array, array, t, processors)
+        start = np.cumsum([0] + sizes)
+        clusters = [list(range(start[k], start[k + 1])) for k in range(n)]
+        for (i, j), got in zip(pairs, mask):
+            post = [s for k, s in enumerate(sizes) if k not in (i, j)]
+            post.append(sizes[i] + sizes[j])
+            assert bool(got) == policy.allows(
+                clusters[i], clusters[j], post, np.ones(t), t, processors)
+
+
+def _random_matrix(rng, t):
+    matrix = rng.integers(0, 40, size=(t, t)).astype(float)
+    matrix = matrix + matrix.T
+    np.fill_diagonal(matrix, 0.0)
+    return matrix
+
+
+def _root_count(policy, lengths, processors, cap):
+    """The policy's price of a whole search: every admissible merge of the
+    all-singletons state, plus its child's count, plus the backtrack
+    undoing it — or ``None`` if any child is not priced."""
+    n = len(lengths)
+    sizes = np.ones(n, dtype=np.int64)
+    loads = np.array(lengths, dtype=np.int64)
+    pairs = np.array([(i, j) for i in range(n) for j in range(i + 1, n)],
+                     dtype=np.int64)
+    admissible = pairs[policy.pair_mask(pairs, sizes, loads, n, processors)]
+    cost = policy.failed_merges(sizes, loads, n, processors, {})
+    prices = [cost(int(i), int(j), cap) for i, j in admissible]
+    return None if None in prices else sum(price + 1 for price in prices)
+
+
+#: The reference searches' budget in the count oracle.  A run that ends
+#: relaxed below it emptied its stack, exactly as it would with any larger
+#: budget, so its backtracks are the whole search's.
+REFERENCE_BUDGET = 2000
+
+
+@st.composite
+def tight_load_problems(draw):
+    """(lengths, processors, policy): at most nine threads under tight
+    tolerances, so the reference's exhaustive search stays small; small
+    lengths tie often, which makes packings fail."""
+    n = draw(st.integers(3, 9))
+    processors = draw(st.integers(2, n - 1))
+    high = draw(st.sampled_from([12, 1000]))
+    lengths = draw(st.lists(st.integers(1, high), min_size=n, max_size=n))
+    policy = LoadBalance(draw(st.sampled_from([0.0, 0.02, 0.05])))
+    return lengths, processors, policy
+
+
+@pytest.mark.oracle
+class TestFailedSubtreeCount:
+    @settings(max_examples=150, deadline=None)
+    @given(problem=tight_load_problems(), seed=st.integers(0, 2 ** 16))
+    def test_count_equals_the_reference_search(self, problem, seed):
+        """The priced search equals the reference loop's: its backtracks
+        when the stack empties, ``None`` when the search completes."""
+        lengths, processors, policy = problem
+        n = len(lengths)
+        count = _root_count(policy, lengths, processors, 10 ** 9)
+        ref = agglomerate(
+            n, processors,
+            MatrixAverageScorer(_random_matrix(np.random.default_rng(seed),
+                                               n)),
+            policy, lengths, max_backtracks=REFERENCE_BUDGET,
+            incremental=False)
+        if not ref.relaxed:
+            assert count is None
+        elif ref.backtracks < REFERENCE_BUDGET:
+            assert count == ref.backtracks
+        else:
+            assert count is None or count >= REFERENCE_BUDGET
+
+    def test_count_by_hand(self):
+        """Five equal loads into two bins of 2.5: only pairs of singletons
+        merge.  The root's 10 pairs each lead to {1, 1, 1, 2}, whose 3
+        pairs each lead to the dead {1, 2, 2}: 10 * (3 * 1 + 1) = 40."""
+        lengths = [1] * 5
+        assert _root_count(LoadBalance(0.0), lengths, 2, 10 ** 9) == 40
+        assert _root_count(LoadBalance(0.0), lengths, 2, 3) == 40
+        assert _root_count(LoadBalance(0.0), lengths, 2, 2) is None
+        ref = agglomerate(5, 2, MatrixAverageScorer(np.zeros((5, 5))),
+                          LoadBalance(0.0), lengths, incremental=False)
+        assert (ref.backtracks, ref.relaxed) == (40, True)
+
+    def test_budget_cut_offs_inside_priced_subtrees(self):
+        """With near-equal lengths most subtrees fail and are priced; with
+        budgets up to 60 the budget often runs out inside one.  The loop
+        must then walk the reference's path and finish from the same
+        clusters.  The sample must contain such cut-offs, so the test
+        cannot silently stop covering them."""
+        rng = np.random.default_rng(21)
+        cut_offs = 0
+        for _ in range(150):
+            t = int(rng.integers(6, 13))
+            processors = int(rng.integers(2, 6))
+            lengths = (100 + rng.integers(0, 4, size=t)).tolist()
+            tolerance = float(rng.choice([0.0, 0.02, 0.10]))
+            budget = int(rng.integers(0, 61))
+            scorer = MatrixAverageScorer(_random_matrix(rng, t))
+            maximize = bool(rng.integers(0, 2))
+            logged = _PricingLog(tolerance)
+            fast = agglomerate(t, processors, scorer, logged, lengths,
+                               maximize=maximize, max_backtracks=budget,
+                               incremental=True)
+            ref = agglomerate(t, processors, scorer, LoadBalance(tolerance),
+                              lengths, maximize=maximize,
+                              max_backtracks=budget, incremental=False)
+            _assert_equal_runs(fast, ref)
+            cut_offs += sum(
+                1 for cost, i, j, cap, answer in logged.log
+                if answer is None and cap >= 0
+                and cost(i, j, 10 ** 6) is not None)
+        assert cut_offs >= 100
+
+
+@dataclass(frozen=True)
+class _PricingLog(LoadBalance):
+    """``LoadBalance`` logging every priced child as
+    ``(cost, i, j, cap, answer)``."""
+
+    log: list = field(default_factory=list, compare=False)
+
+    def failed_merges(self, sizes, loads, num_threads, num_processors, memo):
+        cost = super().failed_merges(sizes, loads, num_threads,
+                                     num_processors, memo)
+
+        def logged(i, j, cap):
+            answer = cost(i, j, cap)
+            self.log.append((cost, i, j, cap, answer))
+            return answer
+
+        return logged
 
 
 class TestIncrementalClusteringUnit:
@@ -219,9 +380,9 @@ class TestIncrementalClusteringUnit:
 
     @pytest.mark.parametrize("policy", [ThreadBalance(), Unconstrained()],
                              ids=lambda p: type(p).__name__)
-    def test_policies_without_a_dead_test_say_unknown(self, policy):
+    def test_policies_without_a_subtree_price_say_unknown(self, policy):
         sizes = np.array([1, 2, 3], dtype=np.int64)
-        assert policy.dead_merges(sizes, sizes * 10, 6, 2) is None
+        assert policy.failed_merges(sizes, sizes * 10, 6, 2, {}) is None
 
     @pytest.mark.parametrize("policy", POLICIES,
                              ids=lambda p: type(p).__name__)
