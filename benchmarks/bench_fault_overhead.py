@@ -1,7 +1,7 @@
 """Cost of crash-safety: checksums + atomic/fsynced writes vs raw writes.
 
 The hardening added to :class:`~repro.experiments.cache.ResultStore`
-(write-tmp → fsync → rename, sha256 sidecars verified on load) must be
+(write-tmp → fsync → rename, a sha256 trailer verified on load) must be
 cheap relative to the simulations it protects — the acceptance target is
 **< 3% of the per-cell simulation time at the paper's full workload
 scale**.  The store cost is scale-independent (a result is a fixed
@@ -16,6 +16,7 @@ Run as a script for the JSON artifact the CI uploads::
 """
 
 import argparse
+import io
 import json
 import statistics
 import sys
@@ -26,7 +27,11 @@ import pytest
 
 from repro.arch.config import ArchConfig
 from repro.arch.simulator import simulate
-from repro.experiments.cache import ResultStore
+from repro.experiments.cache import (
+    ResultStore,
+    result_from_arrays,
+    result_to_arrays,
+)
 from repro.placement import PlacementInputs, algorithm_by_name
 from repro.trace.analysis import TraceSetAnalysis
 from repro.workload import build_application, spec_for
@@ -52,6 +57,16 @@ def _paper_cell(app: str = "Water", seed: int = 0):
     return traces, placement, config
 
 
+def _raw_round_trip(path, result):
+    """The unhardened baseline: serialize, write, read back and decode one
+    result — no checksum, no fsync, no rename."""
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **result_to_arrays(result))
+    path.write_bytes(buffer.getvalue())
+    with np.load(io.BytesIO(path.read_bytes()), allow_pickle=False) as arrays:
+        return result_from_arrays(arrays)
+
+
 @pytest.fixture(scope="module")
 def water_result():
     traces, placement, config = _paper_cell()
@@ -59,7 +74,7 @@ def water_result():
 
 
 def test_hardened_store_round_trip(benchmark, water_result, tmp_path):
-    store = ResultStore(tmp_path, checksum=True, fsync=True)
+    store = ResultStore(tmp_path)
 
     def cycle():
         store.store(("cell",), water_result)
@@ -71,13 +86,8 @@ def test_hardened_store_round_trip(benchmark, water_result, tmp_path):
 def test_raw_store_round_trip(benchmark, water_result, tmp_path):
     """The unhardened baseline; the delta to the row above is the whole
     cost of crash-safety for one cell."""
-    store = ResultStore(tmp_path, checksum=False, fsync=False)
-
-    def cycle():
-        store.store(("cell",), water_result)
-        return store.load(("cell",))
-
-    assert benchmark(cycle) is not None
+    path = tmp_path / "cell.npz"
+    assert benchmark(_raw_round_trip, path, water_result) is not None
 
 
 # ---------------------------------------------------------------------
@@ -101,17 +111,17 @@ def measure_overhead(workdir, app: str = "Water", reps: int = 9,
     sim_s = _median_seconds(
         lambda: simulate(traces, placement, config), reps)
 
-    hardened = ResultStore(workdir / "hardened", checksum=True, fsync=True)
-    raw = ResultStore(workdir / "raw", checksum=False, fsync=False)
+    hardened = ResultStore(workdir / "hardened")
+    raw = workdir / "raw.npz"
 
-    def round_trip(store):
-        store.store(("cell",), result)
-        assert store.load(("cell",)) is not None
+    def round_trip():
+        hardened.store(("cell",), result)
+        assert hardened.load(("cell",)) is not None
 
-    round_trip(hardened)  # warm both directories
-    round_trip(raw)
-    hardened_s = _median_seconds(lambda: round_trip(hardened), reps)
-    raw_s = _median_seconds(lambda: round_trip(raw), reps)
+    round_trip()  # warm both paths
+    _raw_round_trip(raw, result)
+    hardened_s = _median_seconds(round_trip, reps)
+    raw_s = _median_seconds(lambda: _raw_round_trip(raw, result), reps)
 
     delta_s = hardened_s - raw_s
     # The simulation cost at the paper's scale (1.0), extrapolated

@@ -10,8 +10,8 @@ of :class:`~repro.arch.stats.SimulationResult` round-trips through plain
 arrays, keyed by a SHA-256 of the cell descriptor (workload scale/seed,
 application, algorithm, machine).
 
-Durability — atomic commits, sha256 sidecars, verify-on-load with
-evict-and-recompute — is delegated to
+Durability — atomic commits, a sha256 trailer in every entry,
+verify-on-load with evict-and-recompute — is delegated to
 :class:`repro.util.verified_store.VerifiedDirectory`, the discipline this
 store shares with the trace-chunk store.
 """
@@ -186,36 +186,23 @@ class ResultStore:
 
     Crash-safe: entries are committed by write-tmp → fsync → rename, so a
     killed writer leaves either no entry or a complete one, never a torn
-    ``.npz``.  Each entry carries a ``.npz.sha256`` sidecar, verified on
-    load; an entry whose bytes no longer match (bit rot, a torn write
-    from an unhardened writer, an injected ``corrupt``/``truncate``
-    fault) is evicted and recomputed, never returned.
+    ``.npz``.  Each entry file ends in a sha256 trailer over its payload,
+    verified on load; an entry whose bytes no longer match (bit rot, a
+    torn write from an unhardened writer, an injected ``corrupt``/
+    ``truncate`` fault, an entry written before the trailer format) is
+    evicted and recomputed, never returned.
 
     Args:
         directory: Store root (created if missing).
-        checksum: Write and verify sha256 sidecars (on by default; the
-            overhead benchmark turns it off to measure the cost).
-        fsync: Sync entry bytes and renames to disk (on by default).
     """
 
-    def __init__(self, directory: str | Path, *, checksum: bool = True,
-                 fsync: bool = True) -> None:
+    def __init__(self, directory: str | Path) -> None:
         self._entries = VerifiedDirectory(
-            directory, checksum=checksum, fsync=fsync,
-            fault_site="store", logger=log,
-        )
+            directory, fault_site="store", logger=log)
 
     @property
     def directory(self) -> Path:
         return self._entries.directory
-
-    @property
-    def checksum(self) -> bool:
-        return self._entries.checksum
-
-    @property
-    def fsync(self) -> bool:
-        return self._entries.fsync
 
     @staticmethod
     def _name(key: tuple) -> str:
@@ -232,9 +219,9 @@ class ResultStore:
         """The stored result for ``key``, or None.
 
         Checksum-failing, corrupt, truncated or stale-format files are
-        treated as misses: they are logged and evicted (entry and
-        sidecar) so the caller recomputes the cell and the next ``store``
-        writes a clean entry — a damaged cache never aborts a report.
+        treated as misses: they are logged and evicted so the caller
+        recomputes the cell and the next ``store`` writes a clean entry —
+        a damaged cache never aborts a report.
         """
         return self._entries.load(
             self._name(key), _decode_result,
@@ -245,12 +232,11 @@ class ResultStore:
         """Persist ``result`` under ``key``; True if it was committed.
 
         The commit point is the final rename: a crash at any earlier
-        moment leaves only a temporary file (cleaned up on the next
-        attempt's failure path) and possibly a stale sidecar, both
-        invisible to :meth:`load`.  A filesystem error (disk full,
-        permissions) degrades to a logged warning and False — the caller
-        still holds the in-memory result, so a sick disk never aborts a
-        sweep; the cell is simply recomputed next run.
+        moment leaves only a temporary file, invisible to :meth:`load`.
+        A filesystem error (disk full, permissions) degrades to a logged
+        warning and False — the caller still holds the in-memory result,
+        so a sick disk never aborts a sweep; the cell is simply
+        recomputed next run.
         """
         buffer = io.BytesIO()
         np.savez_compressed(buffer, **result_to_arrays(result))

@@ -173,7 +173,7 @@ def mangle(site: str, path: str | Path, context: str | None = None) -> bool:
 
     Returns True if the file was damaged.  This simulates what the
     hardened loaders must survive: bit rot, or a partial write left by an
-    unhardened writer — the sha256 sidecar check catches either.
+    unhardened writer — the store entry's sha256 trailer catches either.
     """
     plan = active_plan()
     if plan is None:

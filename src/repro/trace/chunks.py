@@ -11,13 +11,13 @@ instead of O(total references).
 
 :class:`ChunkStore` spills chunks to disk through the shared
 :class:`~repro.util.verified_store.VerifiedDirectory` discipline (atomic
-tmp→fsync→rename commits, sha256 sidecars verified on every load), so a
-million-reference scenario can be generated once, dropped from memory,
-and replayed from disk chunk by chunk.  Damage is handled like every
-other verified store in the pipeline: a chunk whose bytes no longer
-match its sidecar is evicted and reported as missing — the spill is a
-cache of generated data, never the only copy of ground truth, so the
-caller regenerates.
+tmp→fsync→rename commits, a sha256 trailer in every entry verified on
+every load), so a million-reference scenario can be generated once,
+dropped from memory, and replayed from disk chunk by chunk.  Damage is
+handled like every other verified store in the pipeline: a chunk whose
+bytes no longer match its trailer is evicted and reported as missing —
+the spill is a cache of generated data, never the only copy of ground
+truth, so the caller regenerates.
 """
 
 from __future__ import annotations
@@ -140,8 +140,8 @@ class ChunkStore:
 
     Entries are named ``t<thread>-c<index>.npz``; the store is a plain
     :class:`VerifiedDirectory`, so commits are atomic, every load is
-    checksum-verified, and the chaos harness can strike the write path
-    at fault site ``chunks``.
+    verified against the entry's sha256 trailer, and the chaos harness
+    can strike the write path at fault site ``chunks``.
     """
 
     #: Decoder failures treated as damage (evict + MissingChunkError).

@@ -1,10 +1,10 @@
 """Crash-safe file writes: write-tmp → fsync → rename.
 
-Every artifact the pipeline persists (result-store ``.npz`` entries,
-checksum sidecars, JSON/CSV/HTML exports, the rendered report) goes
-through these helpers, so a crash — or an injected fault — at any moment
-leaves either the complete previous file or the complete new file at the
-target path, never a torn hybrid.
+Every artifact the pipeline persists (self-verifying store entries,
+JSON/CSV/HTML exports, the rendered report) goes through these helpers,
+so a crash — or an injected fault — at any moment leaves either the
+complete previous file or the complete new file at the target path,
+never a torn hybrid.
 
 The protocol:
 
@@ -65,7 +65,6 @@ def atomic_write_bytes(
     path: str | Path,
     data: bytes,
     *,
-    fsync: bool = True,
     fault_site: str | None = "artifact",
 ) -> None:
     """Atomically replace ``path`` with ``data`` (tmp → fsync → rename).
@@ -73,9 +72,6 @@ def atomic_write_bytes(
     Args:
         path: Destination file.
         data: Full payload.
-        fsync: Sync file (and directory) before/after the rename.  Leave
-            on for artifacts that must survive power loss; benchmarks may
-            disable it to measure the cost.
         fault_site: Fault-injection site checked before writing (None
             disables the hook).  An injected ``disk-full`` fault raises
             here, with the destination untouched.
@@ -94,8 +90,7 @@ def atomic_write_bytes(
         with open(temporary, "wb") as stream:
             stream.write(data)
             stream.flush()
-            if fsync:
-                os.fsync(stream.fileno())
+            os.fsync(stream.fileno())
         os.replace(temporary, path)
     except BaseException:
         try:
@@ -103,8 +98,7 @@ def atomic_write_bytes(
         except OSError:
             pass
         raise
-    if fsync:
-        fsync_directory(path.parent)
+    fsync_directory(path.parent)
 
 
 def atomic_write_text(
@@ -112,9 +106,7 @@ def atomic_write_text(
     text: str,
     *,
     encoding: str = "utf-8",
-    fsync: bool = True,
     fault_site: str | None = "artifact",
 ) -> None:
     """:func:`atomic_write_bytes` for text payloads."""
-    atomic_write_bytes(path, text.encode(encoding), fsync=fsync,
-                       fault_site=fault_site)
+    atomic_write_bytes(path, text.encode(encoding), fault_site=fault_site)

@@ -1,5 +1,7 @@
 """Tests for the persistent result store."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.experiments.cache import ResultStore, result_from_arrays, result_to_a
 from repro.experiments.runner import ExperimentSuite
 from repro.placement.base import PlacementMap
 from repro.trace.stream import ThreadTrace, TraceSet
+from repro.util.verified_store import TRAILER_BYTES, VerifiedDirectory
 
 
 def small_result():
@@ -27,6 +30,22 @@ def small_result():
         )
     app = TraceSet("t", threads)
     return simulate(app, PlacementMap([0, 1, 0], 2), ArchConfig(2, 2, cache_words=64))
+
+
+def stored_arrays(path):
+    """The arrays of a store entry: its payload without the trailer."""
+    payload = path.read_bytes()[:-TRAILER_BYTES]
+    with np.load(io.BytesIO(payload)) as arrays:
+        return dict(arrays)
+
+
+def recommit(path, arrays):
+    """Rewrite a store entry through the verified commit, so its trailer
+    is valid and only the decoder can object to the crafted arrays."""
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **arrays)
+    entries = VerifiedDirectory(path.parent)
+    assert entries.commit(path.name, buffer.getvalue())
 
 
 class TestRoundTrip:
@@ -99,26 +118,32 @@ class TestResultStore:
         assert store.load(("x",)) is None
         assert not path.exists()
 
-    def test_stale_format_version_is_evicted(self, tmp_path):
+    def test_stale_format_version_is_evicted(self, tmp_path, caplog):
         store = ResultStore(tmp_path)
         store.store(("x",), small_result())
         path = next(tmp_path.glob("*.npz"))
-        arrays = dict(np.load(path))
+        arrays = stored_arrays(path)
         arrays["scalars"] = arrays["scalars"].copy()
         arrays["scalars"][0] = 99  # future format version
-        np.savez_compressed(path, **arrays)
-        assert store.load(("x",)) is None
+        recommit(path, arrays)
+        with caplog.at_level("WARNING", logger="repro.experiments.cache"):
+            assert store.load(("x",)) is None
         assert not path.exists()
+        assert "version" in caplog.text
+        assert "checksum" not in caplog.text
 
-    def test_missing_array_is_evicted(self, tmp_path):
+    def test_missing_array_is_evicted(self, tmp_path, caplog):
         store = ResultStore(tmp_path)
         store.store(("x",), small_result())
         path = next(tmp_path.glob("*.npz"))
-        arrays = dict(np.load(path))
+        arrays = stored_arrays(path)
         del arrays["hits"]
-        np.savez_compressed(path, **arrays)
-        assert store.load(("x",)) is None
+        recommit(path, arrays)
+        with caplog.at_level("WARNING", logger="repro.experiments.cache"):
+            assert store.load(("x",)) is None
         assert not path.exists()
+        assert "KeyError" in caplog.text
+        assert "checksum" not in caplog.text
 
     def test_contains(self, tmp_path):
         store = ResultStore(tmp_path)

@@ -7,6 +7,8 @@ damaged data, damaged entries are evicted so a recompute heals them, and
 ``store`` reports failure instead of raising.
 """
 
+import hashlib
+
 import numpy as np
 
 from repro import faults
@@ -15,6 +17,8 @@ from repro.placement.base import PlacementMap
 from repro.arch.config import ArchConfig
 from repro.arch.simulator import simulate
 from repro.trace.stream import ThreadTrace, TraceSet
+from repro.util.atomicio import sha256_hex
+from repro.util.verified_store import TRAILER_BYTES
 
 
 def small_result():
@@ -35,12 +39,14 @@ def small_result():
 
 
 class TestChecksums:
-    def test_store_writes_a_sidecar(self, tmp_path):
+    def test_store_writes_a_trailer(self, tmp_path):
         store = ResultStore(tmp_path)
         assert store.store(("x",), small_result()) is True
         entry = next(tmp_path.glob("*.npz"))
-        sidecar = entry.with_name(entry.name + ".sha256")
-        assert sidecar.exists()
+        assert [p.name for p in tmp_path.iterdir()] == [entry.name]
+        data = entry.read_bytes()
+        payload, trailer = data[:-TRAILER_BYTES], data[-TRAILER_BYTES:]
+        assert trailer == hashlib.sha256(payload).digest()
         assert store.load(("x",)) is not None
 
     def test_flipped_byte_fails_verification_and_evicts(self, tmp_path, caplog):
@@ -53,24 +59,54 @@ class TestChecksums:
         with caplog.at_level("WARNING", logger="repro.experiments.cache"):
             assert store.load(("x",)) is None
         assert not entry.exists()
-        assert not entry.with_name(entry.name + ".sha256").exists()
         assert "checksum" in caplog.text
 
-    def test_checksums_can_be_disabled(self, tmp_path):
-        store = ResultStore(tmp_path, checksum=False)
-        store.store(("x",), small_result())
-        entry = next(tmp_path.glob("*.npz"))
-        assert not entry.with_name(entry.name + ".sha256").exists()
-        assert store.load(("x",)) is not None
-
-    def test_missing_sidecar_is_tolerated(self, tmp_path):
-        # A cache written by an older version has entries but no sidecars;
-        # they must stay readable.
+    def test_flipped_trailer_byte_fails_verification_and_evicts(
+            self, tmp_path, caplog):
         store = ResultStore(tmp_path)
         store.store(("x",), small_result())
         entry = next(tmp_path.glob("*.npz"))
-        entry.with_name(entry.name + ".sha256").unlink()
-        assert store.load(("x",)) is not None
+        data = bytearray(entry.read_bytes())
+        data[-TRAILER_BYTES] ^= 0x01
+        entry.write_bytes(bytes(data))
+        with caplog.at_level("WARNING", logger="repro.experiments.cache"):
+            assert store.load(("x",)) is None
+        assert not entry.exists()
+        assert "checksum" in caplog.text
+
+    def test_file_shorter_than_trailer_is_evicted(self, tmp_path, caplog):
+        store = ResultStore(tmp_path)
+        store.store(("x",), small_result())
+        entry = next(tmp_path.glob("*.npz"))
+        entry.write_bytes(entry.read_bytes()[:TRAILER_BYTES - 1])
+        with caplog.at_level("WARNING", logger="repro.experiments.cache"):
+            assert store.load(("x",)) is None
+        assert not entry.exists()
+        assert "evicting" in caplog.text
+
+    def test_sidecar_era_entry_is_evicted_and_recomputed(self, tmp_path):
+        # The previous format: a bare .npz with a correct .sha256 sidecar
+        # beside it.  It fails the trailer check and is recomputed.
+        result = small_result()
+        store = ResultStore(tmp_path)
+        store.store(("x",), result)
+        entry = next(tmp_path.glob("*.npz"))
+        payload = entry.read_bytes()[:-TRAILER_BYTES]
+        entry.write_bytes(payload)
+        entry.with_name(entry.name + ".sha256").write_text(
+            sha256_hex(payload) + "\n")
+        assert store.load(("x",)) is None
+        assert not entry.exists()
+        assert store.store(("x",), result) is True
+        assert store.load(("x",)).execution_time == result.execution_time
+
+    def test_len_ignores_leftover_sidecars(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.store(("x",), small_result())
+        entry = next(tmp_path.glob("*.npz"))
+        entry.with_name(entry.name + ".sha256").write_text("0" * 64 + "\n")
+        (tmp_path / "gone.npz.sha256").write_text("0" * 64 + "\n")
+        assert len(store) == 1
 
 
 class TestInjectedDamage:

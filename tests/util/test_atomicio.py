@@ -40,12 +40,7 @@ class TestAtomicWrite:
         assert not list(tmp_path.glob("*.tmp-*"))
 
     def test_fault_site_none_disables_the_hook(self, tmp_path):
-        target = tmp_path / "sidecar.sha256"
+        target = tmp_path / "note.txt"
         with faults.installed("disk-full:artifact", tmp_path / "ledger"):
             atomic_write_text(target, "abc\n", fault_site=None)
         assert target.read_text() == "abc\n"
-
-    def test_fsync_off_still_writes(self, tmp_path):
-        target = tmp_path / "fast.txt"
-        atomic_write_text(target, "quick", fsync=False)
-        assert target.read_text() == "quick"
