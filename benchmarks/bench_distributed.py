@@ -1,7 +1,8 @@
 """Benchmark: distributed grid execution speedup and overhead.
 
 The :mod:`repro.dist` layer shards the simulation grid over worker
-nodes; this benchmark pins down what that buys and what it costs:
+nodes (``repro-serve`` processes sharing one store); this benchmark
+pins down what that buys and what it costs:
 
 * **node scaling** — the same suite over 1, 2, … single-worker nodes
   (fresh store each run, so nothing is answered from cache).  The
@@ -33,9 +34,9 @@ from pathlib import Path
 
 from _harness import Stopwatch, add_json_arg, bench_document, write_json
 
-from repro.dist.client import NodeClient
 from repro.dist.coordinator import run_distributed
 from repro.experiments.api import RunOptions, SuiteRequest, run_suite
+from repro.service.client import ServiceClient
 
 #: One real simulated section: 64 content-addressed cells, each costly
 #: enough (~200 ms) that dispatch overhead does not dominate.
@@ -46,19 +47,18 @@ MIN_2NODE_SPEEDUP = 1.15
 
 
 def _spawn_node(root: Path, tag: str, store: Path) -> subprocess.Popen:
-    """A real single-worker node process (nodes must not share a GIL)."""
+    """A real single-worker ``repro-serve`` node process (nodes must not
+    share a GIL)."""
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
     process = subprocess.Popen(
-        [sys.executable, "-c",
-         "from repro.tools.dist_cli import node_main; import sys; "
-         "sys.exit(node_main())",
+        [sys.executable, "-m", "repro.tools.serve_cli",
          "--data-dir", str(root / tag), "--store-dir", str(store),
          "--port", str(port)],
         stderr=subprocess.DEVNULL)
     process.address = f"127.0.0.1:{port}"
-    assert NodeClient(process.address).wait_ready(timeout=30)
+    assert ServiceClient(process.address).wait_ready(timeout=30)
     return process
 
 
@@ -69,7 +69,7 @@ def _run_on_nodes(num_nodes: int, baseline_text: str, root: Path) -> dict:
              for i in range(num_nodes)]
     t0 = time.perf_counter()
     try:
-        text, cluster = run_distributed(
+        result, cluster = run_distributed(
             SUITE, [node.address for node in nodes],
             root / f"coord-{num_nodes}", store, timeout=600)
         wall_s = time.perf_counter() - t0
@@ -80,7 +80,7 @@ def _run_on_nodes(num_nodes: int, baseline_text: str, root: Path) -> dict:
             node.wait(timeout=10)
     assert cluster.ok and not cluster.missing, (
         f"{num_nodes}-node run degraded: {sorted(cluster.missing)[:3]}")
-    assert text == baseline_text, (
+    assert result.report_text == baseline_text, (
         f"{num_nodes}-node report diverged from the sequential baseline")
     return {
         "nodes": num_nodes,

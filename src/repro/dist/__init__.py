@@ -14,19 +14,20 @@ The moving parts:
   nodes, with minimal movement when the node set changes.
 * :mod:`repro.dist.directory` — the partition directory: the versioned,
   atomically-written record of shard→node ownership.
-* :mod:`repro.dist.node` — the worker-node HTTP server (``repro-node``):
-  accepts cell batches, runs them through the ordinary
-  :class:`~repro.exec.engine.ExecutionEngine` against the shared
-  result store, journals every transition to its own JSONL segments,
-  and streams those events back as NDJSON.
-* :mod:`repro.dist.client` — the stdlib HTTP client the coordinator
-  uses to talk to one node (dispatch, health, event streaming), with
-  partition-fault injection and idempotent-GET retries.
-* :mod:`repro.dist.coordinator` — the router/merger (``repro-coord``):
-  plans cells, routes each to its owning node, merges every node's
-  journal stream into one convergent run journal, watches node
-  liveness, rebalances and re-routes when a node dies, and renders the
-  final report from the shared store.
+* :mod:`repro.dist.coordinator` — the router/merger: plans cells,
+  routes each to its owning node, merges every node's journal stream
+  into one convergent run journal, watches node liveness, rebalances
+  and re-routes when a node dies, and renders the final report from
+  the shared store.
+
+The nodes are ``repro-serve`` processes: every service accepts cell
+batches (``POST /v1/cells``), runs them through the ordinary
+:class:`~repro.exec.engine.ExecutionEngine` against the shared result
+store and streams its journal back (:mod:`repro.service`).  A cluster's
+front door is a ``repro-serve --nodes …`` whose jobs run through
+:func:`~repro.dist.coordinator.run_distributed`, and the coordinator
+talks to nodes with the service's own
+:class:`~repro.service.client.ServiceClient`.
 
 Results never travel over HTTP: nodes write them into the shared
 content-addressed :class:`~repro.experiments.cache.ResultStore`
@@ -36,10 +37,12 @@ transfer is idempotent.  See ``docs/DISTRIBUTION.md`` for the topology,
 the failure matrix and the byte-identity argument.
 """
 
-from repro.dist.client import NodeClient, NodeError
-from repro.dist.coordinator import ClusterResult, DistributedCoordinator
+from repro.dist.coordinator import (
+    ClusterResult,
+    DistributedCoordinator,
+    run_distributed,
+)
 from repro.dist.directory import PartitionDirectory
-from repro.dist.node import NodeServer, start_node_in_background
 from repro.dist.ring import DEFAULT_NUM_SHARDS, HashRing, shard_of
 
 __all__ = [
@@ -47,10 +50,7 @@ __all__ = [
     "DEFAULT_NUM_SHARDS",
     "DistributedCoordinator",
     "HashRing",
-    "NodeClient",
-    "NodeError",
-    "NodeServer",
     "PartitionDirectory",
+    "run_distributed",
     "shard_of",
-    "start_node_in_background",
 ]

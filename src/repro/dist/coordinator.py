@@ -22,7 +22,8 @@ One :class:`DistributedCoordinator` drives one distributed grid run:
    merged journal is therefore one convergent, ordinary run journal:
    ``repro-stats`` reads it, the progress meter follows it, and
    :meth:`~repro.exec.journal.RunJournal.completed_jobs` over it is
-   what makes ``--resume`` work across the whole cluster.
+   what lets a later run in the same directory resume across the whole
+   cluster.
 3. **Watch.**  A liveness watchdog polls every node's ``/healthz``
    through a dedicated non-retrying client, so ``liveness_failures``
    *consecutive* failures (refused, reset, timed out, or an injected
@@ -46,8 +47,11 @@ Because nodes write results straight into the shared content-addressed
 store and every report is rendered *from the store*, none of this
 machinery can change the report's bytes — the distributed path ends at
 the same :func:`~repro.experiments.report.write_report` call over the
-same results as the sequential baseline.  ``docs/DISTRIBUTION.md``
-walks the full argument.
+same results as the sequential baseline.  Nodes are ``repro-serve``
+processes spoken to through :class:`~repro.service.client.ServiceClient`,
+and a cluster front door is a ``repro-serve --nodes …`` whose jobs run
+through :func:`run_distributed`.  ``docs/DISTRIBUTION.md`` walks the
+full argument.
 """
 
 from __future__ import annotations
@@ -58,13 +62,17 @@ import time
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.dist.client import NodeClient, NodeError, NodeUnreachable
 from repro.dist.directory import PartitionDirectory
 from repro.dist.ring import DEFAULT_NUM_SHARDS, shard_of
 from repro.exec.jobs import JobSpec, plan_sections
 from repro.exec.journal import COMPLETED_EVENTS, RunJournal
 from repro.experiments.cache import ResultStore
+from repro.service.client import ServiceClient, ServiceError
+
+if TYPE_CHECKING:
+    from repro.experiments.api import SuiteRequest, SuiteResult
 
 __all__ = ["DistributedCoordinator", "ClusterResult", "run_distributed"]
 
@@ -117,11 +125,10 @@ class DistributedCoordinator:
             a hung node must become a timely liveness failure).
         stream_timeout: Lifetime of one journal stream before the
             merger reconnects with its cursor.
-        resume: Skip cells the merged journal confirms complete (and
-            whose result is still in the store) from a previous run.
-        listener: Optional callable receiving every merged journal
-            event (progress meters); same contract as
-            :class:`~repro.exec.journal.RunJournal` listeners.
+
+    A run always resumes: cells the merged journal in ``data_dir``
+    confirms complete *and* whose result is still in the store are
+    journaled ``resumed`` and not dispatched again.
     """
 
     def __init__(
@@ -136,8 +143,6 @@ class DistributedCoordinator:
         reroute_budget: int = 3,
         client_timeout: float = 10.0,
         stream_timeout: float = 5.0,
-        resume: bool = False,
-        listener=None,
     ) -> None:
         if not nodes:
             raise ValueError("a cluster needs at least one node")
@@ -150,8 +155,6 @@ class DistributedCoordinator:
         self.reroute_budget = int(reroute_budget)
         self.client_timeout = client_timeout
         self.stream_timeout = stream_timeout
-        self.resume = bool(resume)
-        self._listener = listener
         #: This run's identity; the node-journal marker the mergers sync
         #: on (events before it are a previous run's history).
         self.run_id = uuid.uuid4().hex[:12]
@@ -162,8 +165,8 @@ class DistributedCoordinator:
         self.directory = PartitionDirectory(
             self.data_dir / "shards.json", num_shards=num_shards)
         self.directory.rebalance(nodes)
-        self._clients: dict[str, NodeClient] = {}
-        self._probes: dict[str, NodeClient] = {}
+        self._clients: dict[str, ServiceClient] = {}
+        self._probes: dict[str, ServiceClient] = {}
         for address in self.directory.nodes:
             self._add_client(address)
         self._lock = threading.Condition()
@@ -182,13 +185,14 @@ class DistributedCoordinator:
         self._journal: RunJournal | None = None
 
     def _add_client(self, address: str) -> None:
-        self._clients[address] = NodeClient(
-            address, timeout=self.client_timeout)
+        self._clients[address] = ServiceClient(
+            address, timeout=self.client_timeout, retries=3,
+            retry_backoff=0.05)
         # The watchdog gets its own non-retrying client: a liveness
         # strike must mean one actual failed probe at heartbeat
         # granularity, not retries x timeout of absorbed backoff —
         # otherwise a hung node takes minutes to be declared dead.
-        self._probes[address] = NodeClient(
+        self._probes[address] = ServiceClient(
             address, timeout=self._probe_timeout, retries=1)
 
     # ------------------------------------------------------------------
@@ -206,16 +210,13 @@ class DistributedCoordinator:
         start = time.perf_counter()
         unique = list({spec.job_id: spec for spec in specs}.values())
         result = ClusterResult(specs=unique)
-        already: set[str] = set()
-        if self.resume:
-            confirmed = RunJournal.completed_jobs(self.journal_path)
-            already = {
-                spec.job_id for spec in unique
-                if spec.job_id in confirmed
-                and self.store.contains(spec.store_key)
-            }
-        self._journal = RunJournal(self.journal_path,
-                                   listener=self._listener)
+        confirmed = RunJournal.completed_jobs(self.journal_path)
+        already = {
+            spec.job_id for spec in unique
+            if spec.job_id in confirmed
+            and self.store.contains(spec.store_key)
+        }
+        self._journal = RunJournal(self.journal_path)
         try:
             self._journal.record(
                 "run-start", jobs=len(unique), cluster=len(self._alive),
@@ -306,7 +307,7 @@ class DistributedCoordinator:
         for node in sorted(self._alive):
             try:
                 self._clients[node].mark_run(self.run_id)
-            except (NodeUnreachable, NodeError, OSError):
+            except (ServiceError, OSError):
                 self._on_node_death(node)
 
     def _dispatch(self, node: str, batch: list[JobSpec]) -> None:
@@ -322,7 +323,7 @@ class DistributedCoordinator:
             client.submit_cells(
                 [spec.to_payload() for spec in batch],
                 directory_version=self.directory.version)
-        except (NodeUnreachable, NodeError, OSError):
+        except (ServiceError, OSError):
             self._on_node_death(node)
 
     # ------------------------------------------------------------------
@@ -361,7 +362,7 @@ class DistributedCoordinator:
             if node in self._dead:
                 return
             try:
-                for seq, entry in client.events(
+                for seq, entry in client.journal_events(
                         after=cursor, timeout=self.stream_timeout):
                     cursor = max(cursor, seq)
                     if not synced:
@@ -371,7 +372,7 @@ class DistributedCoordinator:
                         self._merge_one(node, entry)
                     if self._stop.is_set():
                         return
-            except (NodeUnreachable, NodeError, OSError):
+            except (ServiceError, OSError):
                 if self._stop.is_set() or node in self._dead:
                     return
                 time.sleep(self.heartbeat)
@@ -454,7 +455,7 @@ class DistributedCoordinator:
                 client = self._probes[node]
                 try:
                     ok = client.health().get("status") == "ok"
-                except (NodeUnreachable, NodeError, OSError, ValueError):
+                except (ServiceError, OSError, ValueError):
                     ok = False
                 if ok:
                     self._strikes[node] = 0
@@ -578,7 +579,7 @@ class DistributedCoordinator:
         for address in joined:
             try:
                 self._clients[address].mark_run(self.run_id)
-            except (NodeUnreachable, NodeError, OSError):
+            except (ServiceError, OSError):
                 self._on_node_death(address)
         for target, batch in sorted(batches.items()):
             self._dispatch(target, batch)
@@ -602,16 +603,14 @@ class DistributedCoordinator:
 
 
 def run_distributed(
-    request,
+    request: SuiteRequest,
     nodes: list[str],
     data_dir: str | Path,
     store_dir: str | Path,
     *,
-    resume: bool = False,
     timeout: float | None = None,
-    listener=None,
     coordinator_options: dict | None = None,
-) -> tuple[str, ClusterResult]:
+) -> tuple[SuiteResult, ClusterResult]:
     """Run one :class:`~repro.experiments.api.SuiteRequest` on a cluster.
 
     The distributed analogue of :func:`repro.experiments.api.run_suite`:
@@ -623,21 +622,25 @@ def run_distributed(
     Cells the cluster could not complete degrade to MISSING exactly as
     the single-machine engine's failures do.
 
-    Returns ``(report_text, cluster_result)``.
+    Returns ``(suite_result, cluster_result)``: a
+    :class:`~repro.experiments.api.SuiteResult` holding the rendered
+    suite and its ``report_text``, and the :class:`ClusterResult`.
     """
+    from repro.experiments.api import SuiteResult
     from repro.experiments.report import write_report
     from repro.experiments.runner import ExperimentSuite
 
+    sections = (list(request.sections)
+                if request.sections is not None else None)
     specs = plan_sections(
-        list(request.sections) if request.sections is not None else None,
-        scale=request.scale, seed=request.seed,
+        sections, scale=request.scale, seed=request.seed,
         quantum_refs=request.quantum_refs,
         random_replicates=request.random_replicates,
         stream_chunk_refs=request.stream_chunk_refs,
+        topology=request.topology,
     )
     coordinator = DistributedCoordinator(
-        nodes, data_dir, store_dir, resume=resume, listener=listener,
-        **(coordinator_options or {}))
+        nodes, data_dir, store_dir, **(coordinator_options or {}))
     cluster = coordinator.run(specs, timeout=timeout)
     suite = ExperimentSuite(
         scale=request.scale, seed=request.seed,
@@ -647,6 +650,7 @@ def run_distributed(
         check_invariants=request.check_invariants,
         strict=False,
         stream_chunk_refs=request.stream_chunk_refs,
+        topology=request.topology,
     )
     by_job = {spec.job_id: spec for spec in cluster.specs}
     for job_id, result in cluster.results.items():
@@ -655,8 +659,7 @@ def run_distributed(
         suite.missing.discard(spec.cell)
     for spec in cluster.missing:
         suite.missing.add(spec.cell)
-    sections = (list(request.sections)
-                if request.sections is not None else None)
     buffer = io.StringIO()
     write_report(suite, buffer, sections=sections, charts=request.charts)
-    return buffer.getvalue(), cluster
+    return (SuiteResult(request=request, suite=suite,
+                        report_text=buffer.getvalue()), cluster)

@@ -85,6 +85,7 @@ class PartitionDirectory:
         return directory
 
     def save(self) -> None:
+        """Atomically rewrite the directory file (no-op without a path)."""
         if self.path is None:
             return
         doc = {

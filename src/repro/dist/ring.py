@@ -97,6 +97,8 @@ class HashRing:
         return self.owner_of_point(_point(label))
 
     def owner_of_point(self, point: int) -> str:
+        """The node whose virtual point is the first at or after
+        ``point`` on the ring (wrapping past the top)."""
         index = bisect.bisect_left(self._points, point)
         if index == len(self._points):  # wrap past the top of the ring
             index = 0

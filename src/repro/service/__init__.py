@@ -13,19 +13,27 @@ Four pieces, all stdlib:
 * :mod:`repro.service.manager` — the job engine: a coalescing queue
   (job id == request content address, so identical submissions share
   one run), per-tenant quotas, bounded depth with 429 + Retry-After,
-  worker threads driving :func:`repro.experiments.api.run_suite` into a
-  shared :class:`~repro.experiments.cache.ResultStore`;
-* :mod:`repro.service.server` — the ``/v1`` routes, SSE/NDJSON journal
-  streams via :class:`~repro.exec.journal.JournalTail`, per-route
-  metrics through :mod:`repro.obs`;
+  worker threads driving :func:`repro.experiments.api.run_suite` (or,
+  with ``nodes``, a cluster run) into a shared
+  :class:`~repro.experiments.cache.ResultStore`, plus the serial batch
+  executor that makes every service a cluster worker node;
+* :mod:`repro.service.server` — the ``/v1`` routes (jobs and worker
+  batches), SSE/NDJSON journal streams with a ``seq`` cursor via
+  :class:`~repro.exec.journal.JournalTail`, per-route metrics through
+  :mod:`repro.obs`;
 * :mod:`repro.service.client` — a stdlib client (and ``python -m
-  repro.service.client``) used by the tests, the CI service job and the
-  throughput benchmark.
+  repro.service.client``) used by the tests, the CI service and
+  distributed jobs, the throughput benchmark and the cluster
+  coordinator.
 
 See ``docs/SERVICE.md`` for the API reference and a walkthrough.
 """
 
-from repro.service.client import ServiceClient, ServiceError
+from repro.service.client import (
+    ServiceClient,
+    ServiceError,
+    ServiceUnreachable,
+)
 from repro.service.manager import (
     Busy,
     Job,
@@ -45,6 +53,7 @@ __all__ = [
     "ServerHandle",
     "ServiceClient",
     "ServiceError",
+    "ServiceUnreachable",
     "ServiceServer",
     "start_in_background",
 ]

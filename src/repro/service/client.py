@@ -7,7 +7,11 @@ library.  The one long-lived call is :meth:`events`, which holds its
 connection open and yields journal events as the server streams them;
 :meth:`watch` pipes that stream into the shared
 :func:`~repro.obs.progress.drive_meter`, so a remote run paints the
-same progress line a local ``repro-experiments --progress`` does.
+same progress line a local ``repro-experiments --progress`` does.  The
+same class is the cluster coordinator's client for worker nodes
+(:meth:`~ServiceClient.submit_cells`, :meth:`~ServiceClient.mark_run`,
+:meth:`~ServiceClient.journal_events`): every ``repro-serve`` process
+is both a front door and a worker.
 
 The module doubles as a tiny CLI::
 
@@ -29,16 +33,19 @@ import time
 from datetime import datetime, timezone
 from email.utils import parsedate_to_datetime
 from typing import Callable, Iterator, TypeVar
-from urllib.parse import urlsplit
+from urllib.parse import urlencode, urlsplit
 
-__all__ = ["ServiceClient", "ServiceError", "main", "retry_idempotent"]
+from repro import faults
+
+__all__ = ["ServiceClient", "ServiceError", "ServiceUnreachable", "main",
+           "retry_idempotent"]
 
 _T = TypeVar("_T")
 
 #: Transient transport failures worth retrying on an idempotent request:
 #: ``ConnectionError`` covers refused/reset/aborted/broken-pipe (and
-#: ``http.client.RemoteDisconnected``), plus transport wrappers that
-#: subclass it, like :class:`repro.dist.client.NodeUnreachable`.
+#: ``http.client.RemoteDisconnected``), plus :class:`ServiceUnreachable`,
+#: the one type every transport failure of :class:`ServiceClient` takes.
 _RETRYABLE_ERRORS = (ConnectionError,)
 
 
@@ -100,26 +107,45 @@ class ServiceError(Exception):
         self.retry_after = retry_after
 
 
-class ServiceClient:
-    """Client for one service endpoint.
+class ServiceUnreachable(ConnectionError):
+    """The service could not be reached: refused, reset, timed out, or
+    an injected ``partition:link`` fault.  Every transport failure
+    surfaces as this one type; it subclasses ``ConnectionError`` so the
+    retry helper treats it as transient."""
 
-    Idempotent GETs (status, events, report, …) transparently retry
-    transient connection-refused/reset failures with bounded jittered
-    backoff (:func:`retry_idempotent`) — a restarting server or a
-    healing partition costs a delay, not an exception.  ``submit`` never
-    retries on its own: a POST that died mid-flight *may* have been
-    accepted, and blindly repeating it would be a second submission on
-    a server that happens to not coalesce it.  (Against this server,
-    resubmitting the same request *is* safe — the digest coalesces —
-    so callers wanting at-least-once submission simply call
-    :meth:`submit` again themselves.)
+    def __init__(self, address: str, reason: str) -> None:
+        super().__init__(f"{address} unreachable: {reason}")
+        self.address = address
+        self.reason = reason
+
+
+class ServiceClient:
+    """Client for one service endpoint (a front door or a worker node).
+
+    Idempotent requests (GETs and :meth:`mark_run`) transparently retry
+    transient transport failures with bounded jittered backoff
+    (:func:`retry_idempotent`) — a restarting server or a healing
+    partition costs a delay, not an exception.  :meth:`submit` and
+    :meth:`submit_cells` never retry on their own: a POST that died
+    mid-flight *may* have been accepted, and a dispatch failure must
+    reach the coordinator at once so it can count the failure against
+    the node's liveness and re-route.  (Against this server a repeat is
+    harmless — jobs coalesce by digest and stored cells are answered as
+    cache-hits — so callers wanting at-least-once submission simply
+    call again themselves.)
+
+    Every request first consults :func:`repro.faults.partitioned` (site
+    ``link``, context ``"<host:port> <METHOD> <path>"``): a seeded
+    ``partition:link`` plan makes the request fail exactly like a
+    refused connection.
 
     Args:
-        base_url: e.g. ``http://127.0.0.1:8077`` (scheme optional).
+        base_url: e.g. ``http://127.0.0.1:8077`` or ``127.0.0.1:8077``.
         tenant: Sent as ``X-Tenant`` on every request; the server's
             quota accounting keys on it.
         timeout: Per-request socket timeout in seconds.
-        retries: Total attempts for idempotent GETs (1 disables retry).
+        retries: Total attempts for idempotent requests (1 disables
+            retry).
         retry_backoff: Base backoff in seconds between those attempts.
     """
 
@@ -133,6 +159,9 @@ class ServiceClient:
             raise ValueError(f"only http:// is supported, got {base_url!r}")
         self.host = split.hostname or "127.0.0.1"
         self.port = split.port or 80
+        #: ``host:port`` — a node's identity in rings, journals and
+        #: fault contexts.
+        self.address = f"{self.host}:{self.port}"
         self.tenant = tenant
         self.timeout = timeout
         self.retries = int(retries)
@@ -140,32 +169,50 @@ class ServiceClient:
 
     # -- transport -------------------------------------------------------
 
-    def _connect(self, timeout: float | None = None) -> http.client.HTTPConnection:
-        return http.client.HTTPConnection(
-            self.host, self.port,
-            timeout=self.timeout if timeout is None else timeout)
+    def _sever(self, method: str, path: str) -> None:
+        if faults.partitioned(f"{self.address} {method} {path}"):
+            raise ServiceUnreachable(self.address, "injected partition")
+
+    def _open(self, method: str, path: str, body: dict | None,
+              timeout: float) -> tuple[http.client.HTTPConnection,
+                                       http.client.HTTPResponse]:
+        """Send one request; returns the open connection and response."""
+        connection = http.client.HTTPConnection(self.host, self.port,
+                                                timeout=timeout)
+        headers = {"X-Tenant": self.tenant}
+        payload = None
+        if body is not None:
+            payload = json.dumps(body).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+        try:
+            connection.request(method, path, body=payload, headers=headers)
+            return connection, connection.getresponse()
+        except OSError as exc:
+            connection.close()
+            raise ServiceUnreachable(self.address, str(exc)) from exc
+        except BaseException:
+            connection.close()
+            raise
 
     def _request(self, method: str, path: str,
                  body: dict | None = None) -> tuple[int, dict, bytes]:
         """One request/response cycle; returns (status, headers, body)."""
-        connection = self._connect()
+        self._sever(method, path)
+        connection, response = self._open(method, path, body, self.timeout)
         try:
-            headers = {"X-Tenant": self.tenant}
-            payload = None
-            if body is not None:
-                payload = json.dumps(body).encode("utf-8")
-                headers["Content-Type"] = "application/json"
-            connection.request(method, path, body=payload, headers=headers)
-            response = connection.getresponse()
-            data = response.read()
+            try:
+                data = response.read()
+            except OSError as exc:
+                raise ServiceUnreachable(self.address, str(exc)) from exc
             lowered = {k.lower(): v for k, v in response.getheaders()}
             return response.status, lowered, data
         finally:
             connection.close()
 
     def _retrying(self, request: Callable[[], _T], key: str) -> _T:
-        """Apply this client's idempotent-GET retry policy."""
-        return retry_idempotent(request, key=key, attempts=self.retries,
+        """Apply this client's idempotent-request retry policy."""
+        return retry_idempotent(request, key=f"{self.address}{key}",
+                                attempts=self.retries,
                                 backoff=self.retry_backoff)
 
     def _json(self, method: str, path: str,
@@ -181,6 +228,57 @@ class ServiceClient:
     def _get_json(self, path: str) -> dict:
         """An idempotent JSON GET, with transient-failure retries."""
         return self._retrying(lambda: self._json("GET", path), key=path)
+
+    def _get_bytes(self, path: str) -> bytes:
+        """An idempotent raw GET, with transient-failure retries."""
+        def fetch() -> bytes:
+            status, headers, data = self._request("GET", path)
+            if status >= 400:
+                raise self._error(status, headers, data)
+            return data
+
+        return self._retrying(fetch, key=path)
+
+    def _stream(self, path: str, timeout: float | None) -> Iterator[dict]:
+        """Follow one NDJSON event stream, yielding each event dict.
+
+        ``timeout`` is the server-side bound on the stream's lifetime
+        (the socket timeout is stretched to match).  Establishing the
+        stream is retried (nothing is consumed yet); a transport failure
+        once events flow ends the iterator quietly, as does a torn last
+        line — a caller holding a ``seq`` cursor reconnects with
+        ``after=`` and misses nothing.
+        """
+        self._sever("GET", path)
+        socket_timeout = self.timeout + (timeout or 0.0)
+        connection, response = self._retrying(
+            lambda: self._open("GET", path, None, socket_timeout), key=path)
+        try:
+            if response.status >= 400:
+                lowered = {k.lower(): v for k, v in response.getheaders()}
+                raise self._error(response.status, lowered, response.read())
+            buffer = b""
+            while True:
+                try:
+                    # read1, not read: a plain read(n) on the buffered
+                    # response blocks until n bytes or EOF, holding live
+                    # events hostage until the server closes the stream.
+                    chunk = response.read1(4096)
+                except OSError:
+                    return
+                if not chunk:
+                    return
+                buffer += chunk
+                while b"\n" in buffer:
+                    line, _, buffer = buffer.partition(b"\n")
+                    try:
+                        entry = json.loads(line.decode("utf-8"))
+                    except (UnicodeDecodeError, json.JSONDecodeError):
+                        continue
+                    if isinstance(entry, dict):
+                        yield entry
+        finally:
+            connection.close()
 
     @staticmethod
     def _error(status: int, headers: dict, data: bytes) -> ServiceError:
@@ -223,12 +321,27 @@ class ServiceClient:
             return None
         return max(0.0, delay)
 
-    # -- API -------------------------------------------------------------
+    # -- front-door API --------------------------------------------------
 
     def health(self, *, deep: bool = False) -> dict:
         """GET /healthz (``deep=True`` adds queue depth, executor
-        liveness and the store writability probe — ok vs degraded)."""
+        liveness, batch counters and the store writability probe — ok
+        vs degraded)."""
         return self._get_json("/healthz?deep=1" if deep else "/healthz")
+
+    def wait_ready(self, *, timeout: float = 10.0,
+                   poll: float = 0.05) -> bool:
+        """Poll /healthz (one attempt per poll) until the server
+        answers ok; False if it never does within ``timeout``."""
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline:
+            try:
+                if self._json("GET", "/healthz").get("status") == "ok":
+                    return True
+            except (ServiceError, OSError, ValueError):
+                pass
+            time.sleep(poll)
+        return False
 
     def stats(self) -> dict:
         """GET /v1/stats."""
@@ -236,27 +349,15 @@ class ServiceClient:
 
     def metrics(self) -> str:
         """GET /v1/metrics (Prometheus text)."""
-        def fetch() -> str:
-            status, headers, data = self._request("GET", "/v1/metrics")
-            if status >= 400:
-                raise self._error(status, headers, data)
-            return data.decode("utf-8")
-
-        return self._retrying(fetch, key="/v1/metrics")
+        return self._get_bytes("/v1/metrics").decode("utf-8")
 
     def submit(self, request: dict) -> dict:
         """POST /v1/jobs; returns the job document (with ``created``).
 
         ``request`` is a plain :class:`~repro.experiments.api.SuiteRequest`
         dict, e.g. ``{"sections": ["table1"], "scale": 0.001}``.  Raises
-        :class:`ServiceError` with ``retry_after`` set on a 429.
-
-        Deliberately **not** retried on connection failure: the server
-        may have accepted a submission whose response was lost, and a
-        blind repeat is only safe because *this* server coalesces by
-        digest — a guarantee the transport layer should not assume.
-        Callers who want at-least-once semantics resubmit explicitly
-        (the digest makes that a no-op on this service).
+        :class:`ServiceError` with ``retry_after`` set on a 429.  Never
+        retried (see the class docstring).
         """
         return self._json("POST", "/v1/jobs", body=request)
 
@@ -281,63 +382,22 @@ class ServiceClient:
                     f"job {job_id} still {record['state']} after {timeout}s")
             time.sleep(poll_interval)
 
-    def events(self, job_id: str, *,
+    def events(self, job_id: str, *, after: int = -1,
                timeout: float | None = None) -> Iterator[dict]:
         """Stream the job's journal events (NDJSON), ending after the
         server's synthetic ``job-end`` event.
 
-        The connection stays open for the stream's lifetime;
-        ``timeout`` bounds the *whole stream* via the server-side
-        ``?timeout=`` knob (the socket timeout is stretched to match).
+        Each journal event carries its ``seq`` (ordinal in the job's
+        journal); ``after`` resumes past a seen ``seq``.  ``timeout``
+        bounds the whole stream via the server-side ``?timeout=``.
         """
-        path = f"/v1/jobs/{job_id}/events"
-        socket_timeout = self.timeout
+        query = {"after": after} if after >= 0 else {}
         if timeout is not None:
-            path += f"?timeout={timeout:g}"
-            socket_timeout = timeout + self.timeout
-
-        def connect() -> tuple:
-            connection = self._connect(timeout=socket_timeout)
-            try:
-                connection.request("GET", path,
-                                   headers={"X-Tenant": self.tenant})
-                return connection, connection.getresponse()
-            except BaseException:
-                connection.close()
-                raise
-
-        # Establishing the stream is idempotent (nothing has been
-        # consumed yet) and retried; once events flow, a dropped
-        # connection ends the iterator — the caller decides whether
-        # replaying the stream from the top is acceptable.
-        connection, response = self._retrying(connect, key=path)
-        try:
-            if response.status >= 400:
-                data = response.read()
-                lowered = {k.lower(): v for k, v in response.getheaders()}
-                raise self._error(response.status, lowered, data)
-            buffer = b""
-            while True:
-                # read1, not read: a plain read(n) on the buffered
-                # response blocks until n bytes or EOF, holding live
-                # events hostage until the server closes the stream.
-                chunk = response.read1(4096)
-                if not chunk:
-                    break
-                buffer += chunk
-                while b"\n" in buffer:
-                    line, _, buffer = buffer.partition(b"\n")
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        entry = json.loads(line.decode("utf-8"))
-                    except (UnicodeDecodeError, json.JSONDecodeError):
-                        continue
-                    if isinstance(entry, dict):
-                        yield entry
-        finally:
-            connection.close()
+            query["timeout"] = f"{timeout:g}"
+        path = f"/v1/jobs/{job_id}/events"
+        if query:
+            path += "?" + urlencode(query)
+        return self._stream(path, timeout)
 
     def watch(self, job_id: str, *, stream=None,
               timeout: float | None = None):
@@ -355,18 +415,44 @@ class ServiceClient:
 
     def report(self, job_id: str) -> bytes:
         """GET /v1/jobs/{id}/report — the report's exact bytes."""
-        def fetch() -> bytes:
-            status, headers, data = self._request(
-                "GET", f"/v1/jobs/{job_id}/report")
-            if status >= 400:
-                raise self._error(status, headers, data)
-            return data
-
-        return self._retrying(fetch, key=f"/v1/jobs/{job_id}/report")
+        return self._get_bytes(f"/v1/jobs/{job_id}/report")
 
     def report_json(self, job_id: str) -> dict:
         """GET /v1/jobs/{id}/report.json, parsed."""
         return self._get_json(f"/v1/jobs/{job_id}/report.json")
+
+    # -- worker-node API (the cluster coordinator's side) ----------------
+
+    def submit_cells(self, payloads: list[dict],
+                     directory_version: int | None = None) -> dict:
+        """POST /v1/cells — dispatch one batch of cell payloads (202).
+        Never retried: see the class docstring."""
+        body: dict = {"cells": payloads}
+        if directory_version is not None:
+            body["directory_version"] = directory_version
+        return self._json("POST", "/v1/cells", body)
+
+    def mark_run(self, run_id: str) -> dict:
+        """POST /v1/run-marker — append a coordinator run marker to the
+        node's journal.  Retried: a duplicate marker is inert (the
+        coordinator's merger syncs on the first match)."""
+        return self._retrying(
+            lambda: self._json("POST", "/v1/run-marker", {"run": run_id}),
+            key="/v1/run-marker")
+
+    def journal_events(self, *, after: int = -1,
+                       timeout: float = 10.0
+                       ) -> Iterator[tuple[int, dict]]:
+        """Stream the node's journal as ``(seq, event)`` pairs.
+
+        One bounded stream: the server closes it after ``timeout``
+        seconds and the caller reconnects with ``after=<last seq>`` to
+        continue (the coordinator's merger loop does exactly that).
+        """
+        path = f"/v1/journal/events?after={after}&timeout={timeout:g}"
+        for entry in self._stream(path, timeout):
+            if "seq" in entry:
+                yield int(entry.pop("seq")), entry
 
 
 # ----------------------------------------------------------------------

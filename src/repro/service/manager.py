@@ -25,19 +25,40 @@ Everything the manager does is observable: per-state counters and
 gauges flow through a :class:`~repro.obs.metrics.MetricsRegistry`, and
 each job's engine run writes the standard JSONL journal that the
 service's event streams (and ``repro-stats``) tail.
+
+The same manager is a cluster's worker node and its front door:
+
+* **Worker.**  :meth:`JobManager.submit_cells` queues a coordinator's
+  batch of content-addressed cells for one serial batch executor, which
+  runs it through the ordinary
+  :class:`~repro.exec.engine.ExecutionEngine` against the store and
+  journals every transition to ``<data_dir>/journal.jsonl`` — the
+  journal a coordinator streams back.  The executor thread starts with
+  the first batch, so a service that never gets one runs no extra
+  thread.
+* **Front door.**  With ``nodes`` set, each job runs through
+  :func:`repro.dist.coordinator.run_distributed` over those workers:
+  the coordinator's merged journal *is* the job's journal, so event
+  streams, ``repro-stats`` and the report artifacts work unchanged.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import queue
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro import faults
+from repro.exec.engine import ExecutionEngine
+from repro.exec.jobs import JobSpec
+from repro.exec.journal import RunJournal
 from repro.experiments.api import RunOptions, SuiteRequest, run_suite
+from repro.experiments.cache import ResultStore
 from repro.experiments.export import export_json
 from repro.obs.metrics import MetricsRegistry
 from repro.util.atomicio import atomic_write_text
@@ -169,7 +190,12 @@ class JobManager:
 
     Args:
         data_dir: Root directory; jobs land under ``jobs/<digest>/`` and
-            the shared result store under ``store/``.
+            worker batches journal to ``journal.jsonl``.
+        store_dir: The result store (default ``<data_dir>/store``).  A
+            cluster's front door and its workers must share one.
+        nodes: Worker addresses (``host:port``); when set, every job
+            runs across them through the cluster coordinator instead of
+            a local engine.
         run_jobs: Worker *processes* each engine run fans out to (1 =
             in-thread sequential execution; per-cell SIGALRM timeouts
             need > 1 because workers then run in subprocesses).
@@ -185,6 +211,8 @@ class JobManager:
         self,
         data_dir: str | Path,
         *,
+        store_dir: str | Path | None = None,
+        nodes: list[str] | None = None,
         run_jobs: int = 1,
         executors: int = 1,
         max_queue: int = 16,
@@ -195,9 +223,16 @@ class JobManager:
     ) -> None:
         self.data_dir = Path(data_dir)
         self.jobs_dir = self.data_dir / "jobs"
-        self.store_dir = self.data_dir / "store"
+        self.store_dir = (Path(store_dir) if store_dir is not None
+                          else self.data_dir / "store")
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
         self.store_dir.mkdir(parents=True, exist_ok=True)
+        self.nodes = list(nodes or [])
+        #: The worker journal: every coordinator batch and run marker.
+        self.journal_path = self.data_dir / "journal.jsonl"
+        #: ``host:port`` of the server fronting this manager, set when it
+        #: binds; names this worker in batch journals and fault contexts.
+        self.address: str | None = None
         self.run_jobs = int(run_jobs)
         self.max_queue = int(max_queue)
         self.tenant_quota = int(tenant_quota)
@@ -209,6 +244,11 @@ class JobManager:
         self._cond = threading.Condition()
         self._closed = False
         self._avg_seconds: float | None = None  # EWMA of job durations
+        self._batches: queue.Queue = queue.Queue()
+        self._batch_thread: threading.Thread | None = None
+        self._executing = False
+        self._batches_done = 0
+        self._cells_done = 0
         self._workers = [
             threading.Thread(target=self._worker, name=f"repro-exec-{i}",
                              daemon=True)
@@ -354,12 +394,11 @@ class JobManager:
         """The ``/healthz`` body: liveness, or a deep readiness probe.
 
         Shallow (the default) only proves the process answers.  Deep
-        mode — what the distributed liveness watchdog and rebalancer
-        poll — additionally reports queue depth, how many executor
-        threads are still alive, and whether the shared store accepts
-        writes; ``status`` flips to ``"degraded"`` when any executor has
-        died or the store is unwritable (the service still answers, but
-        routing new work at it is unwise).
+        mode additionally reports queue depth, how many executor threads
+        are still alive, the worker batch counters and whether the store
+        accepts writes; ``status`` flips to ``"degraded"`` when any
+        executor has died or the store is unwritable (the service still
+        answers, but routing new work at it is unwise).
         """
         if not deep:
             return {"status": "ok"}
@@ -368,6 +407,9 @@ class JobManager:
             executors_alive = sum(
                 1 for worker in self._workers if worker.is_alive())
             executors = len(self._workers)
+            batches = {"executing": self._executing,
+                       "batches_done": self._batches_done,
+                       "cells_done": self._cells_done}
         store_writable = probe_writable(self.store_dir)
         degraded = executors_alive < executors or not store_writable
         return {
@@ -375,6 +417,8 @@ class JobManager:
             "queue_depth": queue_depth,
             "executors": executors,
             "executors_alive": executors_alive,
+            "batches_queued": self._batches.qsize(),
+            **batches,
             "store_writable": store_writable,
         }
 
@@ -418,7 +462,8 @@ class JobManager:
                 self._cond.notify_all()
 
     def _execute(self, job: Job) -> None:
-        """Run one job through the engine and persist its artifacts.
+        """Run one job (locally or on the cluster) and persist its
+        artifacts.
 
         Ordering matters for the event streams: the report files and
         ``state.json`` are written *before* the job's state flips to a
@@ -426,23 +471,38 @@ class JobManager:
         signal (with one final drain, as :meth:`RunJournal.tail` does)
         observes every journal event and then finds the artifacts in
         place.
+
+        A degraded run (MISSING cells) ends ``failed``, so it is never
+        served or reloaded as done; resubmitting retries it, and the
+        store (and, on a cluster, the job's merged journal) keeps every
+        cell the failed attempt completed.
         """
-        options = RunOptions(
-            jobs=self.run_jobs,
-            retries=self.retries,
-            timeout=self.timeout if self.run_jobs > 1 else None,
-            journal=str(job.journal_path),
-            cache_dir=str(self.store_dir),
-        )
         error: str | None = None
         try:
-            result = run_suite(job.request, options, render=True)
+            if self.nodes:
+                # Imported here: the coordinator imports this package's
+                # client, so a module-level import would be circular.
+                from repro.dist.coordinator import run_distributed
+
+                result, _ = run_distributed(job.request, self.nodes,
+                                            job.directory, self.store_dir)
+            else:
+                result = run_suite(job.request, RunOptions(
+                    jobs=self.run_jobs,
+                    retries=self.retries,
+                    timeout=self.timeout if self.run_jobs > 1 else None,
+                    journal=str(job.journal_path),
+                    cache_dir=str(self.store_dir),
+                ), render=True)
             atomic_write_text(job.report_path, result.report_text,
                               encoding="utf-8")
             sections = (list(job.request.sections)
                         if job.request.sections is not None else None)
             export_json(result.suite, job.report_json_path,
                         sections=sections)
+            if result.degraded:
+                error = (f"degraded run: {len(result.suite.missing)} "
+                         "MISSING cell(s); resubmit to retry them")
         except Exception as exc:  # a failed run must not kill the worker
             error = f"{type(exc).__name__}: {exc}"
         finished = time.time()
@@ -474,19 +534,93 @@ class JobManager:
         self.registry.counter("service_jobs_finished",
                               state=job.state).inc()
 
+    # -- worker-node batches ---------------------------------------------
+
+    def submit_cells(self, specs: list[JobSpec]) -> int:
+        """Queue one coordinator batch; returns the batch queue depth.
+
+        Accepting a batch twice is harmless: cells are content-addressed
+        and the engine answers already-stored cells as cache-hits, so a
+        coordinator that re-routes work this node already did costs a
+        store lookup per cell, not a recomputation.
+        """
+        with self._cond:
+            if self._closed:
+                raise RuntimeError("manager is shut down")
+            if self._batch_thread is None:
+                self._batch_thread = threading.Thread(
+                    target=self._execute_batches, name="repro-node-exec",
+                    daemon=True)
+                self._batch_thread.start()
+            self._batches.put(specs)
+            return self._batches.qsize()
+
+    def mark_run(self, run: str) -> None:
+        """Journal a coordinator run boundary in the worker journal.
+
+        Worker journals persist across coordinator runs; the marker is
+        the sync point a coordinator's merger waits for, so a previous
+        run's history (a stale ``failed``) never leaks into this one.
+        Appending beside a running batch is safe: both writers flush
+        whole lines under ``O_APPEND``.
+        """
+        with RunJournal(self.journal_path) as journal:
+            journal.record("coordinator-run", run=run, node=self.address)
+
+    def _execute_batches(self) -> None:
+        """The batch executor thread: drain batches serially.
+
+        Serial by design — parallelism lives inside each engine run
+        (``run_jobs``) and across nodes, so one node never has two
+        engine runs racing on its journal.
+        """
+        while True:
+            specs = self._batches.get()
+            if specs is None:
+                return
+            with self._cond:
+                self._executing = True
+            try:
+                faults.fire_node(self.address)
+                engine = ExecutionEngine(
+                    workers=self.run_jobs,
+                    timeout=self.timeout if self.run_jobs > 1 else None,
+                    max_retries=self.retries,
+                    store=ResultStore(self.store_dir),
+                    journal_path=self.journal_path,
+                )
+                report = engine.run(specs)
+                with self._cond:
+                    self._cells_done += len(report.results)
+            except Exception as exc:
+                # An engine blow-up must not kill the executor thread:
+                # journal it (the coordinator sees batch-failed and
+                # re-routes) and keep serving.
+                with RunJournal(self.journal_path) as journal:
+                    journal.record("batch-failed", node=self.address,
+                                   error=f"{type(exc).__name__}: {exc}")
+            finally:
+                with self._cond:
+                    self._executing = False
+                    self._batches_done += 1
+
     # -- lifecycle -------------------------------------------------------
 
     def shutdown(self, timeout: float = 10.0) -> None:
         """Stop accepting work and join the workers.
 
-        Queued jobs still drain (a worker picks them up before exiting);
-        the timeout bounds how long each join waits.
+        Queued jobs and batches still drain (a worker picks them up
+        before exiting); the timeout bounds how long each join waits.
         """
         with self._cond:
             self._closed = True
             self._cond.notify_all()
+            batch_thread = self._batch_thread
         for worker in self._workers:
             worker.join(timeout)
+        if batch_thread is not None:
+            self._batches.put(None)
+            batch_thread.join(timeout)
 
     def __enter__(self) -> "JobManager":
         return self

@@ -7,9 +7,11 @@ to an asyncio socket server speaking the minimal HTTP of
 ========  ===========================  =======================================
 Method    Path                         Meaning
 ========  ===========================  =======================================
-GET       ``/healthz``                 liveness (also ``/v1/healthz``);
-                                       ``?deep=1`` adds queue depth,
-                                       executor liveness and a store
+GET       ``/healthz``                 liveness and this server's
+                                       ``node`` address (also
+                                       ``/v1/healthz``); ``?deep=1`` adds
+                                       queue depth, executor liveness,
+                                       batch counters and a store
                                        writability probe (ok/degraded)
 GET       ``/v1/metrics``              Prometheus text exposition
 GET       ``/v1/stats``                queue/job summary (JSON)
@@ -23,13 +25,30 @@ GET       ``/v1/jobs/{id}/events``     live journal stream — NDJSON by
 GET       ``/v1/jobs/{id}/report``     the rendered text report (byte-equal
                                        to the same suite run offline)
 GET       ``/v1/jobs/{id}/report.json``  the JSON export
+POST      ``/v1/cells``                worker: a coordinator's batch of
+                                       cell payloads; 202 once queued
+POST      ``/v1/run-marker``           worker: journal a coordinator run
+                                       boundary
+GET       ``/v1/journal/events``       worker: NDJSON of the worker
+                                       journal (``?timeout=``, default
+                                       30 s)
 ========  ===========================  =======================================
 
-Event streams are fed by :class:`~repro.exec.journal.JournalTail` over
-the job's engine journal — the same torn-tail-safe reader behind the
-progress meter — and terminate with one synthetic ``job-end`` event
-carrying the final state, so clients need no out-of-band poll to learn
-how the run ended.
+Both event streams come from one loop over
+:class:`~repro.exec.journal.JournalTail` — the same torn-tail-safe
+reader behind the progress meter.  Each event carries ``seq``, its
+ordinal in the append-only journal, so the ordinal survives reconnects:
+a client that lost its stream reconnects with ``?after=<last seq>`` and
+misses nothing, duplicates nothing.  A job stream ends with one
+synthetic ``job-end`` event carrying the final state, so clients need
+no out-of-band poll to learn how the run ended.
+
+Fault injection: every request passes a
+:func:`repro.faults.fire_node` checkpoint (context: the bound
+``host:port``), as does every executed batch, so a seeded plan can
+crash the process (``node-crash:node`` → exit 23, indistinguishable
+from SIGKILL to a cluster) or wedge it (``node-hang:node``) at a
+deterministic contact.
 
 Every request lands in the manager's metrics registry (count by
 route/method/status, latency histogram); an optional background task
@@ -39,12 +58,16 @@ exports the registry to a Prometheus textfile on an interval.
 from __future__ import annotations
 
 import asyncio
+import json
 import threading
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
+from urllib.parse import urlsplit
 
-from repro import __version__
+from repro import __version__, faults
+from repro.exec.jobs import JobSpec
 from repro.exec.journal import JournalTail
 from repro.experiments.api import SuiteRequest
 from repro.service.http import (
@@ -65,6 +88,10 @@ API_PREFIX = "/v1"
 
 #: Seconds between polls while an event stream is idle.
 _STREAM_POLL = 0.05
+
+#: Default lifetime of one worker-journal stream (a coordinator
+#: reconnects with its cursor, so short streams cost nothing).
+_JOURNAL_STREAM_TIMEOUT = 30.0
 
 
 class ServiceServer:
@@ -92,6 +119,8 @@ class ServiceServer:
         self.host = host
         self.port = port
         self.metrics_interval = metrics_interval
+        #: The bound ``host:port`` (known once :meth:`start` returns).
+        self.address: str | None = None
         self._server: asyncio.AbstractServer | None = None
 
     # -- lifecycle -------------------------------------------------------
@@ -102,11 +131,13 @@ class ServiceServer:
             self._handle_connection, self.host, self.port)
         sock = self._server.sockets[0]
         self.port = sock.getsockname()[1]
+        self.address = self.manager.address = f"{self.host}:{self.port}"
         return self._server
 
     async def serve_forever(self) -> None:
-        """Run until cancelled (the CLI's main loop)."""
-        server = await self.start()
+        """Run until cancelled (the CLI's main loop); binds first unless
+        :meth:`start` already did."""
+        server = self._server or await self.start()
         exporter = None
         if self.metrics_interval:
             exporter = asyncio.ensure_future(self._export_metrics_loop())
@@ -163,19 +194,27 @@ class ServiceServer:
             try:
                 writer.close()
                 await writer.wait_closed()
-            except (ConnectionError, OSError):
+            except (ConnectionError, OSError, asyncio.CancelledError):
+                # A stop cancelling this handler ends it here, as a
+                # finished task: a cancelled one makes asyncio's stream
+                # callback log a spurious error on Python 3.11.
                 pass
 
     async def _dispatch(self, request: Request,
                         writer: asyncio.StreamWriter) -> tuple[str, int]:
         """Route one request; returns ``(route_label, status)`` for the
         request metrics.  Non-streaming handlers write one complete
-        response; the events handler streams and closes."""
+        response; the events handlers stream and close."""
+        # The per-request fault checkpoint: a node-crash plan exits the
+        # process here (a cluster sees connections drop — exactly what a
+        # kill -9 looks like); a node-hang plan wedges the response past
+        # the client's socket timeout.
+        faults.fire_node(self.address)
         path, method = request.path, request.method
         if path in ("/healthz", f"{API_PREFIX}/healthz"):
             self._require(method, "GET")
             deep = request.query.get("deep") not in (None, "", "0")
-            body = dict(self.manager.health(deep=deep),
+            body = dict(self.manager.health(deep=deep), node=self.address,
                         version=__version__)
             writer.write(render_response(200, json_bytes(body)))
             return "/healthz", 200
@@ -210,7 +249,8 @@ class ServiceServer:
                 return "/v1/jobs/{id}", 200
             if leaf == "events":
                 self._require(method, "GET")
-                await self._stream_events(request, writer, job)
+                await self._stream_journal(request, writer,
+                                           job.journal_path, job=job)
                 return "/v1/jobs/{id}/events", 200
             if leaf == "report":
                 self._require(method, "GET")
@@ -221,6 +261,19 @@ class ServiceServer:
                 self._require(method, "GET")
                 return "/v1/jobs/{id}/report.json", self._send_artifact(
                     writer, job, job.report_json_path, "application/json")
+        if path == f"{API_PREFIX}/cells":
+            self._require(method, "POST")
+            self._accept_cells(request, writer)
+            return "/v1/cells", 202
+        if path == f"{API_PREFIX}/run-marker":
+            self._require(method, "POST")
+            self._mark_run(request, writer)
+            return "/v1/run-marker", 200
+        if path == f"{API_PREFIX}/journal/events":
+            self._require(method, "GET")
+            await self._stream_journal(request, writer,
+                                       self.manager.journal_path)
+            return "/v1/journal/events", 200
         raise HttpError(404, f"no route for {method} {path}")
 
     @staticmethod
@@ -260,17 +313,58 @@ class ServiceServer:
                                      content_type=content_type))
         return 200
 
-    async def _stream_events(self, request: Request,
-                             writer: asyncio.StreamWriter,
-                             job: Job) -> None:
-        """GET /v1/jobs/{id}/events — follow the job's journal live.
+    def _accept_cells(self, request: Request,
+                      writer: asyncio.StreamWriter) -> None:
+        """POST /v1/cells — parse payloads, queue one batch, 202."""
+        document = request.json()
+        cells = document.get("cells")
+        if not isinstance(cells, list) or not cells:
+            raise HttpError(400, "expected a non-empty 'cells' list")
+        try:
+            specs = [JobSpec.from_payload(payload) for payload in cells]
+        except (TypeError, ValueError) as exc:
+            raise HttpError(400, f"bad cell payload: {exc}")
+        depth = self.manager.submit_cells(specs)
+        body = {
+            "accepted": len(specs),
+            "node": self.address,
+            "queue_depth": depth,
+            "directory_version": document.get("directory_version"),
+        }
+        writer.write(render_response(202, json_bytes(body)))
 
-        Yields every journal event exactly once (torn tails and
-        concurrent appends handled by :class:`JournalTail`), then — once
-        the job is terminal and the file drained — one synthetic
-        ``job-end`` event with the final state.  ``?timeout=SECONDS``
-        bounds the stream for impatient clients.
+    def _mark_run(self, request: Request,
+                  writer: asyncio.StreamWriter) -> None:
+        """POST /v1/run-marker — journal a coordinator run boundary."""
+        run = request.json().get("run")
+        if not isinstance(run, str) or not run:
+            raise HttpError(400, "expected a non-empty 'run' id")
+        self.manager.mark_run(run)
+        writer.write(render_response(200, json_bytes(
+            {"status": "marked", "run": run, "node": self.address})))
+
+    async def _stream_journal(self, request: Request,
+                              writer: asyncio.StreamWriter, path: Path,
+                              job: Job | None = None) -> None:
+        """Follow a journal live: every event once, tagged with ``seq``.
+
+        ``seq`` is the event's ordinal in the append-only journal, so it
+        is stable across reconnects; events at or below ``?after=`` are
+        skipped.  Torn tails are never counted: :class:`JournalTail`
+        only advances past complete lines.  ``?timeout=SECONDS`` bounds
+        the stream (the worker journal defaults to 30 s).  A job stream
+        also ends once the job is terminal and the file drained, with a
+        synthetic ``job-end`` event carrying the final state.
         """
+        try:
+            after = int(request.query.get("after", -1))
+            timeout = request.query.get("timeout")
+            if timeout is None and job is None:
+                timeout = _JOURNAL_STREAM_TIMEOUT
+            deadline = (None if timeout is None
+                        else time.monotonic() + float(timeout))
+        except ValueError:
+            raise HttpError(400, "after/timeout must be numbers")
         sse = request.wants_sse()
         content_type = ("text/event-stream" if sse
                         else "application/x-ndjson")
@@ -279,36 +373,35 @@ class ServiceServer:
         await writer.drain()
 
         def encode(entry: dict) -> bytes:
-            line = json_bytes(entry).decode("utf-8").replace("\n", "")
-            if sse:
-                return f"data: {line}\n\n".encode("utf-8")
-            return (line + "\n").encode("utf-8")
+            line = json.dumps(entry, sort_keys=True)
+            return (f"data: {line}\n\n" if sse else line + "\n").encode(
+                "utf-8")
 
-        deadline = None
-        if "timeout" in request.query:
-            try:
-                deadline = time.monotonic() + float(request.query["timeout"])
-            except ValueError:
-                raise HttpError(400, "timeout must be a number")
-        tailer = JournalTail(job.journal_path)
+        tailer = JournalTail(path)
+        seq = -1
         while True:
-            final = job.terminal  # checked before the drain: no lost tail
+            # Checked before the drain, so no tail is lost.
+            final = job is not None and job.terminal
             events = tailer.poll()
+            wrote = False
             for entry in events:
-                writer.write(encode(entry))
-            if events:
+                seq += 1
+                if seq > after:
+                    writer.write(encode(dict(entry, seq=seq)))
+                    wrote = True
+            if wrote:
                 await writer.drain()
-            if final:
-                break
-            if deadline is not None and time.monotonic() >= deadline:
+            if final or (deadline is not None
+                         and time.monotonic() >= deadline):
                 break
             if not events:
                 await asyncio.sleep(_STREAM_POLL)
-        end = {"event": "job-end", "job": job.id, "state": job.state}
-        if job.error:
-            end["error"] = job.error
-        writer.write(encode(end))
-        await writer.drain()
+        if job is not None:
+            end = {"event": "job-end", "job": job.id, "state": job.state}
+            if job.error:
+                end["error"] = job.error
+            writer.write(encode(end))
+            await writer.drain()
 
 
 @dataclass
@@ -318,6 +411,11 @@ class ServerHandle:
     url: str
     stop: Callable[[], None]
     thread: threading.Thread
+
+    @property
+    def address(self) -> str:
+        """``host:port`` — the server's identity as a cluster node."""
+        return urlsplit(self.url).netloc
 
 
 def start_in_background(
@@ -333,6 +431,10 @@ def start_in_background(
     resolved URL (useful with ``port=0``) and a ``stop()`` that shuts
     the event loop down and joins the thread.  The manager is *not*
     shut down — that stays the caller's job.
+
+    In-process servers share the caller's fault plan, so ``node-crash``
+    plans (which exit the process) belong to ``repro-serve``
+    subprocesses only.
     """
     server = ServiceServer(manager, host=host, port=port,
                            metrics_interval=metrics_interval)
@@ -345,23 +447,24 @@ def start_in_background(
 
         async def main() -> None:
             try:
-                bound = await server.start()
+                await server.start()
             except OSError as exc:
                 holder["error"] = exc
                 started.set()
                 return
             holder["loop"] = asyncio.get_running_loop()
             stop_event = holder["stop_event"] = asyncio.Event()
-            exporter = None
-            if metrics_interval:
-                exporter = asyncio.ensure_future(
-                    server._export_metrics_loop())
+            asyncio.ensure_future(server.serve_forever())
             started.set()
             await stop_event.wait()
-            if exporter is not None:
-                exporter.cancel()
-            bound.close()
-            await bound.wait_closed()
+            # Cancel the serve loop (closing the socket) and handlers
+            # still streaming (a coordinator may hold a journal stream
+            # open across stop).
+            others = [task for task in asyncio.all_tasks()
+                      if task is not asyncio.current_task()]
+            for task in others:
+                task.cancel()
+            await asyncio.gather(*others, return_exceptions=True)
 
         loop.run_until_complete(main())
         loop.close()
@@ -375,7 +478,7 @@ def start_in_background(
 
     def stop() -> None:
         loop = holder.get("loop")
-        if loop is not None:
+        if loop is not None and not loop.is_closed():
             loop.call_soon_threadsafe(holder["stop_event"].set)
         thread.join(10)
 

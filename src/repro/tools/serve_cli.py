@@ -6,6 +6,15 @@ interrupted::
 
     repro-serve --data-dir /tmp/repro-service --port 8077 --executors 2
 
+Every ``repro-serve`` process is also a cluster worker node (it accepts
+coordinator batches on ``/v1/cells``).  A cluster is worker services
+sharing one store, plus a front door that runs each job across them::
+
+    repro-serve --port 8311 --data-dir n1 --store-dir store &
+    repro-serve --port 8312 --data-dir n2 --store-dir store &
+    repro-serve --port 8077 --data-dir front --store-dir store \
+        --nodes 127.0.0.1:8311,127.0.0.1:8312
+
 Ctrl-C drains cleanly: the socket closes first (no new submissions),
 then the manager joins its workers, so in-flight runs seal their
 journals and finished artifacts stay consistent.  See
@@ -39,8 +48,15 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="bind port (default %(default)s; 0 picks "
                              "a free one)")
     parser.add_argument("--data-dir", default="repro-service",
-                        help="jobs + shared result store live here "
+                        help="jobs and the worker journal live here "
                              "(default %(default)s)")
+    parser.add_argument("--store-dir", default=None,
+                        help="the result store (default <data-dir>/store); "
+                             "a cluster's front door and workers must "
+                             "share one")
+    parser.add_argument("--nodes", default=None, metavar="HOST:PORT,...",
+                        help="run every job across these worker services "
+                             "(the cluster front door)")
     parser.add_argument("--run-jobs", type=int, default=1,
                         help="worker processes per engine run "
                              "(default %(default)s)")
@@ -68,8 +84,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Entry point for the ``repro-serve`` console script."""
     args = _build_parser().parse_args(argv)
+    nodes = None
+    if args.nodes is not None:
+        nodes = [address.strip() for address in args.nodes.split(",")
+                 if address.strip()]
+        if not nodes:
+            raise ValueError("--nodes must list at least one host:port")
     manager = JobManager(
         args.data_dir,
+        store_dir=args.store_dir,
+        nodes=nodes,
         run_jobs=args.run_jobs,
         executors=args.executors,
         max_queue=args.queue_depth,
@@ -82,18 +106,12 @@ def main(argv: list[str] | None = None) -> int:
                            metrics_interval=args.metrics_interval)
 
     async def serve() -> None:
-        bound = await server.start()
-        print(f"repro-serve: listening on http://{args.host}:{server.port} "
-              f"(data: {manager.data_dir})", file=sys.stderr, flush=True)
-        exporter = None
-        if args.metrics_interval:
-            exporter = asyncio.ensure_future(server._export_metrics_loop())
-        try:
-            async with bound:
-                await bound.serve_forever()
-        finally:
-            if exporter is not None:
-                exporter.cancel()
+        await server.start()
+        print(f"repro-serve: listening on http://{server.address} "
+              f"(data: {manager.data_dir}, store: {manager.store_dir}"
+              + (f", nodes: {','.join(nodes)}" if nodes else "") + ")",
+              file=sys.stderr, flush=True)
+        await server.serve_forever()
 
     try:
         asyncio.run(serve())

@@ -25,7 +25,6 @@ on — a failed write never damages the previous artifact.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import threading
 from pathlib import Path
@@ -34,13 +33,7 @@ __all__ = [
     "atomic_write_bytes",
     "atomic_write_text",
     "fsync_directory",
-    "sha256_hex",
 ]
-
-
-def sha256_hex(data: bytes) -> str:
-    """The SHA-256 of ``data`` as lowercase hex (artifact checksums)."""
-    return hashlib.sha256(data).hexdigest()
 
 
 def fsync_directory(directory: Path) -> None:

@@ -17,7 +17,6 @@ from repro.placement.base import PlacementMap
 from repro.arch.config import ArchConfig
 from repro.arch.simulator import simulate
 from repro.trace.stream import ThreadTrace, TraceSet
-from repro.util.atomicio import sha256_hex
 from repro.util.verified_store import TRAILER_BYTES
 
 
@@ -94,7 +93,7 @@ class TestChecksums:
         payload = entry.read_bytes()[:-TRAILER_BYTES]
         entry.write_bytes(payload)
         entry.with_name(entry.name + ".sha256").write_text(
-            sha256_hex(payload) + "\n")
+            hashlib.sha256(payload).hexdigest() + "\n")
         assert store.load(("x",)) is None
         assert not entry.exists()
         assert store.store(("x",), result) is True

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro import faults
 from repro.experiments.api import SuiteRequest
 from repro.obs.metrics import MetricsRegistry
 from repro.service.manager import JobManager, QueueFull, QuotaExceeded
@@ -208,6 +209,30 @@ class TestPersistence:
             assert mgr.wait(job.id, timeout=120).state == "done"
         finally:
             mgr.shutdown()
+
+    def test_degraded_run_fails_then_resubmission_completes(self, tmp_path):
+        """A run with a MISSING cell ends ``failed`` (never served or
+        reloaded as done); after a restart, resubmitting retries it and
+        the report matches the offline run byte for byte."""
+        from repro.exec.jobs import plan_sections
+        from repro.experiments.api import run_suite
+
+        simulated = request(sections=("figure2",))
+        victim = plan_sections(["figure2"], scale=simulated.scale)[0]
+        # Every attempt of one cell fails (1 try + 2 retries).
+        spec = f"error:worker:job={victim.describe()},times=3"
+        with faults.installed(spec, tmp_path / "ledger"):
+            with JobManager(tmp_path / "svc") as first:
+                job, _ = first.submit(simulated, "alice")
+                failed = first.wait(job.id, timeout=120)
+                assert failed.state == "failed"
+                assert "1 MISSING" in failed.error
+        with JobManager(tmp_path / "svc") as second:
+            retried, created = second.submit(simulated, "alice")
+            assert created
+            assert second.wait(retried.id, timeout=120).state == "done"
+            served = retried.report_path.read_text(encoding="utf-8")
+        assert served == run_suite(simulated).report_text
 
 
 class TestObservability:

@@ -205,6 +205,18 @@ class TestEventStream:
         assert journal_kinds.index("run-start") == 0
         assert journal_kinds[-1] == "run-end"
 
+    def test_after_cursor_resumes_past_seen_events(self, service):
+        client, _ = service
+        record = client.submit(CHEAP)
+        client.wait(record["id"], timeout=120)
+        events = list(client.events(record["id"], timeout=60))
+        seqs = [e["seq"] for e in events[:-1]]
+        assert seqs == list(range(len(seqs)))
+        resumed = list(client.events(record["id"], after=seqs[0],
+                                     timeout=60))
+        assert [e.get("seq") for e in resumed[:-1]] == seqs[1:]
+        assert resumed[-1]["event"] == "job-end"
+
     def test_sse_format(self, service):
         client, _ = service
         record = client.submit(CHEAP)

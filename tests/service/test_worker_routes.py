@@ -1,21 +1,31 @@
-"""Worker-node server tests: health, dispatch, journal streaming, faults."""
+"""Worker-node routes of the service: health, batches, journal streaming,
+run markers and link faults — driven through :class:`ServiceClient`
+against a live background server, exactly as a cluster coordinator
+drives a ``repro-serve`` worker."""
 
 import time
 
 import pytest
 
 from repro import faults
-from repro.dist.client import NodeClient, NodeError, NodeUnreachable
-from repro.dist.node import start_node_in_background
 from repro.exec.jobs import plan_sections
 from repro.exec.journal import COMPLETED_EVENTS
+from repro.service.client import (
+    ServiceClient,
+    ServiceError,
+    ServiceUnreachable,
+)
+from repro.service.manager import JobManager
+from repro.service.server import start_in_background
 
 
 @pytest.fixture()
 def node(tmp_path):
-    handle = start_node_in_background(tmp_path / "node", tmp_path / "store")
+    manager = JobManager(tmp_path / "node", store_dir=tmp_path / "store")
+    handle = start_in_background(manager)
     yield handle
     handle.stop()
+    manager.shutdown()
 
 
 def _specs(count=1):
@@ -29,7 +39,7 @@ def _drain_until(client, predicate, *, timeout=60.0):
     cursor = -1
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        for seq, entry in client.events(after=cursor, timeout=1.0):
+        for seq, entry in client.journal_events(after=cursor, timeout=1.0):
             cursor = max(cursor, seq)
             seen.append(entry)
             if predicate(seen):
@@ -39,28 +49,28 @@ def _drain_until(client, predicate, *, timeout=60.0):
     raise AssertionError(f"predicate never satisfied; saw {len(seen)} events")
 
 
-class TestNodeServer:
+class TestWorkerRoutes:
     def test_health_shallow_and_deep(self, node):
-        client = NodeClient(node.address)
+        client = ServiceClient(node.address)
         shallow = client.health()
         assert shallow["status"] == "ok"
         assert shallow["node"] == node.address
         deep = client.health(deep=True)
         assert deep["status"] == "ok"
         assert deep["store_writable"] is True
-        assert "queue_depth" in deep and "batches_done" in deep
+        assert "batches_queued" in deep and "batches_done" in deep
 
     def test_rejects_malformed_batches(self, node):
-        client = NodeClient(node.address)
-        with pytest.raises(NodeError) as excinfo:
+        client = ServiceClient(node.address)
+        with pytest.raises(ServiceError) as excinfo:
             client.submit_cells([{"app": "nope", "bogus": 1}])
         assert excinfo.value.status == 400
-        with pytest.raises(NodeError) as excinfo:
+        with pytest.raises(ServiceError) as excinfo:
             client._json("POST", "/v1/cells", {"cells": []})
         assert excinfo.value.status == 400
 
     def test_executes_batch_and_streams_journal(self, node):
-        client = NodeClient(node.address)
+        client = ServiceClient(node.address)
         specs = _specs(2)
         accepted = client.submit_cells(
             [spec.to_payload() for spec in specs], directory_version=1)
@@ -76,13 +86,14 @@ class TestNodeServer:
         seen, cursor = _drain_until(client, all_done)
         # Cursor reconnect yields nothing already merged, and events
         # carry no seq leak into the payload.
-        again = list(client.events(after=cursor, timeout=0.5))
+        again = list(client.journal_events(after=cursor, timeout=0.5))
         assert [e for _, e in again if e.get("job") in wanted
                 and e["event"] in COMPLETED_EVENTS] == []
         assert all("seq" not in e for e in seen)
+        assert client.health(deep=True)["batches_done"] == 1
 
     def test_duplicate_batch_answers_from_store(self, node):
-        client = NodeClient(node.address)
+        client = ServiceClient(node.address)
         spec = _specs(1)[0]
         client.submit_cells([spec.to_payload()])
         _drain_until(client, lambda seen: any(
@@ -98,26 +109,35 @@ class TestNodeServer:
         assert hits
 
     def test_run_marker_journals_a_boundary(self, node):
-        client = NodeClient(node.address)
+        client = ServiceClient(node.address)
         marked = client.mark_run("run-abc")
         assert marked == {"status": "marked", "run": "run-abc",
                           "node": node.address}
-        seen, _ = _drain_until(client, lambda seen: any(
+        _drain_until(client, lambda seen: any(
             e.get("event") == "coordinator-run" and e.get("run") == "run-abc"
             for e in seen))
         # A marker without a run id is a client error, not a journal entry.
-        with pytest.raises(NodeError) as excinfo:
+        with pytest.raises(ServiceError) as excinfo:
             client._json("POST", "/v1/run-marker", {})
         assert excinfo.value.status == 400
 
+    def test_metrics_list_the_worker_routes(self, node):
+        client = ServiceClient(node.address)
+        client.mark_run("run-m")
+        client.submit_cells([_specs(1)[0].to_payload()])
+        list(client.journal_events(timeout=0.1))
+        text = client.metrics()
+        for route in ("/v1/cells", "/v1/run-marker", "/v1/journal/events"):
+            assert f'route="{route}"' in text
+
     def test_partition_fault_severs_then_heals(self, node, tmp_path):
         ledger = tmp_path / "ledger"
-        client = NodeClient(node.address, retries=1)
+        client = ServiceClient(node.address, retries=1)
         spec = f"partition:link:job={node.address},times=2"
         with faults.installed(spec, ledger):
-            with pytest.raises(NodeUnreachable):
+            with pytest.raises(ServiceUnreachable):
                 client.health()
-            with pytest.raises(NodeUnreachable):
+            with pytest.raises(ServiceUnreachable):
                 client.health()
             # The times budget is spent: the link heals.
             assert client.health()["status"] == "ok"
@@ -126,10 +146,16 @@ class TestNodeServer:
     def test_partition_ridden_out_by_get_retries(self, node, tmp_path):
         # With the retry budget above the partition's times budget, an
         # idempotent GET rides the healing partition out transparently.
-        client = NodeClient(node.address, retries=3, retry_backoff=0.01)
+        client = ServiceClient(node.address, retries=3, retry_backoff=0.01)
         spec = f"partition:link:job={node.address},times=2"
         with faults.installed(spec, tmp_path / "ledger"):
             assert client.health()["status"] == "ok"
+
+    def test_refused_connection_is_unreachable(self):
+        client = ServiceClient("127.0.0.1:9", retries=1, timeout=2.0)
+        with pytest.raises(ServiceUnreachable):
+            client.health()
+        assert client.wait_ready(timeout=0.2) is False
 
 
 class TestNodeFaultHelpers:

@@ -21,6 +21,7 @@ PACKAGES = [
     "repro.experiments",
     "repro.tools",
     "repro.service",
+    "repro.dist",
 ]
 
 MODULES = [
@@ -54,6 +55,7 @@ MODULES = [
     "repro.tools.simulate_cli", "repro.tools.serve_cli",
     "repro.service.http", "repro.service.manager",
     "repro.service.server", "repro.service.client",
+    "repro.dist.ring", "repro.dist.directory", "repro.dist.coordinator",
 ]
 
 

@@ -1,16 +1,9 @@
 """Tests for the crash-safe write helpers."""
 
-import hashlib
-
 import pytest
 
 from repro import faults
-from repro.util.atomicio import atomic_write_bytes, atomic_write_text, sha256_hex
-
-
-class TestSha256:
-    def test_matches_hashlib(self):
-        assert sha256_hex(b"abc") == hashlib.sha256(b"abc").hexdigest()
+from repro.util.atomicio import atomic_write_bytes, atomic_write_text
 
 
 class TestAtomicWrite:

@@ -17,7 +17,6 @@ import threading
 import pytest
 
 from repro import faults
-from repro.util.atomicio import sha256_hex
 from repro.util.verified_store import TRAILER_BYTES, VerifiedDirectory
 
 
@@ -126,7 +125,7 @@ class TestDamage:
         payload = b"payload" * 8  # longer than a trailer
         (store.directory / "a.bin").write_bytes(payload)
         (store.directory / "a.bin.sha256").write_text(
-            sha256_hex(payload) + "\n")
+            hashlib.sha256(payload).hexdigest() + "\n")
         assert store.load("a.bin", bytes) is None
         assert not (store.directory / "a.bin").exists()
         assert store.commit("a.bin", payload) is True
