@@ -111,7 +111,6 @@ def measure_distributed(node_counts=(1, 2, 3)) -> dict:
         # so archived results are interpretable.
         "host_cpus": os.cpu_count(),
         "sequential_s": sequential_s,
-        "coordination_overhead_s": one_node_s - sequential_s,
         "runs": runs,
     }
 
@@ -143,8 +142,6 @@ def main(argv=None) -> int:
     with Stopwatch() as clock:
         report = measure_distributed(node_counts=counts)
     print(f"sequential baseline   {report['sequential_s']:8.2f} s")
-    print(f"coordination overhead {report['coordination_overhead_s']:8.2f} s"
-          f"   (1-node run minus baseline)")
     for run in report["runs"]:
         print(f"{run['nodes']} node(s)             {run['wall_s']:8.2f} s   "
               f"{run['speedup_vs_1node']:.2f}x vs 1 node   "

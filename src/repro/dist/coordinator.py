@@ -636,7 +636,6 @@ def run_distributed(
         sections, scale=request.scale, seed=request.seed,
         quantum_refs=request.quantum_refs,
         random_replicates=request.random_replicates,
-        stream_chunk_refs=request.stream_chunk_refs,
         topology=request.topology,
     )
     coordinator = DistributedCoordinator(
@@ -648,8 +647,6 @@ def run_distributed(
         random_replicates=request.random_replicates,
         cache_dir=str(store_dir),
         check_invariants=request.check_invariants,
-        strict=False,
-        stream_chunk_refs=request.stream_chunk_refs,
         topology=request.topology,
     )
     by_job = {spec.job_id: spec for spec in cluster.specs}

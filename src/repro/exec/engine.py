@@ -94,17 +94,15 @@ _MAX_SUITES = 4
 
 
 def _suite_for(scale: float, seed: int, quantum_refs: int,
-               stream_chunk_refs: int | None = None,
                topology: str | None = None):
     from repro.experiments.runner import ExperimentSuite
 
-    key = (scale, seed, quantum_refs, stream_chunk_refs, topology)
+    key = (scale, seed, quantum_refs, topology)
     if key in _SUITES:
         _SUITES.move_to_end(key)
     else:
         _SUITES[key] = ExperimentSuite(scale=scale, seed=seed,
                                        quantum_refs=quantum_refs,
-                                       stream_chunk_refs=stream_chunk_refs,
                                        topology=topology)
         while len(_SUITES) > _MAX_SUITES:
             _SUITES.popitem(last=False)
@@ -126,7 +124,7 @@ def simulate_cell(payload: dict) -> dict:
     """
     spec = JobSpec.from_payload(payload["spec"])
     suite = _suite_for(spec.scale, spec.seed, spec.quantum_refs,
-                       spec.stream_chunk_refs, spec.topology)
+                       spec.topology)
     probe = None
     if payload.get("probe"):
         from repro.obs.probes import SimProbe, stash_pending

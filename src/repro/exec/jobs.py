@@ -56,11 +56,6 @@ class JobSpec:
     ``app`` and ``algorithm`` are canonicalized on construction (paper
     spelling), so equal cells always compare — and hash — equal.
 
-    ``stream_chunk_refs`` selects chunked streaming replay in the worker
-    suite.  It is excluded from the content address: streaming replay is
-    bit-for-bit identical to whole-column replay (see
-    ``docs/STREAMING.md``), so either mode produces the same cell.
-
     ``topology`` — a spec string like ``numa:4:50:150`` (see
     :mod:`repro.topo.model`) — *is* part of the content address: a tiered
     machine computes genuinely different results.  It is canonicalized on
@@ -78,7 +73,6 @@ class JobSpec:
     scale: float = DEFAULT_SCALE
     seed: int = 0
     quantum_refs: int = 256
-    stream_chunk_refs: int | None = None
     topology: str | None = None
 
     def __post_init__(self) -> None:
@@ -200,7 +194,6 @@ def plan_sections(
     seed: int = 0,
     quantum_refs: int = 256,
     random_replicates: int = 3,
-    stream_chunk_refs: int | None = None,
     topology: str | None = None,
 ) -> list[JobSpec]:
     """The deduplicated, deterministically ordered jobs the chosen report
@@ -210,7 +203,7 @@ def plan_sections(
     cells (if any) are computed sequentially at render time.
     """
     params = dict(scale=scale, seed=seed, quantum_refs=quantum_refs,
-                  stream_chunk_refs=stream_chunk_refs, topology=topology)
+                  topology=topology)
     chosen = set(sections) if sections is not None else set(SIMULATED_SECTIONS)
     jobs: list[JobSpec] = []
     for section, app in _FIGURE_APPS.items():
@@ -228,14 +221,13 @@ def plan_full_grid(
     seed: int = 0,
     quantum_refs: int = 256,
     random_replicates: int = 3,
-    stream_chunk_refs: int | None = None,
     topology: str | None = None,
 ) -> list[JobSpec]:
     """The paper's full evaluation universe: every application x algorithm
     x machine cell (plus RANDOM replicates and the Table 5 infinite-cache
     cells) — ~900 simulations at default replication."""
     params = dict(scale=scale, seed=seed, quantum_refs=quantum_refs,
-                  stream_chunk_refs=stream_chunk_refs, topology=topology)
+                  topology=topology)
     jobs: list[JobSpec] = []
     for app in application_names():
         jobs += _figure_jobs(app, random_replicates=random_replicates,

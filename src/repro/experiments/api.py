@@ -55,12 +55,6 @@ class SuiteRequest:
     Only fields that shape the report's *bytes* live here (sections,
     workload identity, rendering switches) — execution mechanics
     (workers, timeouts, journals) belong in :class:`RunOptions`.
-
-    ``stream_chunk_refs`` is the exception: it selects chunked streaming
-    replay (see ``docs/STREAMING.md``) but is excluded from
-    :attr:`digest` because streaming and whole-column replay are
-    bit-for-bit identical, so a streaming submission coalesces with a
-    materialized one.
     """
 
     sections: tuple[str, ...] | None = None
@@ -70,7 +64,6 @@ class SuiteRequest:
     random_replicates: int = 3
     charts: bool = False
     check_invariants: bool = False
-    stream_chunk_refs: int | None = None
     topology: str | None = None
 
     def __post_init__(self) -> None:
@@ -85,14 +78,6 @@ class SuiteRequest:
         )
         check_positive("quantum_refs", self.quantum_refs)
         check_positive("random_replicates", self.random_replicates)
-        if self.stream_chunk_refs is not None:
-            check_positive("stream_chunk_refs", self.stream_chunk_refs)
-            if self.check_invariants:
-                raise ValueError(
-                    "stream_chunk_refs is incompatible with "
-                    "check_invariants (the oracle audits whole-column "
-                    "replay state)"
-                )
         if self.sections is not None:
             chosen = list(self.sections)
             if not chosen:
@@ -116,18 +101,24 @@ class SuiteRequest:
 
         Unknown keys raise ``ValueError`` (a 400 at the HTTP layer, not a
         silently ignored typo); values are coerced to their field types.
-        The one tolerated legacy key is ``engine`` naming either retired
-        replay engine: requests persisted before that option was removed
-        carry it, and both engines computed exactly the results the one
-        remaining kernel computes.  Any other ``engine`` value still
-        raises.
+        Two legacy keys are tolerated, each only with a value its retired
+        option accepted, since requests persisted before the removal
+        carry them and neither ever changed a result: ``engine`` naming
+        either retired replay engine, and ``stream_chunk_refs`` (null or
+        a positive chunk size; every report path replays whole columns).
+        Any other value of either key still raises.
         """
         if not isinstance(payload, dict):
             raise ValueError(
                 f"suite request must be an object, got {type(payload).__name__}"
             )
+        payload = dict(payload)
         if payload.get("engine") in ("classic", "fast"):
-            payload = {k: v for k, v in payload.items() if k != "engine"}
+            del payload["engine"]
+        if "stream_chunk_refs" in payload:
+            chunk_refs = payload.pop("stream_chunk_refs")
+            if chunk_refs is not None:
+                check_positive("stream_chunk_refs", int(chunk_refs))
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:
@@ -144,8 +135,7 @@ class SuiteRequest:
                 coerced[name] = tuple(str(s) for s in value)
             elif name == "scale":
                 coerced[name] = float(value)
-            elif name in ("seed", "quantum_refs", "random_replicates",
-                          "stream_chunk_refs"):
+            elif name in ("seed", "quantum_refs", "random_replicates"):
                 coerced[name] = int(value)
             elif name in ("charts", "check_invariants"):
                 coerced[name] = bool(value)
@@ -165,7 +155,6 @@ class SuiteRequest:
             "random_replicates": self.random_replicates,
             "charts": self.charts,
             "check_invariants": self.check_invariants,
-            "stream_chunk_refs": self.stream_chunk_refs,
             "topology": self.topology,
         }
 
@@ -192,8 +181,7 @@ class SuiteRequest:
         cells' own SHA-256 content addresses, so the run key is derived
         from the same addressing scheme as the
         :class:`~repro.experiments.cache.ResultStore` entries it will
-        share.  Excludes ``stream_chunk_refs`` (bit-for-bit equivalent
-        replay modes) and every :class:`RunOptions` mechanic.
+        share.  Excludes every :class:`RunOptions` mechanic.
         """
         fields_material = {
             "schema": REQUEST_SCHEMA,
@@ -241,7 +229,6 @@ class RunOptions:
     resume: bool = False
     cache_dir: str | None = None
     observer: object | None = None
-    mp_context: str = "spawn"
 
     def __post_init__(self) -> None:
         check_positive("jobs", self.jobs)
@@ -280,7 +267,6 @@ def run_suite(
     *,
     render: bool = True,
     out: TextIO | None = None,
-    strict: bool = False,
 ) -> SuiteResult:
     """Run one report suite programmatically.
 
@@ -296,10 +282,6 @@ def run_suite(
         out: Render target stream; ``None`` buffers the text into
             :attr:`SuiteResult.report_text` (the CLI passes ``stdout``
             here so long runs stream).
-        strict: Failure policy for cells the prefetch could not compute
-            (see :class:`ExperimentSuite`); the CLI and the service use
-            the default ``False`` so a bad cell degrades to ``MISSING``
-            instead of aborting the report.
 
     Returns:
         A :class:`SuiteResult`; ``result.report_text`` is the exact byte
@@ -312,8 +294,6 @@ def run_suite(
         random_replicates=request.random_replicates,
         cache_dir=options.cache_dir,
         check_invariants=request.check_invariants,
-        strict=strict,
-        stream_chunk_refs=request.stream_chunk_refs,
         topology=request.topology,
     )
     sections = list(request.sections) if request.sections is not None else None
@@ -324,8 +304,7 @@ def run_suite(
                 sections, jobs=options.jobs, timeout=options.timeout,
                 hang_timeout=options.hang_timeout,
                 journal=options.journal, resume=options.resume,
-                max_retries=options.retries, mp_context=options.mp_context,
-                observer=options.observer,
+                max_retries=options.retries, observer=options.observer,
             )
         result.run = run
         result.failures = list(run.failures)

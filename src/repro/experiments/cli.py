@@ -172,15 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
              "byte-identical to omitting the flag",
     )
     parser.add_argument(
-        "--stream-chunk-refs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="replay traces through the chunked streaming view, N "
-             "references per chunk (bit-for-bit identical results with "
-             "bounded resident replay state; see docs/STREAMING.md)",
-    )
-    parser.add_argument(
         "--check-invariants",
         action="store_true",
         help="audit every simulation with the oracle's runtime conservation "
@@ -270,7 +261,6 @@ def main(argv: list[str] | None = None) -> int:
         scale=args.scale, seed=args.seed, quantum_refs=args.quantum_refs,
         charts=args.charts,
         check_invariants=args.check_invariants,
-        stream_chunk_refs=args.stream_chunk_refs,
         topology=args.topology,
     )
     observer = None
@@ -291,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     run_info = None
     try:
-        result = run_suite(request, options, render=False, strict=False)
+        result = run_suite(request, options, render=False)
         suite = result.suite
         sections = (
             list(request.sections) if request.sections is not None else None

@@ -41,7 +41,7 @@ class FigureResult:
 
     ``series[algorithm][i]`` is the execution time under ``algorithm`` on
     ``machines[i]``, normalized to the baseline algorithm — or None for a
-    cell missing from a degraded (non-strict) suite, rendered ``MISSING``.
+    cell missing from a degraded suite, rendered ``MISSING``.
     """
 
     title: str
@@ -157,7 +157,7 @@ class MissComponentsResult:
 
     ``rows``: (machine, algorithm, compulsory, intra-thread conflict,
     inter-thread conflict, invalidation, total misses); counts are
-    machine-wide.  On a degraded (non-strict) suite a missing cell's
+    machine-wide.  On a degraded suite a missing cell's
     counts are all None, rendered ``MISSING``.
     """
 
@@ -223,8 +223,6 @@ def figure5(
             try:
                 result = suite.run(app, name, machine.processors)
             except MissingCellError:
-                if suite.strict:
-                    raise
                 rows.append((str(machine), name,
                              None, None, None, None, None))
                 continue

@@ -45,9 +45,8 @@ class MissingCellError(RuntimeError):
     """A requested cell is marked missing (its computation failed).
 
     Raised by :meth:`ExperimentSuite.run` for cells a degraded prefetch
-    recorded in :attr:`ExperimentSuite.missing`.  Strict suites let it
-    propagate; renderers over a non-strict suite catch it and show the
-    cell as ``MISSING`` instead.
+    recorded in :attr:`ExperimentSuite.missing`; renderers catch it and
+    show the cell as ``MISSING`` instead.
     """
 
 #: The paper's processor axis (Table 3: 2-16 processors).
@@ -100,22 +99,6 @@ class ExperimentSuite:
             This *is* identity — a tiered machine computes genuinely
             different results — so it extends memo keys and store keys
             (only when non-None).
-        stream_chunk_refs: When set, every simulation replays the
-            application's traces through the chunked streaming view
-            (:func:`repro.trace.streaming.as_streaming` with this chunk
-            size) instead of whole-column replay state.  Results are
-            bit-for-bit identical (see ``docs/STREAMING.md``), so the
-            setting is excluded from memo keys, the persistent store and
-            job identity.  Incompatible with
-            ``check_invariants`` (the oracle audits whole-column state).
-        strict: Failure policy for cells a parallel :meth:`prefetch`
-            could not complete.  ``True`` (the default, the library
-            behavior since PR 1): nothing is marked missing and a later
-            :meth:`run` recomputes the cell sequentially.  ``False`` (the
-            CLI's report path): failed cells land in :attr:`missing`, a
-            subsequent :meth:`run` raises :class:`MissingCellError`, and
-            every renderer degrades that cell to ``MISSING`` instead of
-            re-risking a crash or hang at render time.
     """
 
     def __init__(
@@ -127,28 +110,16 @@ class ExperimentSuite:
         random_replicates: int = 3,
         cache_dir: str | None = None,
         check_invariants: bool = False,
-        strict: bool = True,
-        stream_chunk_refs: int | None = None,
         topology: Topology | str | None = None,
     ) -> None:
         check_positive("scale", scale)
         check_positive("random_replicates", random_replicates)
-        if stream_chunk_refs is not None:
-            check_positive("stream_chunk_refs", stream_chunk_refs)
-            if check_invariants:
-                raise ValueError(
-                    "stream_chunk_refs is incompatible with "
-                    "check_invariants: the oracle audits whole-column "
-                    "replay state (see repro.arch.simulator.simulate)"
-                )
         self.scale = scale
         self.seed = seed
         self.quantum_refs = quantum_refs
         self.random_replicates = random_replicates
         self.cache_dir = cache_dir
         self.check_invariants = bool(check_invariants)
-        self.strict = bool(strict)
-        self.stream_chunk_refs = stream_chunk_refs
         #: Canonical topology (None = the flat baseline machine) and its
         #: spec string — the spelling that extends store keys.
         self.topology: Topology | None = canonical_topology(topology)
@@ -169,10 +140,6 @@ class ExperimentSuite:
         self._memo = ResultMemo()
         self._streams = RngStreams(seed).child("experiments")
         self._traces: dict[str, TraceSet] = {}
-        #: Memoized streaming views of the materialized sets (only
-        #: populated when ``stream_chunk_refs`` is set); memoizing keeps
-        #: per-trace derived state (block sets, chunk digests) warm.
-        self._stream_traces: dict[str, object] = {}
         self._analyses: dict[str, TraceSetAnalysis] = {}
         self._coherence: dict[str, np.ndarray] = {}
         self._placements: dict[tuple[str, str, int], PlacementMap] = {}
@@ -195,7 +162,7 @@ class ExperimentSuite:
             _rebuild_suite,
             (self.scale, self.seed, self.quantum_refs,
              self.random_replicates, self.cache_dir, self.check_invariants,
-             self.stream_chunk_refs, self.topology_spec),
+             self.topology_spec),
         )
 
     # ------------------------------------------------------------------
@@ -203,25 +170,12 @@ class ExperimentSuite:
     # ------------------------------------------------------------------
 
     def traces(self, app: str) -> TraceSet:
-        """The application's generated trace set (memoized).
-
-        With ``stream_chunk_refs`` set this returns the memoized chunked
-        streaming view over the materialized columns instead; every
-        consumer downstream (analysis, the replay kernel) branches on the
-        set's ``streaming`` flag and produces identical results.
-        """
+        """The application's generated trace set (memoized)."""
         name = spec_for(app).name
         if name not in self._traces:
             self._traces[name] = build_application(name, scale=self.scale,
                                                    seed=self.seed)
-        if self.stream_chunk_refs is None:
-            return self._traces[name]
-        if name not in self._stream_traces:
-            from repro.trace.streaming import as_streaming
-
-            self._stream_traces[name] = as_streaming(
-                self._traces[name], chunk_refs=self.stream_chunk_refs)
-        return self._stream_traces[name]
+        return self._traces[name]
 
     def analysis(self, app: str) -> TraceSetAnalysis:
         """The application's static analysis (memoized)."""
@@ -416,8 +370,6 @@ class ExperimentSuite:
         journal: str | None = None,
         resume: bool = False,
         max_retries: int = 2,
-        backoff: float = 0.5,
-        mp_context: str = "spawn",
         observer=None,
     ):
         """Precompute every cell the chosen sections need, in parallel.
@@ -432,9 +384,12 @@ class ExperimentSuite:
         live progress — observation never changes the results.
         Successful results are inserted into this suite's memo, so
         subsequent :meth:`run` calls (and any report rendered from this
-        suite) never simulate; a failed cell is reported in the returned
-        :class:`~repro.exec.engine.RunReport` and simply falls back to the
-        sequential path if later requested.
+        suite) never simulate.  A cell the engine gave up on (retries
+        exhausted) is reported in the returned
+        :class:`~repro.exec.engine.RunReport` and marked :attr:`missing`,
+        so it renders as ``MISSING`` rather than being recomputed
+        sequentially — that would re-risk the crash or hang at render
+        time, single-threaded and unjournaled.
 
         Returns:
             The engine's :class:`~repro.exec.engine.RunReport` (results,
@@ -448,14 +403,12 @@ class ExperimentSuite:
             scale=self.scale, seed=self.seed,
             quantum_refs=self.quantum_refs,
             random_replicates=self.random_replicates,
-            stream_chunk_refs=self.stream_chunk_refs,
             topology=self.topology_spec,
         )
         engine = ExecutionEngine(
             workers=jobs, timeout=timeout, hang_timeout=hang_timeout,
-            max_retries=max_retries,
-            backoff=backoff, store=self._store, journal_path=journal,
-            resume=resume, mp_context=mp_context, observer=observer,
+            max_retries=max_retries, store=self._store,
+            journal_path=journal, resume=resume, observer=observer,
         )
         report = engine.run(specs)
         by_job = {spec.job_id: spec for spec in specs}
@@ -464,23 +417,18 @@ class ExperimentSuite:
             if result is not None:
                 self._results[spec.cell] = result
                 self.missing.discard(spec.cell)
-        if not self.strict:
-            # Degraded mode: a cell the engine gave up on (retries
-            # exhausted) renders as MISSING rather than being recomputed
-            # sequentially — recomputing would re-risk the crash or hang
-            # at render time, single-threaded and unjournaled.
-            for failure in report.failures:
-                spec = by_job.get(failure.job_id)
-                if spec is not None:
-                    self.missing.add(spec.cell)
+        for failure in report.failures:
+            spec = by_job.get(failure.job_id)
+            if spec is not None:
+                self.missing.add(spec.cell)
         return report
 
     def execution_time(self, app: str, algorithm: str, processors: int,
                        **kwargs) -> float | None:
         """Execution time of one cell; RANDOM is averaged over replicates.
 
-        On a non-strict suite, a cell marked missing yields None (the
-        renderers' ``MISSING`` marker) instead of raising.
+        A cell marked missing yields None (the renderers' ``MISSING``
+        marker) instead of raising.
         """
         try:
             if algorithm.upper() == "RANDOM":
@@ -494,8 +442,6 @@ class ExperimentSuite:
                 self.run(app, algorithm, processors, **kwargs).execution_time
             )
         except MissingCellError:
-            if self.strict:
-                raise
             return None
 
     def normalized_time(
@@ -510,8 +456,8 @@ class ExperimentSuite:
         """Execution time normalized to a baseline algorithm (the figures'
         Y-axis; RANDOM for Figures 2-4, LOAD-BAL for Table 5).
 
-        None (missing numerator *or* baseline, non-strict suites only)
-        propagates to the caller's ``MISSING`` rendering.
+        None (missing numerator *or* baseline) propagates to the caller's
+        ``MISSING`` rendering.
         """
         ours = self.execution_time(app, algorithm, processors, **kwargs)
         reference = self.execution_time(app, baseline, processors, **kwargs)
@@ -537,12 +483,10 @@ class ExperimentSuite:
 
 
 def _rebuild_suite(scale, seed, quantum_refs, random_replicates, cache_dir,
-                   check_invariants=False, stream_chunk_refs=None,
-                   topology=None):
+                   check_invariants=False, topology=None):
     """Unpickling target for :meth:`ExperimentSuite.__reduce__`."""
     return ExperimentSuite(
         scale=scale, seed=seed, quantum_refs=quantum_refs,
         random_replicates=random_replicates, cache_dir=cache_dir,
-        check_invariants=check_invariants,
-        stream_chunk_refs=stream_chunk_refs, topology=topology,
+        check_invariants=check_invariants, topology=topology,
     )

@@ -210,7 +210,7 @@ def best_static_sharing(
     """Best (lowest execution time) static sharing algorithm for a cell,
     normalized to LOAD-BAL — the paper's Table 5 quantity.
 
-    Cells missing from a degraded (non-strict) suite are skipped; if every
+    Cells missing from a degraded suite are skipped; if every
     candidate is missing the value is None (rendered ``MISSING``).
     """
     best_name, best_value = "", None

@@ -81,7 +81,7 @@ from repro.service.manager import Busy, Job, JobManager
 from repro.util.atomicio import atomic_write_text
 
 __all__ = ["ServiceServer", "ServerHandle", "start_in_background",
-           "API_PREFIX"]
+           "route_label", "API_PREFIX"]
 
 #: Version prefix of every API route.
 API_PREFIX = "/v1"
@@ -92,6 +92,33 @@ _STREAM_POLL = 0.05
 #: Default lifetime of one worker-journal stream (a coordinator
 #: reconnects with its cursor, so short streams cost nothing).
 _JOURNAL_STREAM_TIMEOUT = 30.0
+
+#: Routes at a fixed path; each is labelled by that path in the metrics.
+_FIXED_ROUTES = frozenset(f"{API_PREFIX}/{name}" for name in (
+    "metrics", "stats", "jobs", "cells", "run-marker", "journal/events"))
+
+#: Leaves of a job resource, ``/v1/jobs/{id}[/leaf]`` ("" = the record).
+_JOB_LEAVES = ("", "events", "report", "report.json")
+
+
+def route_label(path: str) -> str:
+    """The route that owns ``path``, as the request metrics label it.
+
+    A fixed route is labelled by its path, a job resource by its
+    template (``/v1/jobs/{id}/report``) and a path no route owns by
+    ``unmatched``.  The label depends on the path alone, so a request
+    that ends in an HTTP error counts under the route it addressed.
+    """
+    if path in ("/healthz", f"{API_PREFIX}/healthz"):
+        return "/healthz"
+    if path in _FIXED_ROUTES:
+        return path
+    prefix = f"{API_PREFIX}/jobs/"
+    if path.startswith(prefix):
+        job_id, _, leaf = path[len(prefix):].partition("/")
+        if job_id and leaf in _JOB_LEAVES:
+            return prefix + "{id}" + (f"/{leaf}" if leaf else "")
+    return "unmatched"
 
 
 class ServiceServer:
@@ -170,7 +197,8 @@ class ServiceServer:
                 if request is None:
                     return
                 method = request.method
-                route, status = await self._dispatch(request, writer)
+                route = route_label(request.path)
+                status = await self._dispatch(route, request, writer)
             except HttpError as exc:
                 status = exc.status
                 writer.write(render_response(
@@ -200,80 +228,75 @@ class ServiceServer:
                 # callback log a spurious error on Python 3.11.
                 pass
 
-    async def _dispatch(self, request: Request,
-                        writer: asyncio.StreamWriter) -> tuple[str, int]:
-        """Route one request; returns ``(route_label, status)`` for the
-        request metrics.  Non-streaming handlers write one complete
-        response; the events handlers stream and close."""
+    async def _dispatch(self, route: str, request: Request,
+                        writer: asyncio.StreamWriter) -> int:
+        """Serve one request on its :func:`route_label` route; returns the
+        status for the request metrics.  Non-streaming handlers write one
+        complete response; the events handlers stream and close."""
         # The per-request fault checkpoint: a node-crash plan exits the
         # process here (a cluster sees connections drop — exactly what a
         # kill -9 looks like); a node-hang plan wedges the response past
         # the client's socket timeout.
         faults.fire_node(self.address)
         path, method = request.path, request.method
-        if path in ("/healthz", f"{API_PREFIX}/healthz"):
+        if route == "/healthz":
             self._require(method, "GET")
             deep = request.query.get("deep") not in (None, "", "0")
             body = dict(self.manager.health(deep=deep), node=self.address,
                         version=__version__)
             writer.write(render_response(200, json_bytes(body)))
-            return "/healthz", 200
-        if path == f"{API_PREFIX}/metrics":
+            return 200
+        if route == f"{API_PREFIX}/metrics":
             self._require(method, "GET")
             writer.write(render_response(
                 200, self.manager.registry.to_prometheus().encode("utf-8"),
                 content_type="text/plain; version=0.0.4"))
-            return "/v1/metrics", 200
-        if path == f"{API_PREFIX}/stats":
+            return 200
+        if route == f"{API_PREFIX}/stats":
             self._require(method, "GET")
             writer.write(render_response(200,
                                          json_bytes(self.manager.stats())))
-            return "/v1/stats", 200
-        if path == f"{API_PREFIX}/jobs":
+            return 200
+        if route == f"{API_PREFIX}/jobs":
             if method == "POST":
-                return "/v1/jobs", self._submit(request, writer)
+                return self._submit(request, writer)
             self._require(method, "GET")
             writer.write(render_response(200, json_bytes(
                 {"jobs": [job.to_dict()
                           for job in self.manager.list_jobs()]})))
-            return "/v1/jobs", 200
-        if path.startswith(f"{API_PREFIX}/jobs/"):
-            rest = path[len(f"{API_PREFIX}/jobs/"):]
-            job_id, _, leaf = rest.partition("/")
+            return 200
+        if route.startswith(f"{API_PREFIX}/jobs/"):
+            job_id, _, leaf = path[len(f"{API_PREFIX}/jobs/"):].partition("/")
             job = self.manager.get(job_id)
             if job is None:
                 raise HttpError(404, f"no job {job_id!r}")
-            if not leaf:
-                self._require(method, "GET")
-                writer.write(render_response(200, json_bytes(job.to_dict())))
-                return "/v1/jobs/{id}", 200
+            self._require(method, "GET")
             if leaf == "events":
-                self._require(method, "GET")
                 await self._stream_journal(request, writer,
                                            job.journal_path, job=job)
-                return "/v1/jobs/{id}/events", 200
+                return 200
             if leaf == "report":
-                self._require(method, "GET")
-                return "/v1/jobs/{id}/report", self._send_artifact(
-                    writer, job, job.report_path,
-                    "text/plain; charset=utf-8")
+                return self._send_artifact(writer, job, job.report_path,
+                                           "text/plain; charset=utf-8")
             if leaf == "report.json":
-                self._require(method, "GET")
-                return "/v1/jobs/{id}/report.json", self._send_artifact(
-                    writer, job, job.report_json_path, "application/json")
-        if path == f"{API_PREFIX}/cells":
+                return self._send_artifact(writer, job,
+                                           job.report_json_path,
+                                           "application/json")
+            writer.write(render_response(200, json_bytes(job.to_dict())))
+            return 200
+        if route == f"{API_PREFIX}/cells":
             self._require(method, "POST")
             self._accept_cells(request, writer)
-            return "/v1/cells", 202
-        if path == f"{API_PREFIX}/run-marker":
+            return 202
+        if route == f"{API_PREFIX}/run-marker":
             self._require(method, "POST")
             self._mark_run(request, writer)
-            return "/v1/run-marker", 200
-        if path == f"{API_PREFIX}/journal/events":
+            return 200
+        if route == f"{API_PREFIX}/journal/events":
             self._require(method, "GET")
             await self._stream_journal(request, writer,
                                        self.manager.journal_path)
-            return "/v1/journal/events", 200
+            return 200
         raise HttpError(404, f"no route for {method} {path}")
 
     @staticmethod

@@ -206,8 +206,7 @@ def as_streaming(trace_set: TraceSet,
     the original arrays, so ``as_streaming(ts)`` against ``ts`` is the
     byte-identity pin the differential suites enforce.  (The adapter
     does not reduce memory — the source set stays alive — it exists to
-    run the paper suite down the streaming code path and to let grid
-    cells opt into streaming without a new workload builder.)
+    run paper traces down the streaming code path.)
     """
     check_positive("chunk_refs", chunk_refs)
     threads = []

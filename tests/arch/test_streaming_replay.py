@@ -13,9 +13,10 @@ Three layers of evidence:
 
 * a Hypothesis differential over the oracle's dense little worlds,
   randomizing the chunk size alongside the case;
-* the golden-snapshot suite replayed under streaming — the same JSON
-  files ``tests/arch/test_golden_snapshots.py`` pins, now reached
-  through ``ExperimentSuite(stream_chunk_refs=...)`` end to end;
+* the golden-snapshot cases replayed under streaming — the paper
+  pipeline's own traces, placements and machines, fed to the kernel as
+  chunks, must reproduce the same JSON files
+  ``tests/arch/test_golden_snapshots.py`` pins;
 * a disk-backed spill replayed cold, so the verified chunk store is in
   the loop, not just in-memory views.
 """
@@ -74,26 +75,29 @@ class TestStreamingDifferential:
 
 
 class TestStreamingGoldenSnapshots:
-    @pytest.mark.parametrize("stream_chunk_refs", [64, 4096])
+    @pytest.mark.parametrize("chunk_refs", [64, 4096])
     @pytest.mark.parametrize(
         "slug,app,algorithm,processors,infinite,topology",
         CASES, ids=[c[0] for c in CASES])
     def test_streaming_suite_matches_golden_snapshot(
             self, slug, app, algorithm, processors, infinite, topology,
-            stream_chunk_refs):
-        """The paper pipeline under ``stream_chunk_refs`` reproduces the
-        *same* golden files the materialized pipeline pins — streaming is
-        excluded from every content address on exactly this guarantee."""
+            chunk_refs):
+        """A paper cell — the suite's traces, placement and machine —
+        replayed through the chunked view reproduces the *same* golden
+        file the whole-column pipeline pins."""
         path = DATA_DIR / f"golden_{slug}.json"
         assert path.exists(), f"missing snapshot {path}"
         expected = json.loads(path.read_text())
-        suite = ExperimentSuite(scale=SCALE, seed=SEED,
-                                stream_chunk_refs=stream_chunk_refs,
-                                topology=topology)
-        actual = snapshot_dict(suite.run(app, algorithm, processors,
-                                         infinite=infinite))
+        suite = ExperimentSuite(scale=SCALE, seed=SEED, topology=topology)
+        traces = suite.traces(app)
+        placement = suite.placement(app, algorithm, processors)
+        config = suite._machine(app, placement, infinite=infinite,
+                                associativity=1, cache_words=None)
+        actual = snapshot_dict(simulate(
+            as_streaming(traces, chunk_refs), placement, config,
+            quantum_refs=suite.quantum_refs))
         assert actual == expected, (
-            f"{slug} [c{stream_chunk_refs}]: streaming replay "
+            f"{slug} [c{chunk_refs}]: streaming replay "
             f"diverged from the golden snapshot"
         )
 
@@ -121,11 +125,6 @@ class TestSpilledReplay:
 
 
 class TestStreamingGuards:
-    def test_check_invariants_rejects_streaming(self):
-        with pytest.raises(ValueError, match="check_invariants"):
-            ExperimentSuite(scale=SCALE, seed=SEED, check_invariants=True,
-                            stream_chunk_refs=64)
-
     def test_simulate_rejects_streaming_with_invariants(self):
         from tests.oracle.strategies import make_trace_set
         from repro.placement.base import PlacementMap

@@ -33,6 +33,20 @@ class TestSuiteRequest:
                                match="unknown suite request fields"):
                 SuiteRequest.from_dict(payload)
 
+    def test_from_dict_drops_legacy_stream_chunk_refs(self):
+        # Requests persisted before the option was retired carry it;
+        # every value it accepted names the same request.
+        request = SuiteRequest(sections=("table1",), scale=0.001)
+        for value in (None, 512, "64"):
+            payload = dict(request.to_dict(), stream_chunk_refs=value)
+            assert SuiteRequest.from_dict(payload) == request
+
+    def test_from_dict_rejects_bad_stream_chunk_refs(self):
+        for value in (0, -4, "x"):
+            with pytest.raises(ValueError):
+                SuiteRequest.from_dict(
+                    {"sections": ["table1"], "stream_chunk_refs": value})
+
     def test_from_dict_coerces_types(self):
         request = SuiteRequest.from_dict(
             {"sections": "table1", "scale": "0.001", "seed": "7"})

@@ -1,10 +1,10 @@
 """Graceful degradation: missing cells render as MISSING, never crash.
 
-A non-strict suite (the CLI's report path) marks cells a parallel
-prefetch could not complete; every renderer then shows ``MISSING`` for
-exactly those cells, the report gains a completeness footer, and exports
-carry an explicit ``degraded`` marker — while a complete run stays
-byte-identical to what it always produced.
+A suite marks cells a parallel prefetch could not complete; every
+renderer then shows ``MISSING`` for exactly those cells, the report
+gains a completeness footer, and exports carry an explicit ``degraded``
+marker — while a complete run stays byte-identical to what it always
+produced.
 """
 
 import json
@@ -20,7 +20,7 @@ _MISSING_CELL = ("Water", "SHARE-REFS", 2, False, 1, None, 0)
 
 
 def _degraded_suite():
-    suite = ExperimentSuite(scale=0.001, seed=0, strict=False)
+    suite = ExperimentSuite(scale=0.001, seed=0)
     suite.missing.add(_MISSING_CELL)
     return suite
 
@@ -31,13 +31,7 @@ class TestSuiteDegradation:
         with pytest.raises(MissingCellError, match="--resume"):
             suite.run("Water", "SHARE-REFS", 2)
 
-    def test_strict_suite_raises_through_execution_time(self):
-        suite = ExperimentSuite(scale=0.001, seed=0, strict=True)
-        suite.missing.add(_MISSING_CELL)
-        with pytest.raises(MissingCellError):
-            suite.execution_time("Water", "SHARE-REFS", 2)
-
-    def test_non_strict_execution_time_degrades_to_none(self):
+    def test_execution_time_degrades_to_none(self):
         suite = _degraded_suite()
         assert suite.execution_time("Water", "SHARE-REFS", 2) is None
         assert suite.normalized_time("Water", "SHARE-REFS", 2) is None
@@ -79,11 +73,11 @@ class TestRendering:
         assert "Water/SHARE-REFS/2p" in footer
         assert "--resume" in footer
 
-        clean = ExperimentSuite(scale=0.001, seed=0, strict=False)
+        clean = ExperimentSuite(scale=0.001, seed=0)
         assert completeness_footer(clean) == ""
 
     def test_footer_elides_a_long_tail(self):
-        suite = ExperimentSuite(scale=0.001, seed=0, strict=False)
+        suite = ExperimentSuite(scale=0.001, seed=0)
         for p in (2, 4, 8, 16):
             for algorithm in ("RANDOM", "LOAD-BAL", "SHARE-REFS"):
                 suite.missing.add(("Water", algorithm, p, False, 1, None, 0))
@@ -112,7 +106,7 @@ class TestExports:
         on_disk = json.loads((tmp_path / "degraded.json").read_text())
         assert on_disk["degraded"]["missing_cells"] == ["Water/SHARE-REFS/2p"]
 
-        clean = ExperimentSuite(scale=0.001, seed=0, strict=False)
+        clean = ExperimentSuite(scale=0.001, seed=0)
         document = export_json(clean, tmp_path / "clean.json",
                                sections=["calibration"])
         assert "degraded" not in document

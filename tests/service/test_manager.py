@@ -183,6 +183,39 @@ class TestPersistence:
         assert "engine" not in job.to_dict()["request"]
         assert job.report_path.read_text(encoding="utf-8") == "report\n"
 
+    def test_job_persisted_with_stream_chunk_refs_reloads(self, manager):
+        """Every job finished before the streaming option left the report
+        path records ``"stream_chunk_refs": null`` in its request (the
+        request's ``to_dict`` always wrote it); it must still reload as
+        done, by the same id, rather than 404."""
+        digest = request().digest
+        directory = manager.jobs_dir / digest
+        directory.mkdir(parents=True)
+        (directory / "report.txt").write_text("report\n", encoding="utf-8")
+        record = {
+            "state": "done",
+            "request": {
+                "sections": ["table1"], "scale": 0.001, "seed": 0,
+                "quantum_refs": 256, "random_replicates": 3,
+                "charts": False, "check_invariants": False,
+                "stream_chunk_refs": None, "topology": None,
+            },
+            "tenants": ["alice"],
+            "created": 1.0,
+            "started": 2.0,
+            "finished": 3.0,
+            "error": None,
+        }
+        (directory / "state.json").write_text(
+            json.dumps(record, sort_keys=True, indent=2) + "\n",
+            encoding="utf-8")
+        job = manager.get(digest)
+        assert job is not None
+        assert job.state == "done"
+        assert job.id == digest
+        assert job.request == request()
+        assert "stream_chunk_refs" not in job.to_dict()["request"]
+
     def test_failed_job_is_retried_on_resubmit(self, tmp_path):
         mgr = JobManager(tmp_path / "svc")
         boom = {"on": True}

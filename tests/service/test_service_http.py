@@ -15,7 +15,7 @@ from repro.experiments.api import SuiteRequest, run_suite
 from repro.obs.metrics import MetricsRegistry
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.manager import JobManager
-from repro.service.server import start_in_background
+from repro.service.server import route_label, start_in_background
 
 #: Zero simulated cells: the report renders in about a second.
 CHEAP = {"sections": ["table1"], "scale": 0.001}
@@ -111,6 +111,20 @@ class TestJobLifecycle:
         assert first["id"] == second["id"]
         listed = client.jobs()
         assert [j["id"] for j in listed] == [first["id"]]
+
+    def test_legacy_stream_chunk_refs_is_accepted_and_coalesces(self,
+                                                                service):
+        """A client still sending the retired ``stream_chunk_refs`` names
+        the same job as one that omits it; a value the option never
+        accepted is still a 400."""
+        client, _ = service
+        first = client.submit(CHEAP)
+        legacy = client.submit(dict(CHEAP, stream_chunk_refs=512))
+        assert not legacy["created"]
+        assert legacy["id"] == first["id"]
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(dict(CHEAP, stream_chunk_refs=0))
+        assert excinfo.value.status == 400
 
     def test_racing_http_submitters_share_one_job(self, service):
         client, _ = service
@@ -248,6 +262,28 @@ class TestEventStream:
 
 
 class TestMetricsEndpoint:
+    def test_route_labels_follow_the_path(self):
+        assert route_label("/v1/healthz") == "/healthz"
+        assert route_label("/v1/cells") == "/v1/cells"
+        assert route_label("/v1/jobs/abc") == "/v1/jobs/{id}"
+        assert route_label("/v1/jobs/abc/report.json") == \
+            "/v1/jobs/{id}/report.json"
+        for path in ("/v1/nope", "/v1/jobs/", "/v1/jobs/abc/nope"):
+            assert route_label(path) == "unmatched", path
+
+    def test_errors_count_under_their_route(self, service):
+        client, _ = service
+        with pytest.raises(ServiceError):
+            client.submit({"sections": ["tableX"]})
+        client._request("GET", "/v1/jobs/deadbeef")
+        client._request("GET", "/v1/nope")
+        text = client.metrics()
+        for series in (
+                'method="POST",route="/v1/jobs",status="400"',
+                'method="GET",route="/v1/jobs/{id}",status="404"',
+                'method="GET",route="unmatched",status="404"'):
+            assert f"service_http_requests{{{series}}}" in text, series
+
     def test_prometheus_exposition_covers_service_series(self, service):
         client, _ = service
         record = client.submit(CHEAP)

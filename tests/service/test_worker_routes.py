@@ -130,6 +130,13 @@ class TestWorkerRoutes:
         for route in ("/v1/cells", "/v1/run-marker", "/v1/journal/events"):
             assert f'route="{route}"' in text
 
+    def test_malformed_batch_counts_under_its_route(self, node):
+        client = ServiceClient(node.address)
+        with pytest.raises(ServiceError):
+            client._json("POST", "/v1/cells", {"cells": []})
+        assert ('service_http_requests{method="POST",route="/v1/cells",'
+                'status="400"}') in client.metrics()
+
     def test_partition_fault_severs_then_heals(self, node, tmp_path):
         ledger = tmp_path / "ledger"
         client = ServiceClient(node.address, retries=1)
