@@ -19,16 +19,9 @@ from repro.arch.cache import (
     make_cache,
 )
 from repro.arch.config import ArchConfig
-from repro.arch.contention import ContentionResult, simulate_with_contention
 from repro.arch.directory import Directory
 from repro.arch.kernel import FastProcessor
 from repro.arch.simulator import simulate
-from repro.arch.markov import MarkovEfficiencyModel
-from repro.arch.models import (
-    EfficiencyModel,
-    measured_run_length,
-    predicted_utilization,
-)
 from repro.arch.thrashing import ThrashingDiagnosis, detect_thrashing
 from repro.arch.stats import (
     CacheStats,
@@ -51,12 +44,6 @@ __all__ = [
     "SetAssociativeCache",
     "make_cache",
     "Directory",
-    "ContentionResult",
-    "simulate_with_contention",
     "ThrashingDiagnosis",
     "detect_thrashing",
-    "EfficiencyModel",
-    "MarkovEfficiencyModel",
-    "predicted_utilization",
-    "measured_run_length",
 ]

@@ -38,11 +38,6 @@ from repro.experiments.figures import (
     figure5,
 )
 from repro.experiments.report import REPORT_SECTIONS, full_report, write_report
-from repro.experiments.stability import (
-    StabilityResult,
-    algorithm_stability,
-    invariance_stability,
-)
 from repro.experiments.runner import (
     ExperimentSuite,
     MachineSpec,
@@ -98,7 +93,4 @@ __all__ = [
     "section_to_dict",
     "render_html",
     "write_html",
-    "StabilityResult",
-    "algorithm_stability",
-    "invariance_stability",
 ]

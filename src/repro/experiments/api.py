@@ -30,7 +30,8 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, field
 from typing import TextIO
 
 from repro.experiments.report import REPORT_SECTIONS, write_report
@@ -46,6 +47,53 @@ __all__ = ["SuiteRequest", "RunOptions", "SuiteResult", "run_suite",
 #: Leading tag of every request digest; bump on incompatible changes to
 #: the digest composition.
 REQUEST_SCHEMA = "repro-run/v1"
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _decode_bool(value):
+    return value if isinstance(value, bool) else None
+
+
+def _decode_int(value):
+    if _is_number(value) and float(value).is_integer():
+        return int(value)
+    return None
+
+
+def _decode_scale(value):
+    if _is_number(value) and math.isfinite(value) and value > 0:
+        return float(value)
+    return None
+
+
+def _decode_sections(value):
+    if isinstance(value, str):
+        return (value,)
+    if isinstance(value, list) and all(isinstance(s, str) for s in value):
+        return tuple(value)
+    return None
+
+
+def _decode_str(value):
+    return value if isinstance(value, str) else None
+
+
+#: Wire decoding of each :class:`SuiteRequest` field: (the expected JSON
+#: shape, for the error message; a decoder returning ``None`` on any
+#: other shape).
+_DECODERS = {
+    "sections": ("a string or a list of strings", _decode_sections),
+    "scale": ("a finite positive number", _decode_scale),
+    "seed": ("an integer", _decode_int),
+    "quantum_refs": ("an integer", _decode_int),
+    "random_replicates": ("an integer", _decode_int),
+    "charts": ("a boolean", _decode_bool),
+    "check_invariants": ("a boolean", _decode_bool),
+    "topology": ("a string or null", _decode_str),
+}
 
 
 @dataclass(frozen=True)
@@ -99,14 +147,19 @@ class SuiteRequest:
     def from_dict(cls, payload: dict) -> "SuiteRequest":
         """Build a request from a plain dict (the service's POST body).
 
-        Unknown keys raise ``ValueError`` (a 400 at the HTTP layer, not a
-        silently ignored typo); values are coerced to their field types.
-        Two legacy keys are tolerated, each only with a value its retired
-        option accepted, since requests persisted before the removal
-        carry them and neither ever changed a result: ``engine`` naming
-        either retired replay engine, and ``stream_chunk_refs`` (null or
-        a positive chunk size; every report path replays whole columns).
-        Any other value of either key still raises.
+        Values are decoded by JSON type, never coerced: the switches must
+        be booleans, the integer fields integers (a whole float such as
+        ``7.0`` is read as ``7``), ``scale`` a finite positive number,
+        ``sections`` a string or a list of strings and ``topology`` a
+        string; ``sections`` and ``topology`` may be null (all sections,
+        the flat machine).  Any other shape, and any unknown key, raises
+        ``ValueError`` (a 400 at the HTTP layer).  Two legacy keys are
+        tolerated, each only with a value its retired option accepted,
+        since requests persisted before the removal carry them and
+        neither ever changed a result: ``engine`` naming either retired
+        replay engine, and ``stream_chunk_refs`` (null or a positive
+        chunk size; every report path replays whole columns).  Any other
+        value of either key still raises.
         """
         if not isinstance(payload, dict):
             raise ValueError(
@@ -119,29 +172,25 @@ class SuiteRequest:
             chunk_refs = payload.pop("stream_chunk_refs")
             if chunk_refs is not None:
                 check_positive("stream_chunk_refs", int(chunk_refs))
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
+        unknown = sorted(set(payload) - set(_DECODERS))
         if unknown:
             raise ValueError(
-                f"unknown suite request fields {unknown}; known: {sorted(known)}"
+                f"unknown suite request fields {unknown}; "
+                f"known: {sorted(_DECODERS)}"
             )
-        coerced: dict = {}
+        decoded: dict = {}
         for name, value in payload.items():
-            if value is None:
+            if value is None and name in ("sections", "topology"):
                 continue
-            if name == "sections":
-                if isinstance(value, str):
-                    value = [value]
-                coerced[name] = tuple(str(s) for s in value)
-            elif name == "scale":
-                coerced[name] = float(value)
-            elif name in ("seed", "quantum_refs", "random_replicates"):
-                coerced[name] = int(value)
-            elif name in ("charts", "check_invariants"):
-                coerced[name] = bool(value)
-            else:
-                coerced[name] = str(value)
-        return cls(**coerced)
+            expected, decode = _DECODERS[name]
+            result = decode(value)
+            if result is None:
+                raise ValueError(
+                    f"suite request field {name!r} must be {expected}, "
+                    f"got {type(value).__name__} {value!r}"
+                )
+            decoded[name] = result
+        return cls(**decoded)
 
     def to_dict(self) -> dict:
         """The request as a plain JSON-able dict (round-trips through

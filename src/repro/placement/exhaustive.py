@@ -8,7 +8,7 @@ thread-balanced partition, score each against a sharing objective, and
 return the true optimum.  If the greedy SHARE-REFS heuristic were leaving
 benefit on the table, the optimum would reveal it; on the reproduction's
 workloads it does not (see ``tests/placement/test_exhaustive.py`` and
-``benchmarks/bench_optimal_placement.py``).
+``tests/experiments/test_claims.py``).
 
 Enumeration is over canonical set partitions with prescribed cluster sizes
 (symmetry-broken: each cluster is identified by its smallest member, and

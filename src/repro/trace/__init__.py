@@ -45,12 +45,7 @@ from repro.trace.io import (
     trace_set_to_text,
 )
 from repro.trace.temporal import TemporalSharingReport, analyze_temporal_sharing
-from repro.trace.transform import (
-    merge_trace_sets,
-    remap_addresses,
-    select_threads,
-    truncate_traces,
-)
+from repro.trace.transform import select_threads
 from repro.trace.analysis import (
     ThreadProfile,
     TraceSetAnalysis,
@@ -93,8 +88,5 @@ __all__ = [
     "pairwise_matrix",
     "TemporalSharingReport",
     "analyze_temporal_sharing",
-    "truncate_traces",
     "select_threads",
-    "remap_addresses",
-    "merge_trace_sets",
 ]

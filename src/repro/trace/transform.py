@@ -1,44 +1,19 @@
-"""Trace transformations.
+"""Thread selection: a trace set restricted to a subset of its threads.
 
-Utilities a downstream user needs when working with real or synthetic
-traces: truncating to a reference budget (the paper's own methodology was
-"restricted by the practical limit on trace lengths"), selecting thread
-subsets (scaling studies), and remapping address spaces (merging traces
-from different sources without collisions).
-
-All transforms are pure: they return new trace sets and never mutate their
-inputs.
+Exhaustive searches work on a slice of an application: the
+optimal-placement tests enumerate every placement of a 12-thread slice
+of Water.  The selection is pure: it returns a new trace set and never
+mutates its input.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from repro.trace.stream import ThreadTrace, TraceSet
-from repro.util.validate import check_non_empty, check_positive
+from repro.util.validate import check_non_empty
 
-__all__ = ["truncate_traces", "select_threads", "remap_addresses", "merge_trace_sets"]
-
-
-def truncate_traces(trace_set: TraceSet, max_refs: int) -> TraceSet:
-    """Limit every thread to its first ``max_refs`` references.
-
-    Thread lengths shrink accordingly (gaps beyond the cut are dropped
-    with their references).
-    """
-    check_positive("max_refs", max_refs)
-    threads = [
-        ThreadTrace(
-            t.thread_id,
-            t.gaps[:max_refs].copy(),
-            t.addrs[:max_refs].copy(),
-            t.writes[:max_refs].copy(),
-        )
-        for t in trace_set
-    ]
-    return TraceSet(trace_set.name, threads)
+__all__ = ["select_threads"]
 
 
 def select_threads(trace_set: TraceSet, thread_ids: Sequence[int]) -> TraceSet:
@@ -66,48 +41,3 @@ def select_threads(trace_set: TraceSet, thread_ids: Sequence[int]) -> TraceSet:
                         old.writes.copy())
         )
     return TraceSet(trace_set.name, threads)
-
-
-def remap_addresses(
-    trace_set: TraceSet, mapping: Callable[[np.ndarray], np.ndarray]
-) -> TraceSet:
-    """Apply a vectorized address mapping to every reference.
-
-    ``mapping`` receives an int64 address array and must return an int64
-    array of the same shape with non-negative values (e.g.
-    ``lambda a: a + 0x10000`` to relocate a whole trace set).
-    """
-    threads = []
-    for t in trace_set:
-        new_addrs = np.asarray(mapping(t.addrs), dtype=np.int64)
-        if new_addrs.shape != t.addrs.shape:
-            raise ValueError(
-                f"mapping changed the address array shape for thread "
-                f"{t.thread_id}: {t.addrs.shape} -> {new_addrs.shape}"
-            )
-        threads.append(ThreadTrace(t.thread_id, t.gaps.copy(), new_addrs,
-                                   t.writes.copy()))
-    return TraceSet(trace_set.name, threads)
-
-
-def merge_trace_sets(name: str, trace_sets: Sequence[TraceSet]) -> TraceSet:
-    """Concatenate several trace sets into one multiprogrammed workload.
-
-    Threads are re-numbered densely in input order, and each input's
-    address space is relocated past the previous inputs' maximum address
-    (rounded up to a 64-word boundary) so the merged sets never alias.
-    """
-    check_non_empty("trace_sets", trace_sets)
-    threads: list[ThreadTrace] = []
-    base = 0
-    for ts in trace_sets:
-        peak = 0
-        for t in ts:
-            addrs = t.addrs + base
-            threads.append(
-                ThreadTrace(len(threads), t.gaps.copy(), addrs, t.writes.copy())
-            )
-            if t.addrs.size:
-                peak = max(peak, int(t.addrs.max()) + 1)
-        base += -(-peak // 64) * 64
-    return TraceSet(name, threads)

@@ -47,12 +47,53 @@ class TestSuiteRequest:
                 SuiteRequest.from_dict(
                     {"sections": ["table1"], "stream_chunk_refs": value})
 
-    def test_from_dict_coerces_types(self):
+    def test_from_dict_rejects_strings_for_numbers(self):
+        for payload in ({"sections": "table1", "scale": "0.001"},
+                        {"sections": "table1", "seed": "7"}):
+            with pytest.raises(ValueError, match="must be a"):
+                SuiteRequest.from_dict(payload)
+
+    @pytest.mark.parametrize("name", ["charts", "check_invariants"])
+    @pytest.mark.parametrize("value", ["false", "0", 0, 1, None])
+    def test_from_dict_rejects_non_boolean_switches(self, name, value):
+        # bool("false") and bool("0") are True: coercing would run an
+        # audited, charted report.
+        with pytest.raises(ValueError, match=f"{name}' must be a boolean"):
+            SuiteRequest.from_dict({"sections": ["table1"], name: value})
+
+    @pytest.mark.parametrize("name",
+                             ["seed", "quantum_refs", "random_replicates"])
+    @pytest.mark.parametrize("value", [1.9, True, [7], None])
+    def test_from_dict_rejects_non_integers(self, name, value):
+        # int(1.9) and int(True) are both 1: coercing would run seed 1.
+        with pytest.raises(ValueError, match=f"{name}' must be an integer"):
+            SuiteRequest.from_dict({"sections": ["table1"], name: value})
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), True,
+                                       None])
+    def test_from_dict_rejects_bad_scale(self, value):
+        with pytest.raises(ValueError, match="must be a finite positive"):
+            SuiteRequest.from_dict({"sections": ["table1"], "scale": value})
+
+    @pytest.mark.parametrize("value", [{"table1": 1}, 5, [["table1"]],
+                                       ["table1", 2]])
+    def test_from_dict_rejects_bad_sections(self, value):
+        with pytest.raises(ValueError, match="must be a string or a list"):
+            SuiteRequest.from_dict({"sections": value})
+
+    @pytest.mark.parametrize("value", [4, True, ["numa:2:10:100"]])
+    def test_from_dict_rejects_non_string_topology(self, value):
+        with pytest.raises(ValueError, match="must be a string or null"):
+            SuiteRequest.from_dict({"sections": ["table1"], "topology": value})
+
+    def test_from_dict_decodes_json_types(self):
         request = SuiteRequest.from_dict(
-            {"sections": "table1", "scale": "0.001", "seed": "7"})
-        assert request.sections == ("table1",)
-        assert request.scale == 0.001
-        assert request.seed == 7
+            {"sections": "table1", "scale": 1, "seed": 7.0, "charts": True,
+             "topology": None})
+        assert request == SuiteRequest(sections=("table1",), scale=1.0,
+                                       seed=7, charts=True)
+        assert isinstance(request.scale, float)
+        assert isinstance(request.seed, int)
 
 
 class TestDigest:

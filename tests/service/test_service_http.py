@@ -61,6 +61,17 @@ class TestBasics:
         status, _, _ = client._request("POST", "/v1/jobs")
         assert status == 400  # no body
 
+    def test_mistyped_fields_are_400(self, service):
+        """Strings for switches and fractional seeds are refused, not
+        coerced into an audited, charted run of another seed."""
+        client, manager = service
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(dict(CHEAP, charts="false", check_invariants="0",
+                               seed=1.9))
+        assert excinfo.value.status == 400
+        assert "must be a boolean" in str(excinfo.value)
+        assert manager.list_jobs() == []
+
     def test_wrong_method_is_405(self, service):
         client, _ = service
         status, _, _ = client._request("POST", "/v1/stats")

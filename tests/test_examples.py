@@ -20,7 +20,6 @@ CASES = [
     ("load_balance_study.py", ["0.001"]),
     ("sharing_gap_study.py", ["Water", "0.001"]),
     ("temporal_study.py", ["0.001"]),
-    ("latency_hiding_models.py", ["60"]),
 ]
 
 SLOW_CASES = [

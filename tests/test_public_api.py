@@ -41,13 +41,12 @@ MODULES = [
     "repro.placement.io",
     "repro.arch.config", "repro.arch.stats", "repro.arch.cache",
     "repro.arch.directory", "repro.arch.kernel", "repro.arch.simulator",
-    "repro.arch.thrashing", "repro.arch.models", "repro.arch.markov",
-    "repro.arch.contention",
+    "repro.arch.thrashing",
     "repro.oracle.reference", "repro.oracle.invariants",
     "repro.oracle.compare",
     "repro.experiments.runner", "repro.experiments.tables",
     "repro.experiments.figures", "repro.experiments.report",
-    "repro.experiments.ablations", "repro.experiments.stability",
+    "repro.experiments.ablations",
     "repro.experiments.claims", "repro.experiments.cache",
     "repro.experiments.export", "repro.experiments.html",
     "repro.experiments.cli", "repro.experiments.api",

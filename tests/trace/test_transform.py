@@ -1,16 +1,10 @@
-"""Tests for trace transformations."""
+"""Tests for thread selection."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.trace.stream import ThreadTrace, TraceSet
-from repro.trace.transform import (
-    merge_trace_sets,
-    remap_addresses,
-    select_threads,
-    truncate_traces,
-)
+from repro.trace.transform import select_threads
 
 
 def make_set(name="app", lengths=(5, 3)):
@@ -25,25 +19,6 @@ def make_set(name="app", lengths=(5, 3)):
             )
         )
     return TraceSet(name, threads)
-
-
-class TestTruncate:
-    def test_limits_refs(self):
-        ts = truncate_traces(make_set(lengths=(5, 3)), max_refs=2)
-        assert [t.num_refs for t in ts] == [2, 2]
-
-    def test_shorter_threads_untouched(self):
-        ts = truncate_traces(make_set(lengths=(5, 3)), max_refs=10)
-        assert [t.num_refs for t in ts] == [5, 3]
-
-    def test_original_unchanged(self):
-        original = make_set()
-        truncate_traces(original, 1)
-        assert original[0].num_refs == 5
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            truncate_traces(make_set(), 0)
 
 
 class TestSelectThreads:
@@ -66,51 +41,3 @@ class TestSelectThreads:
         with pytest.raises(ValueError):
             select_threads(make_set(), [])
 
-
-class TestRemapAddresses:
-    def test_offset(self):
-        ts = remap_addresses(make_set(), lambda a: a + 1000)
-        assert int(ts[0].addrs.min()) >= 1000
-
-    def test_shape_change_rejected(self):
-        with pytest.raises(ValueError, match="shape"):
-            remap_addresses(make_set(), lambda a: a[:1])
-
-    def test_gaps_and_writes_preserved(self):
-        original = make_set()
-        remapped = remap_addresses(original, lambda a: a * 2)
-        assert np.array_equal(remapped[0].gaps, original[0].gaps)
-        assert np.array_equal(remapped[0].writes, original[0].writes)
-
-
-class TestMerge:
-    def test_threads_renumbered(self):
-        merged = merge_trace_sets("both", [make_set("a"), make_set("b")])
-        assert merged.num_threads == 4
-        assert [t.thread_id for t in merged] == [0, 1, 2, 3]
-
-    def test_address_spaces_disjoint(self):
-        a = make_set("a")
-        b = make_set("b")
-        merged = merge_trace_sets("both", [a, b])
-        first_max = max(int(merged[tid].addrs.max()) for tid in (0, 1))
-        second_min = min(int(merged[tid].addrs.min()) for tid in (2, 3))
-        assert second_min > first_max
-
-    def test_single_input(self):
-        merged = merge_trace_sets("solo", [make_set()])
-        assert merged.num_threads == 2
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            merge_trace_sets("none", [])
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.lists(st.integers(1, 6), min_size=1, max_size=3),
-           st.lists(st.integers(1, 6), min_size=1, max_size=3))
-    def test_merge_preserves_totals(self, lengths_a, lengths_b):
-        a = make_set("a", tuple(lengths_a))
-        b = make_set("b", tuple(lengths_b))
-        merged = merge_trace_sets("m", [a, b])
-        assert merged.total_refs == a.total_refs + b.total_refs
-        assert merged.total_length == a.total_length + b.total_length
