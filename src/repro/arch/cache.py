@@ -26,8 +26,6 @@ few thousand blocks.  The sizing is exact — see :func:`tag_lines`.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.arch.config import ArchConfig
 from repro.arch.stats import CacheStats, MissKind
 
@@ -100,14 +98,7 @@ class ArrayDirectMappedCache:
         lines = tag_lines(self.num_sets, max_block)
         self._mask = lines - 1
         self._tags = [-1] * lines
-        # Per-block residency flags for the kernel's vectorized
-        # whole-window hit scan: ``_resident[b]`` is 1 exactly when
-        # ``_tags[b & mask] == b``.  Set and cleared only where ``_tags``
-        # changes (miss install, eviction, invalidation); the numpy view
-        # shares the bytearray's memory, so the scan sees every store.
         size = max_block + 1
-        self._resident = bytearray(size)
-        self._resident_np = np.frombuffer(self._resident, dtype=np.uint8)
         self._seen = [False] * size
         self._departure = [_NONE] * size
         self._actor = [0] * size
@@ -161,9 +152,7 @@ class ArrayDirectMappedCache:
         if evicted != -1:
             self._departure[evicted] = _EVICTED
             self._actor[evicted] = thread_id
-            self._resident[evicted] = 0
         tags[index] = block
-        self._resident[block] = 1
         return kind, (evicted if evicted != -1 else None), invalidator
 
     def invalidate(self, block: int, by_processor: int) -> bool:
@@ -172,7 +161,6 @@ class ArrayDirectMappedCache:
         if self._tags[index] != block:
             return False
         self._tags[index] = -1
-        self._resident[block] = 0
         self._departure[block] = _INVALIDATED
         self._actor[block] = by_processor
         return True

@@ -69,12 +69,10 @@ class FastContext:
     replay cursor (``pos``, ``blocks``, ``ready_time``, ``done`` — the
     surface the oracle's invariant checker audits).
 
-    The replay columns cover one chunk ``[base, climit)`` at a time — run structure included, computed
-    chunk-locally (runs split at chunk edges, which is exact; see
-    ``docs/STREAMING.md``).  A materialized trace is a single chunk, so
-    its layout and hot-loop arithmetic are unchanged.  ``hlen`` is the
-    resident span's length, the scan heuristic's denominator (for a
-    materialized trace it equals ``length``).
+    The replay columns cover one chunk ``[base, climit)`` at a time, run
+    structure included, computed chunk-locally (runs split at chunk edges,
+    which is exact; see ``docs/STREAMING.md``).  A materialized trace is a
+    single chunk, so its layout and hot-loop arithmetic are unchanged.
 
     The columns are built per ``simulate`` call and die with the
     context: nothing is memoized on the trace.  ``compressed`` is the
@@ -84,8 +82,7 @@ class FastContext:
     """
 
     __slots__ = ("thread_id", "blocks", "writes", "run_end",
-                 "next_write", "charge", "blocks_np",
-                 "length", "num_runs", "hlen", "pos",
+                 "next_write", "charge", "length", "pos",
                  "ready_time", "done", "base", "climit", "_chunks",
                  "_hit_cycles")
 
@@ -114,14 +111,11 @@ class FastContext:
     def _load(self, start: int, compressed: CompressedTrace) -> None:
         self.base = start
         self.climit = start + compressed.num_refs
-        self.hlen = compressed.num_refs
-        self.num_runs = compressed.num_runs
         self.blocks = compressed.blocks
         self.writes = compressed.writes
         self.run_end = compressed.run_end
         self.next_write = compressed.next_write
         self.charge = compressed.charge_prefix(self._hit_cycles)
-        self.blocks_np = compressed.blocks_np
 
     def __repr__(self) -> str:
         return (
@@ -137,10 +131,10 @@ class FastProcessor:
     Constructing one over an :class:`ArrayDirectMappedCache` yields an
     :class:`ArrayFastProcessor`, whose ``_run`` is :meth:`_run_array`
     (the direct-mapped hit test inlined); this class's own ``_run`` is
-    the generic loop for set-associative caches.  The loop is picked by
-    class rather than by binding a method onto the instance, which would
-    make every processor a reference cycle that outlives its
-    ``simulate`` call.
+    the generic loop for set-associative caches: one run loop per cache
+    organisation.  The loop is picked by class rather than by binding a
+    method onto the instance, which would make every processor a
+    reference cycle that outlives its ``simulate`` call.
     """
 
     def __new__(cls, pid: int, config: ArchConfig, cache, *args):
@@ -208,8 +202,7 @@ class FastProcessor:
             # are stable references: the lists/dicts are mutated in place,
             # never reassigned.
             self._hot = (
-                cache._tags, cache._mask, cache._resident,
-                cache._resident_np, cache._seen,
+                cache._tags, cache._mask, cache._seen,
                 cache._departure, cache._actor, cache.stats.misses,
                 directory.write_hit, directory.sharers,
                 directory.last_writer, directory.fetch, directory.pairwise,
@@ -217,12 +210,6 @@ class FastProcessor:
                 pid, 1 << pid, self._lat_row, self._mem_lat,
                 self._topo_groups, directory,
             )
-        # Cumulative refs/windows served by _run_array: picks between the
-        # vectorized whole-window hit scan (wins on long hit windows) and
-        # the per-run Python loop (wins when misses cut windows short).
-        # Purely a strategy choice — both paths replay identically.
-        self._scan_refs = 0
-        self._scan_windows = 0
         self._switch_cycles = config.context_switch_cycles
         # Live (not-done) context slots in ascending order (see advance).
         self._alive = [i for i, c in enumerate(self.contexts) if not c.done]
@@ -301,24 +288,15 @@ class FastProcessor:
         O(1) at the end: every cycle charged in this loop is busy time
         (idle and switch costs are added by the scheduler, outside), and
         every consumed reference short of the one possible miss is a hit.
-
-        When this processor's windows have averaged long (hit-rich
-        workloads), the per-run loop is replaced by one vectorized scan
-        of the whole window against the cache's per-block residency
-        flags: residency cannot change mid-window before the first miss
-        (only this processor acts, and its own hits and upgrades never
-        touch its tag store), so the scan's first non-resident reference
-        IS the per-run loop's first miss.  The choice is a pure strategy
-        switch; both paths produce identical results.
         """
         # ``sharers``/``last_writer`` feed the upgrade no-op pre-test: when
         # this processor is the last writer and the sole sharer, write_hit
         # provably changes nothing, so the kernel skips the call.  An
         # eviction is the directory's ``evict`` (one ``&=``), inlined.
-        (tags, mask, resident, resident_np, seen, departure, actor,
-         miss_counts, write_hit, sharers, last_writer, dir_fetch, pairwise,
-         memory_latency, upgrade_stalls, pid, pid_bit, lat_row, mem_lat,
-         topo_groups, directory) = self._hot
+        (tags, mask, seen, departure, actor, miss_counts, write_hit,
+         sharers, last_writer, dir_fetch, pairwise, memory_latency,
+         upgrade_stalls, pid, pid_bit, lat_row, mem_lat, topo_groups,
+         directory) = self._hot
         tid = context.thread_id
         time = self.time
         start_time = time
@@ -349,63 +327,50 @@ class FastProcessor:
             i = pos - base
             iend = (limit if limit < context.climit else context.climit) - base
 
-            # Expected run iterations this window ≈ (average window length
-            # so far) × (this span's runs per reference).  The ~2.7 µs scan
-            # beats the ~0.25 µs-per-run Python loop past a dozen runs.
-            if (self._scan_refs * context.num_runs
-                    > 12 * self._scan_windows * context.hlen):
-                # Vectorized window: one scan finds the first miss (or
-                # none), then the hits are charged span-wise with one
-                # directory upgrade per write-containing run segment.
-                hit = resident_np[context.blocks_np[i:iend]]
-                k = int(hit.argmin())
-                miss_at = (i + k) if not hit[k] else iend
-                if miss_at > i:
-                    if not upgrade_stalls:
-                        # Write-buffered machine (the paper's baseline): no
-                        # hit can stall, so the whole span charges in one
-                        # step and the walk below only performs each
-                        # segment's one real directory upgrade.
-                        w = next_write[i]
-                        while w < miss_at:
-                            wb = blocks[w]
-                            if last_writer[wb] != pid or sharers[wb] != pid_bit:
-                                write_hit(wb, pid)
-                            seg = run_end[w]
-                            if seg >= miss_at:
+            while i < iend:
+                block = blocks[i]
+                if tags[block & mask] == block:
+                    # The whole remaining run is guaranteed hits up to
+                    # the quantum edge: no remote action can intervene
+                    # mid-quantum.
+                    stop = run_end[i]
+                    if stop > iend:
+                        stop = iend
+                    w = next_write[i]
+                    if w < stop and upgrade_stalls:
+                        # Charge through the segment's first write: the
+                        # one upgrade that can generate traffic and
+                        # stall.
+                        time += charge[w + 1] - charge[i]
+                        i = w + 1
+                        if last_writer[block] != pid or sharers[block] != pid_bit:
+                            if write_hit(block, pid):
+                                context.ready_time = time + (
+                                    memory_latency if lat_row is None
+                                    else directory.last_upgrade_latency)
+                                stalled = True
                                 break
-                            w = next_write[seg]
-                        time += charge[miss_at] - charge[i]
-                        i = miss_at
+                        if i < stop:
+                            # Later writes in the segment already own
+                            # the block exclusively: directory no-ops.
+                            time += charge[stop] - charge[i]
+                            i = stop
                     else:
-                        w = next_write[i]
-                        while w < miss_at:
-                            # Charge through this segment's first write: the
-                            # one upgrade that can generate traffic or stall.
-                            time += charge[w + 1] - charge[i]
-                            i = w + 1
-                            wb = blocks[w]
-                            if last_writer[wb] != pid or sharers[wb] != pid_bit:
-                                if write_hit(wb, pid):
-                                    context.ready_time = time + (
-                                        memory_latency if lat_row is None
-                                        else directory.last_upgrade_latency)
-                                    stalled = True
-                                    break
-                            seg = run_end[w]
-                            if seg >= miss_at:
-                                break
-                            w = next_write[seg]
-                        if not stalled and i < miss_at:
-                            time += charge[miss_at] - charge[i]
-                            i = miss_at
-                if not stalled and i < iend:
-                    # Miss at the scan's first mismatch: classify (inlined
-                    # ArrayDirectMappedCache.access — the hit test already
-                    # ran), then the coherence transaction plus a full
-                    # memory latency.
+                        # Write-buffered machine: the segment's one real
+                        # upgrade (if any) cannot stall, so the whole
+                        # run charges in a single span.
+                        if w < stop and (last_writer[block] != pid
+                                         or sharers[block] != pid_bit):
+                            write_hit(block, pid)
+                        time += charge[stop] - charge[i]
+                        i = stop
+                else:
+                    # Miss: classify (inlined ArrayDirectMappedCache
+                    # .access — the hit test already ran), then the
+                    # coherence transaction plus a full memory latency
+                    # (the reference's cost is charged first, exactly
+                    # like a per-reference loop).
                     time += charge[i + 1] - charge[i]
-                    block = blocks[i]
                     is_write = writes[i]
                     invalidator = None
                     if not seen[block]:
@@ -428,10 +393,8 @@ class FastProcessor:
                     if evicted != -1:
                         departure[evicted] = _EVICTED
                         actor[evicted] = tid
-                        resident[evicted] = 0
                         sharers[evicted] &= ~pid_bit
                     tags[index] = block
-                    resident[block] = 1
                     i += 1
                     missed = 1
                     source = dir_fetch(block, pid, is_write)
@@ -447,100 +410,12 @@ class FastProcessor:
                         context.ready_time = (
                             time + mem_lat[block % topo_groups])
                     stalled = True
-            else:
-                while i < iend:
-                    block = blocks[i]
-                    if tags[block & mask] == block:
-                        # The whole remaining run is guaranteed hits up to
-                        # the quantum edge: no remote action can intervene
-                        # mid-quantum.
-                        stop = run_end[i]
-                        if stop > iend:
-                            stop = iend
-                        w = next_write[i]
-                        if w < stop and upgrade_stalls:
-                            # Charge through the segment's first write: the
-                            # one upgrade that can generate traffic and
-                            # stall.
-                            time += charge[w + 1] - charge[i]
-                            i = w + 1
-                            if last_writer[block] != pid or sharers[block] != pid_bit:
-                                if write_hit(block, pid):
-                                    context.ready_time = time + (
-                                        memory_latency if lat_row is None
-                                        else directory.last_upgrade_latency)
-                                    stalled = True
-                                    break
-                            if i < stop:
-                                # Later writes in the segment already own
-                                # the block exclusively: directory no-ops.
-                                time += charge[stop] - charge[i]
-                                i = stop
-                        else:
-                            # Write-buffered machine: the segment's one real
-                            # upgrade (if any) cannot stall, so the whole
-                            # run charges in a single span.
-                            if w < stop and (last_writer[block] != pid
-                                             or sharers[block] != pid_bit):
-                                write_hit(block, pid)
-                            time += charge[stop] - charge[i]
-                            i = stop
-                    else:
-                        # Miss: classify (inlined ArrayDirectMappedCache
-                        # .access — the hit test already ran), then the
-                        # coherence transaction plus a full memory latency
-                        # (the reference's cost is charged first, exactly
-                        # like a per-reference loop).
-                        time += charge[i + 1] - charge[i]
-                        is_write = writes[i]
-                        invalidator = None
-                        if not seen[block]:
-                            kind = _COMPULSORY
-                            seen[block] = True
-                        elif departure[block] == _INVALIDATED:
-                            invalidator = actor[block]
-                            departure[block] = _NONE
-                            kind = _INVALIDATION
-                        else:
-                            evictor = (actor[block]
-                                       if departure[block] == _EVICTED else tid)
-                            departure[block] = _NONE
-                            kind = _INTRA if evictor == tid else _INTER
-                        miss_counts[kind] += 1
-                        if self._probe is not None:
-                            self._probe.misses[kind] += 1
-                        index = block & mask
-                        evicted = tags[index]
-                        if evicted != -1:
-                            departure[evicted] = _EVICTED
-                            actor[evicted] = tid
-                            resident[evicted] = 0
-                            sharers[evicted] &= ~pid_bit
-                        tags[index] = block
-                        resident[block] = 1
-                        i += 1
-                        missed = 1
-                        source = dir_fetch(block, pid, is_write)
-                        if kind is _INVALIDATION and invalidator is not None:
-                            pairwise[pid, invalidator] += 1
-                        elif kind is _COMPULSORY and source is not None:
-                            pairwise[pid, source] += 1
-                        if lat_row is None:
-                            context.ready_time = time + memory_latency
-                        elif source is not None:
-                            context.ready_time = time + lat_row[source]
-                        else:
-                            context.ready_time = (
-                                time + mem_lat[block % topo_groups])
-                        stalled = True
-                        break
+                    break
 
             pos = base + i
             if stalled:
                 break
 
-        self._scan_refs += pos - start_pos
-        self._scan_windows += 1
         context.pos = pos
         # A context that stalled on its final reference is not done yet:
         # the thread completes only when that memory access returns, so it

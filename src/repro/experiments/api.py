@@ -158,8 +158,9 @@ class SuiteRequest:
         since requests persisted before the removal carry them and
         neither ever changed a result: ``engine`` naming either retired
         replay engine, and ``stream_chunk_refs`` (null or a positive
-        chunk size; every report path replays whole columns).  Any other
-        value of either key still raises.
+        integer, decoded like the integer fields; every report path
+        replays whole columns).  Any other value of either key still
+        raises.
         """
         if not isinstance(payload, dict):
             raise ValueError(
@@ -171,7 +172,13 @@ class SuiteRequest:
         if "stream_chunk_refs" in payload:
             chunk_refs = payload.pop("stream_chunk_refs")
             if chunk_refs is not None:
-                check_positive("stream_chunk_refs", int(chunk_refs))
+                size = _decode_int(chunk_refs)
+                if size is None or size <= 0:
+                    raise ValueError(
+                        "suite request field 'stream_chunk_refs' must be "
+                        "null or a positive integer, got "
+                        f"{type(chunk_refs).__name__} {chunk_refs!r}"
+                    )
         unknown = sorted(set(payload) - set(_DECODERS))
         if unknown:
             raise ValueError(

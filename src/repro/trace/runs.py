@@ -57,8 +57,6 @@ class CompressedTrace:
     are parallel to the original references, ``prefix_gaps`` has
     ``num_refs + 1`` entries (``prefix_gaps[j] - prefix_gaps[i]`` is the
     gap sum over ``[i, j)``; see :func:`compress_traces` for its base).
-    ``blocks_np`` is the array ``blocks`` views, for the kernel's
-    vectorized hit scan.
     """
 
     thread_id: int
@@ -69,8 +67,6 @@ class CompressedTrace:
     next_write: memoryview
     prefix_gaps: memoryview
     num_refs: int
-    num_runs: int
-    blocks_np: np.ndarray = field(repr=False, compare=False)
     _charge_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def charge_prefix(self, hit_cycles: int) -> memoryview:
@@ -156,7 +152,6 @@ def compress_traces(spans, block_bits: int, *,
     run_bounds = np.append(np.flatnonzero(new_run), n).astype(pos_type)
     del new_run
     run_end = np.repeat(run_bounds[1:], np.diff(run_bounds))
-    num_runs = np.diff(np.searchsorted(run_bounds[:-1], bounds)).tolist()
     del run_bounds
 
     # First write at or after each position, else the span's end.  The
@@ -196,8 +191,6 @@ def compress_traces(spans, block_bits: int, *,
             next_write=next_write[a:b],
             prefix_gaps=prefix[a:b + 1],
             num_refs=b - a,
-            num_runs=num_runs[k],
-            blocks_np=blocks[a:b],
         )
         if charge is not None:
             compressed._charge_cache[hit_cycles] = charge[a:b + 1]

@@ -37,13 +37,15 @@ class TestSuiteRequest:
         # Requests persisted before the option was retired carry it;
         # every value it accepted names the same request.
         request = SuiteRequest(sections=("table1",), scale=0.001)
-        for value in (None, 512, "64"):
+        for value in (None, 512, 64.0):
             payload = dict(request.to_dict(), stream_chunk_refs=value)
             assert SuiteRequest.from_dict(payload) == request
 
     def test_from_dict_rejects_bad_stream_chunk_refs(self):
-        for value in (0, -4, "x"):
-            with pytest.raises(ValueError):
+        # Decoded by JSON type like the integer fields, never coerced.
+        for value in (0, -4, "x", "64", True, 1.9, 0.5):
+            with pytest.raises(ValueError,
+                               match="null or a positive integer"):
                 SuiteRequest.from_dict(
                     {"sections": ["table1"], "stream_chunk_refs": value})
 

@@ -77,12 +77,19 @@ class TestKernelOnPaperSuite:
     bit-for-bit on every real paper workload, not just on generated
     micro-traces."""
 
-    @pytest.mark.parametrize("app", application_names())
-    def test_kernel_matches_reference(self, audited_suite, app):
+    # Every app on the finite cache and on the infinite one (table 5),
+    # whose cells have the longest hit windows.
+    @pytest.mark.parametrize(("app", "infinite"), [
+        *(pytest.param(app, False, id=app) for app in application_names()),
+        *(pytest.param(app, True, id=f"{app}-infinite")
+          for app in application_names()),
+    ])
+    def test_kernel_matches_reference(self, audited_suite, app, infinite):
         traces = audited_suite.traces(app)
         placement = audited_suite.placement(app, "SHARE-REFS", 4)
         config = audited_suite._machine(
-            app, placement, infinite=False, associativity=1, cache_words=None,
+            app, placement, infinite=infinite, associativity=1,
+            cache_words=None,
         )
         production = simulate(traces, placement, config,
                               quantum_refs=audited_suite.quantum_refs)
@@ -91,7 +98,7 @@ class TestKernelOnPaperSuite:
         mismatches = diff_results(production, reference,
                                   actual_name="kernel",
                                   expected_name="reference")
-        assert not mismatches, f"{app}: {mismatches}"
+        assert not mismatches, f"{app} (infinite={infinite}): {mismatches}"
 
 
 class TestFigure4Claim:

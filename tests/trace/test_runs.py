@@ -42,7 +42,6 @@ class TestCompress:
                                       writes=[False] * 6), block_bits=2)
         assert list(c.blocks) == [1, 1, 1, 2, 2, 1]
         assert list(c.run_end) == [3, 3, 3, 5, 5, 6]
-        assert c.num_runs == 3
 
     def test_next_write_is_first_write_at_or_after(self):
         c = compress_trace(make_trace(gaps=[0] * 5, addrs=[0] * 5,
@@ -64,7 +63,6 @@ class TestCompress:
         c = compress_trace(make_trace(gaps=(), addrs=(), writes=()),
                            block_bits=2)
         assert c.num_refs == 0
-        assert c.num_runs == 0
         assert list(c.prefix_gaps) == [0]
 
     def test_not_memoized_on_the_trace(self):
@@ -94,7 +92,6 @@ class TestCompress:
             )
             assert c.next_write[i] == expected_next
             assert c.prefix_gaps[i + 1] - c.prefix_gaps[i] == c.gaps[i]
-        assert c.num_runs == len(set(c.run_end))
 
 
 class TestChargePrefix:
