@@ -66,7 +66,7 @@ from typing import TYPE_CHECKING
 
 from repro.dist.directory import PartitionDirectory
 from repro.dist.ring import DEFAULT_NUM_SHARDS, shard_of
-from repro.exec.jobs import JobSpec, plan_sections
+from repro.exec.jobs import JobSpec
 from repro.exec.journal import COMPLETED_EVENTS, RunJournal
 from repro.experiments.cache import ResultStore
 from repro.service.client import ServiceClient, ServiceError
@@ -627,28 +627,11 @@ def run_distributed(
     suite and its ``report_text``, and the :class:`ClusterResult`.
     """
     from repro.experiments.api import SuiteResult
-    from repro.experiments.report import write_report
-    from repro.experiments.runner import ExperimentSuite
 
-    sections = (list(request.sections)
-                if request.sections is not None else None)
-    specs = plan_sections(
-        sections, scale=request.scale, seed=request.seed,
-        quantum_refs=request.quantum_refs,
-        random_replicates=request.random_replicates,
-        topology=request.topology,
-    )
     coordinator = DistributedCoordinator(
         nodes, data_dir, store_dir, **(coordinator_options or {}))
-    cluster = coordinator.run(specs, timeout=timeout)
-    suite = ExperimentSuite(
-        scale=request.scale, seed=request.seed,
-        quantum_refs=request.quantum_refs,
-        random_replicates=request.random_replicates,
-        cache_dir=str(store_dir),
-        check_invariants=request.check_invariants,
-        topology=request.topology,
-    )
+    cluster = coordinator.run(request.plan(), timeout=timeout)
+    suite = request.suite(str(store_dir))
     by_job = {spec.job_id: spec for spec in cluster.specs}
     for job_id, result in cluster.results.items():
         spec = by_job[job_id]
@@ -657,6 +640,6 @@ def run_distributed(
     for spec in cluster.missing:
         suite.missing.add(spec.cell)
     buffer = io.StringIO()
-    write_report(suite, buffer, sections=sections, charts=request.charts)
+    request.render(suite, buffer)
     return (SuiteResult(request=request, suite=suite,
                         report_text=buffer.getvalue()), cluster)

@@ -5,10 +5,14 @@ run; the service layer (:mod:`repro.service`) and library users need the
 same behavior as a function call.  This module is that seam:
 
 * :class:`SuiteRequest` — *what* to compute: the report sections and the
-  workload identity (scale, seed, quantum, replicates) plus rendering
-  options.  A request is content-addressed: :attr:`SuiteRequest.digest`
-  is a SHA-256 over the canonical request fields *and* the planned
-  cells' content addresses (the same per-cell SHA-256 keys the
+  workload identity (scale, seed, quantum) plus rendering options.  Its
+  dataclass fields are the one request schema: each field's metadata
+  holds its JSON shape, decoder and CLI flag, from which the wire format,
+  the digest material and both CLIs' request flags
+  (:func:`add_request_arguments`) are derived.  A request is
+  content-addressed: :attr:`SuiteRequest.digest` is a SHA-256 over the
+  canonical request fields *and* the planned cells' content addresses
+  (the same per-cell SHA-256 keys the
   :class:`~repro.experiments.cache.ResultStore` files results under), so
   two identical submissions — from different processes, users or
   machines — name the same run and can be coalesced into one
@@ -27,11 +31,12 @@ repo-wide byte-identity bar extends through every entry point.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TextIO
 
 from repro.experiments.report import REPORT_SECTIONS, write_report
@@ -42,7 +47,7 @@ from repro.util.validate import check_positive
 from repro.workload.applications import DEFAULT_SCALE
 
 __all__ = ["SuiteRequest", "RunOptions", "SuiteResult", "run_suite",
-           "REQUEST_SCHEMA"]
+           "add_request_arguments", "REQUEST_SCHEMA"]
 
 #: Leading tag of every request digest; bump on incompatible changes to
 #: the digest composition.
@@ -81,19 +86,20 @@ def _decode_str(value):
     return value if isinstance(value, str) else None
 
 
-#: Wire decoding of each :class:`SuiteRequest` field: (the expected JSON
-#: shape, for the error message; a decoder returning ``None`` on any
-#: other shape).
-_DECODERS = {
-    "sections": ("a string or a list of strings", _decode_sections),
-    "scale": ("a finite positive number", _decode_scale),
-    "seed": ("an integer", _decode_int),
-    "quantum_refs": ("an integer", _decode_int),
-    "random_replicates": ("an integer", _decode_int),
-    "charts": ("a boolean", _decode_bool),
-    "check_invariants": ("a boolean", _decode_bool),
-    "topology": ("a string or null", _decode_str),
-}
+def _request_field(default, shape: str, decode, **flag):
+    """One :class:`SuiteRequest` field: its default; its JSON ``shape``
+    (for error messages) and ``decode`` function, which returns ``None``
+    on any other shape; and the :mod:`argparse` keywords of its flag."""
+    return field(default=default,
+                 metadata={"shape": shape, "decode": decode, "flag": flag})
+
+
+#: The RANDOM baseline's replicate count, which every request runs (the
+#: planner's and :class:`ExperimentSuite`'s default).  It was once a
+#: request field: the digest still names it, so every content address is
+#: unchanged, and :meth:`SuiteRequest.from_dict` accepts the key with
+#: this value only.
+_RANDOM_REPLICATES = 3
 
 
 @dataclass(frozen=True)
@@ -102,17 +108,38 @@ class SuiteRequest:
 
     Only fields that shape the report's *bytes* live here (sections,
     workload identity, rendering switches) — execution mechanics
-    (workers, timeouts, journals) belong in :class:`RunOptions`.
+    (workers, timeouts, journals) belong in :class:`RunOptions`.  The
+    fields are the request schema: the wire format, the digest and both
+    CLIs' request flags are derived from them and their metadata.
     """
 
-    sections: tuple[str, ...] | None = None
-    scale: float = DEFAULT_SCALE
-    seed: int = 0
-    quantum_refs: int = 256
-    random_replicates: int = 3
-    charts: bool = False
-    check_invariants: bool = False
-    topology: str | None = None
+    sections: tuple[str, ...] | None = _request_field(
+        None, "a string or a list of strings", _decode_sections,
+        nargs="+", choices=sorted(REPORT_SECTIONS),
+        help="which tables/figures to regenerate (default: all)")
+    scale: float = _request_field(
+        DEFAULT_SCALE, "a finite positive number", _decode_scale,
+        type=float,
+        help=f"workload scale relative to the paper (default {DEFAULT_SCALE})")
+    seed: int = _request_field(0, "an integer", _decode_int,
+                               type=int, help="root seed")
+    quantum_refs: int = _request_field(
+        256, "an integer", _decode_int, type=int, metavar="N",
+        help="simulator scheduling quantum in references (default 256)")
+    charts: bool = _request_field(
+        False, "a boolean", _decode_bool, action="store_true",
+        help="also render each figure as ASCII bar charts")
+    check_invariants: bool = _request_field(
+        False, "a boolean", _decode_bool, action="store_true",
+        help="audit every simulation with the oracle's runtime conservation "
+             "laws (cycle accounting, miss bookkeeping, directory/cache "
+             "sync); results are unchanged, violations abort the run")
+    topology: str | None = _request_field(
+        None, "a string or null", _decode_str, metavar="SPEC",
+        help="machine topology for every simulation: 'flat[:latency]' "
+             "(the default machine) or 'numa:<groups>:<local>:<remote>' "
+             "(tiered latencies; see docs/TOPOLOGY.md).  'flat:50' is "
+             "byte-identical to omitting the flag")
 
     def __post_init__(self) -> None:
         check_positive("scale", self.scale)
@@ -125,7 +152,6 @@ class SuiteRequest:
             canonical.spec if canonical is not None else None,
         )
         check_positive("quantum_refs", self.quantum_refs)
-        check_positive("random_replicates", self.random_replicates)
         if self.sections is not None:
             chosen = list(self.sections)
             if not chosen:
@@ -141,7 +167,13 @@ class SuiteRequest:
             ordered = tuple(s for s in REPORT_SECTIONS if s in set(chosen))
             object.__setattr__(self, "sections", ordered)
 
-    # -- wire format -----------------------------------------------------
+    @property
+    def section_list(self) -> list[str] | None:
+        """The sections as the planner and renderers take them (None =
+        all)."""
+        return list(self.sections) if self.sections is not None else None
+
+    # -- wire format and CLI ---------------------------------------------
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SuiteRequest":
@@ -153,14 +185,14 @@ class SuiteRequest:
         ``sections`` a string or a list of strings and ``topology`` a
         string; ``sections`` and ``topology`` may be null (all sections,
         the flat machine).  Any other shape, and any unknown key, raises
-        ``ValueError`` (a 400 at the HTTP layer).  Two legacy keys are
-        tolerated, each only with a value its retired option accepted,
-        since requests persisted before the removal carry them and
-        neither ever changed a result: ``engine`` naming either retired
-        replay engine, and ``stream_chunk_refs`` (null or a positive
-        integer, decoded like the integer fields; every report path
-        replays whole columns).  Any other value of either key still
-        raises.
+        ``ValueError`` (a 400 at the HTTP layer).  Three legacy keys are
+        tolerated, each only with a value its retired field accepted,
+        since requests persisted before the removal carry them and none
+        ever changed a result: ``engine`` naming either retired replay
+        engine, ``stream_chunk_refs`` (null or a positive integer; every
+        report path replays whole columns) and ``random_replicates``
+        (only 3, the count every request runs).  Any other value of
+        these keys still raises.
         """
         if not isinstance(payload, dict):
             raise ValueError(
@@ -179,21 +211,32 @@ class SuiteRequest:
                         "null or a positive integer, got "
                         f"{type(chunk_refs).__name__} {chunk_refs!r}"
                     )
-        unknown = sorted(set(payload) - set(_DECODERS))
+        if "random_replicates" in payload:
+            replicates = payload.pop("random_replicates")
+            if _decode_int(replicates) != _RANDOM_REPLICATES:
+                raise ValueError(
+                    "suite request field 'random_replicates' must be an "
+                    f"integer equal to {_RANDOM_REPLICATES} (the one count "
+                    "every request runs), got "
+                    f"{type(replicates).__name__} {replicates!r}"
+                )
+        specs = {spec.name: spec for spec in fields(cls)}
+        unknown = sorted(set(payload) - set(specs))
         if unknown:
             raise ValueError(
                 f"unknown suite request fields {unknown}; "
-                f"known: {sorted(_DECODERS)}"
+                f"known: {sorted(specs)}"
             )
         decoded: dict = {}
         for name, value in payload.items():
-            if value is None and name in ("sections", "topology"):
+            spec = specs[name]
+            if value is None and spec.default is None:
                 continue
-            expected, decode = _DECODERS[name]
-            result = decode(value)
+            result = spec.metadata["decode"](value)
             if result is None:
                 raise ValueError(
-                    f"suite request field {name!r} must be {expected}, "
+                    f"suite request field {name!r} must be "
+                    f"{spec.metadata['shape']}, "
                     f"got {type(value).__name__} {value!r}"
                 )
             decoded[name] = result
@@ -202,32 +245,49 @@ class SuiteRequest:
     def to_dict(self) -> dict:
         """The request as a plain JSON-able dict (round-trips through
         :meth:`from_dict`)."""
-        return {
-            "sections": list(self.sections) if self.sections is not None
-            else None,
-            "scale": self.scale,
-            "seed": self.seed,
-            "quantum_refs": self.quantum_refs,
-            "random_replicates": self.random_replicates,
-            "charts": self.charts,
-            "check_invariants": self.check_invariants,
-            "topology": self.topology,
-        }
+        values = {spec.name: getattr(self, spec.name) for spec in fields(self)}
+        return {name: list(value) if isinstance(value, tuple) else value
+                for name, value in values.items()}
+
+    @classmethod
+    def from_args(cls, args: argparse.Namespace) -> "SuiteRequest":
+        """The request named by the flags :func:`add_request_arguments`
+        added to a parser."""
+        return cls(**{spec.name: getattr(args, spec.name)
+                      for spec in fields(cls)})
+
+    # -- planning and rendering ------------------------------------------
+
+    def plan(self) -> list:
+        """The :class:`~repro.exec.jobs.JobSpec` of every simulation
+        cell this request needs."""
+        from repro.exec.jobs import plan_sections
+
+        return plan_sections(
+            self.section_list, scale=self.scale, seed=self.seed,
+            quantum_refs=self.quantum_refs, topology=self.topology,
+        )
+
+    def suite(self, cache_dir: str | None = None) -> ExperimentSuite:
+        """A fresh :class:`ExperimentSuite` computing this request's
+        cells, backed by the result store at ``cache_dir`` if given."""
+        return ExperimentSuite(
+            scale=self.scale, seed=self.seed,
+            quantum_refs=self.quantum_refs, cache_dir=cache_dir,
+            check_invariants=self.check_invariants, topology=self.topology,
+        )
+
+    def render(self, suite: ExperimentSuite, out: TextIO) -> None:
+        """Write this request's report of ``suite`` to ``out``."""
+        write_report(suite, out, sections=self.section_list,
+                     charts=self.charts)
 
     # -- content address -------------------------------------------------
 
     def cell_ids(self) -> list[str]:
         """The content addresses of every simulation cell this request
         plans (the engine's job ids / the store's filenames)."""
-        from repro.exec.jobs import plan_sections
-
-        specs = plan_sections(
-            list(self.sections) if self.sections is not None else None,
-            scale=self.scale, seed=self.seed, quantum_refs=self.quantum_refs,
-            random_replicates=self.random_replicates,
-            topology=self.topology,
-        )
-        return [spec.job_id for spec in specs]
+        return [spec.job_id for spec in self.plan()]
 
     @property
     def digest(self) -> str:
@@ -239,24 +299,15 @@ class SuiteRequest:
         :class:`~repro.experiments.cache.ResultStore` entries it will
         share.  Excludes every :class:`RunOptions` mechanic.
         """
-        fields_material = {
-            "schema": REQUEST_SCHEMA,
-            "sections": (list(self.sections)
-                         if self.sections is not None else None),
-            "scale": self.scale,
-            "seed": self.seed,
-            "quantum_refs": self.quantum_refs,
-            "random_replicates": self.random_replicates,
-            "charts": self.charts,
-            "check_invariants": self.check_invariants,
-            "cells": self.cell_ids(),
-        }
-        if self.topology is not None:
+        material = dict(self.to_dict(), schema=REQUEST_SCHEMA,
+                        random_replicates=_RANDOM_REPLICATES,
+                        cells=self.cell_ids())
+        if self.topology is None:
             # Only a non-flat topology contributes (the flat baseline is
             # canonicalized away), so pre-topology digests are unchanged.
-            fields_material["topology"] = self.topology
-        material = json.dumps(fields_material, sort_keys=True)
-        return hashlib.sha256(material.encode("ascii")).hexdigest()[:32]
+            del material["topology"]
+        encoded = json.dumps(material, sort_keys=True)
+        return hashlib.sha256(encoded.encode("ascii")).hexdigest()[:32]
 
     def describe(self) -> str:
         """One-line human label (service listings, logs)."""
@@ -266,6 +317,15 @@ class SuiteRequest:
         if self.topology is not None:
             label += f" topo={self.topology}"
         return label
+
+
+def add_request_arguments(parser: argparse.ArgumentParser) -> None:
+    """Add one flag per :class:`SuiteRequest` field to ``parser``
+    (``--quantum-refs`` for ``quantum_refs``), defaulting to the field's
+    default; :meth:`SuiteRequest.from_args` reads them back."""
+    for spec in fields(SuiteRequest):
+        parser.add_argument("--" + spec.name.replace("_", "-"),
+                            default=spec.default, **spec.metadata["flag"])
 
 
 @dataclass(frozen=True)
@@ -344,21 +404,13 @@ def run_suite(
         content ``repro-experiments`` would have written.
     """
     options = options if options is not None else RunOptions()
-    suite = ExperimentSuite(
-        scale=request.scale, seed=request.seed,
-        quantum_refs=request.quantum_refs,
-        random_replicates=request.random_replicates,
-        cache_dir=options.cache_dir,
-        check_invariants=request.check_invariants,
-        topology=request.topology,
-    )
-    sections = list(request.sections) if request.sections is not None else None
+    suite = request.suite(options.cache_dir)
     result = SuiteResult(request=request, suite=suite)
     if options.wants_engine:
         with trace_span("prefetch", kind="stage"):
             run = suite.prefetch(
-                sections, jobs=options.jobs, timeout=options.timeout,
-                hang_timeout=options.hang_timeout,
+                request.section_list, jobs=options.jobs,
+                timeout=options.timeout, hang_timeout=options.hang_timeout,
                 journal=options.journal, resume=options.resume,
                 max_retries=options.retries, observer=options.observer,
             )
@@ -367,11 +419,9 @@ def run_suite(
     if render:
         with trace_span("render", kind="stage"):
             if out is not None:
-                write_report(suite, out, sections=sections,
-                             charts=request.charts)
+                request.render(suite, out)
             else:
                 buffer = io.StringIO()
-                write_report(suite, buffer, sections=sections,
-                             charts=request.charts)
+                request.render(suite, buffer)
                 result.report_text = buffer.getvalue()
     return result

@@ -32,12 +32,12 @@ import os
 import sys
 
 from repro import faults
-from repro.experiments.api import RunOptions, SuiteRequest, run_suite
-from repro.experiments.report import REPORT_SECTIONS, write_report
+from repro.experiments.api import (
+    RunOptions, SuiteRequest, add_request_arguments, run_suite,
+)
 from repro.obs.spans import trace_span
 from repro.tools.errors import DEGRADED_EXIT_CODE, friendly_errors
 from repro.util.atomicio import atomic_write_text
-from repro.workload.applications import DEFAULT_SCALE
 
 __all__ = ["main", "build_parser"]
 
@@ -52,27 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(ISCA 1994)."
         ),
     )
-    parser.add_argument(
-        "--sections",
-        nargs="+",
-        choices=sorted(REPORT_SECTIONS),
-        default=None,
-        help="which tables/figures to regenerate (default: all)",
-    )
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=DEFAULT_SCALE,
-        help=f"workload scale relative to the paper (default {DEFAULT_SCALE})",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="root seed")
-    parser.add_argument(
-        "--quantum-refs",
-        type=int,
-        default=256,
-        metavar="N",
-        help="simulator scheduling quantum in references (default 256)",
-    )
+    add_request_arguments(parser)
     parser.add_argument(
         "--jobs",
         type=int,
@@ -163,27 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
              "also the default --journal location when observing",
     )
     parser.add_argument(
-        "--topology",
-        metavar="SPEC",
-        default=None,
-        help="machine topology for every simulation: 'flat[:latency]' "
-             "(the default machine) or 'numa:<groups>:<local>:<remote>' "
-             "(tiered latencies; see docs/TOPOLOGY.md).  'flat:50' is "
-             "byte-identical to omitting the flag",
-    )
-    parser.add_argument(
-        "--check-invariants",
-        action="store_true",
-        help="audit every simulation with the oracle's runtime conservation "
-             "laws (cycle accounting, miss bookkeeping, directory/cache "
-             "sync); results are unchanged, violations abort the run",
-    )
-    parser.add_argument(
-        "--charts",
-        action="store_true",
-        help="also render each figure as ASCII bar charts",
-    )
-    parser.add_argument(
         "--verify",
         action="store_true",
         help="check the paper's claims against the regenerated experiments "
@@ -256,13 +215,7 @@ def main(argv: list[str] | None = None) -> int:
         os.environ[faults.SPEC_VAR] = args.inject_faults
         if args.fault_ledger:
             os.environ[faults.LEDGER_VAR] = args.fault_ledger
-    request = SuiteRequest(
-        sections=tuple(args.sections) if args.sections else None,
-        scale=args.scale, seed=args.seed, quantum_refs=args.quantum_refs,
-        charts=args.charts,
-        check_invariants=args.check_invariants,
-        topology=args.topology,
-    )
+    request = SuiteRequest.from_args(args)
     observer = None
     if observing:
         from repro.obs.run import RunObserver
@@ -283,9 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         result = run_suite(request, options, render=False)
         suite = result.suite
-        sections = (
-            list(request.sections) if request.sections is not None else None
-        )
+        sections = request.section_list
         run = result.run
         if run is not None:
             sys.stderr.write(run.summary.render() + "\n")
@@ -333,12 +284,10 @@ def main(argv: list[str] | None = None) -> int:
         with trace_span("render", kind="stage"):
             if args.out == "-":
                 # Stream to the terminal so long runs show progress.
-                write_report(suite, sys.stdout, sections=sections,
-                             charts=args.charts)
+                request.render(suite, sys.stdout)
             else:
                 buffer = io.StringIO()
-                write_report(suite, buffer, sections=sections,
-                             charts=args.charts)
+                request.render(suite, buffer)
                 _write_out(args.out, buffer.getvalue())
         return DEGRADED_EXIT_CODE if suite.missing else 0
     finally:

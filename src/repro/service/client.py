@@ -18,7 +18,9 @@ The module doubles as a tiny CLI::
     python -m repro.service.client --url http://127.0.0.1:8077 \\
         submit --sections table1 --scale 0.001 --watch --report-out out.txt
 
-which is exactly how the CI service job exercises the server.
+which is exactly how the CI service job exercises the server.  ``submit``
+takes the same request flags as ``repro-experiments`` (both come from
+:func:`~repro.experiments.api.add_request_arguments`).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from typing import Callable, Iterator, TypeVar
 from urllib.parse import urlencode, urlsplit
 
 from repro import faults
+from repro.experiments.api import SuiteRequest, add_request_arguments
 
 __all__ = ["ServiceClient", "ServiceError", "ServiceUnreachable", "main",
            "retry_idempotent"]
@@ -476,15 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
     commands.add_parser("jobs", help="list known jobs")
 
     submit = commands.add_parser("submit", help="submit a suite run")
-    submit.add_argument("--sections", nargs="+", default=None,
-                        help="report sections (default: all)")
-    submit.add_argument("--scale", type=float, default=None,
-                        help="workload scale")
-    submit.add_argument("--seed", type=int, default=None, help="base seed")
-    submit.add_argument("--quantum-refs", type=int, default=None,
-                        help="references per scheduling quantum")
-    submit.add_argument("--charts", action="store_true",
-                        help="include ASCII charts in the report")
+    add_request_arguments(submit)
     submit.add_argument("--wait", action="store_true",
                         help="block until the job finishes")
     submit.add_argument("--watch", action="store_true",
@@ -508,22 +503,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _submit_payload(args: argparse.Namespace) -> dict:
-    payload: dict = {}
-    if args.sections is not None:
-        payload["sections"] = args.sections
-    for name in ("scale", "seed", "quantum_refs"):
-        value = getattr(args, name)
-        if value is not None:
-            payload[name] = value
-    if args.charts:
-        payload["charts"] = True
-    return payload
-
-
 def main(argv: list[str] | None = None) -> int:
     """Entry point for ``python -m repro.service.client``."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "submit":
+        try:
+            request = SuiteRequest.from_args(args)
+        except ValueError as exc:  # e.g. a malformed --topology
+            parser.error(str(exc))
     client = ServiceClient(args.url, tenant=args.tenant,
                            timeout=args.timeout)
     try:
@@ -536,7 +524,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{record['id']}  {record['state']:>7}  "
                       f"{record['describe']}")
         elif args.command == "submit":
-            record = client.submit(_submit_payload(args))
+            record = client.submit(request.to_dict())
             verb = "created" if record.get("created") else "coalesced"
             print(f"{record['id']}  {verb}", file=sys.stderr)
             wait = args.wait or args.watch or args.report_out

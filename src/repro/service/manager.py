@@ -496,10 +496,8 @@ class JobManager:
                 ), render=True)
             atomic_write_text(job.report_path, result.report_text,
                               encoding="utf-8")
-            sections = (list(job.request.sections)
-                        if job.request.sections is not None else None)
             export_json(result.suite, job.report_json_path,
-                        sections=sections)
+                        sections=job.request.section_list)
             if result.degraded:
                 error = (f"degraded run: {len(result.suite.missing)} "
                          "MISSING cell(s); resubmit to retry them")

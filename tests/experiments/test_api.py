@@ -1,10 +1,15 @@
 """Tests for the programmatic suite API (repro.experiments.api)."""
 
+import argparse
+import dataclasses
 import io
 
 import pytest
 
-from repro.experiments.api import RunOptions, SuiteRequest, run_suite
+from repro.experiments.api import (
+    RunOptions, SuiteRequest, add_request_arguments, run_suite,
+)
+from repro.workload.applications import DEFAULT_SCALE
 
 
 class TestSuiteRequest:
@@ -48,6 +53,21 @@ class TestSuiteRequest:
                                match="null or a positive integer"):
                 SuiteRequest.from_dict(
                     {"sections": ["table1"], "stream_chunk_refs": value})
+
+    def test_from_dict_drops_legacy_random_replicates(self):
+        # Every state.json persisted while it was a field carries 3.
+        request = SuiteRequest(sections=("table1",), scale=0.001)
+        for value in (3, 3.0):
+            payload = dict(request.to_dict(), random_replicates=value)
+            assert SuiteRequest.from_dict(payload) == request
+
+    @pytest.mark.parametrize("value", [3000, 2, 0, -3, "3"])
+    def test_from_dict_rejects_other_random_replicates(self, value):
+        with pytest.raises(ValueError,
+                           match="'random_replicates' must be an integer "
+                                 "equal to 3"):
+            SuiteRequest.from_dict(
+                {"sections": ["table1"], "random_replicates": value})
 
     def test_from_dict_rejects_strings_for_numbers(self):
         for payload in ({"sections": "table1", "scale": "0.001"},
@@ -121,7 +141,57 @@ class TestDigest:
         request = SuiteRequest(sections=("table5",), scale=0.001)
         specs = plan_sections(["table5"], scale=0.001, seed=0,
                               quantum_refs=256, random_replicates=3)
+        assert request.plan() == specs
         assert request.cell_ids() == [spec.job_id for spec in specs]
+
+
+class TestRequestFlags:
+    @staticmethod
+    def _request_flags(parser):
+        names = {spec.name for spec in dataclasses.fields(SuiteRequest)}
+        return sorted(action.dest for action in parser._actions
+                      if action.dest in names)
+
+    def test_both_parsers_flag_every_field(self):
+        from repro.experiments.cli import build_parser
+        from repro.service.client import _build_parser
+
+        fields = sorted(spec.name
+                        for spec in dataclasses.fields(SuiteRequest))
+        client = _build_parser()
+        commands = next(action for action in client._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        assert self._request_flags(build_parser()) == fields
+        assert self._request_flags(commands.choices["submit"]) == fields
+
+    def test_report_cli_flags_and_defaults_unchanged(self):
+        from repro.experiments.cli import build_parser
+
+        parser = build_parser()
+        flags = {option for action in parser._actions
+                 for option in action.option_strings}
+        assert {"--sections", "--scale", "--seed", "--quantum-refs",
+                "--charts", "--check-invariants", "--topology"} <= flags
+        args = parser.parse_args([])
+        assert args.sections is None
+        assert args.seed == 0
+        assert args.quantum_refs == 256
+        assert args.scale == DEFAULT_SCALE
+        assert not args.charts and not args.check_invariants
+        assert args.topology is None
+        assert SuiteRequest.from_args(args) == SuiteRequest()
+
+    def test_from_args_reads_every_flag(self):
+        parser = argparse.ArgumentParser()
+        add_request_arguments(parser)
+        args = parser.parse_args([
+            "--sections", "table2", "table1", "--scale", "0.001",
+            "--seed", "7", "--quantum-refs", "128", "--charts",
+            "--check-invariants", "--topology", "numa:2:50:150"])
+        assert SuiteRequest.from_args(args) == SuiteRequest(
+            sections=("table1", "table2"), scale=0.001, seed=7,
+            quantum_refs=128, charts=True, check_invariants=True,
+            topology="numa:2:50:150")
 
 
 class TestRunOptions:

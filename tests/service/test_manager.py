@@ -186,8 +186,9 @@ class TestPersistence:
     def test_job_persisted_with_stream_chunk_refs_reloads(self, manager):
         """Every job finished before the streaming option left the report
         path records ``"stream_chunk_refs": null`` in its request (the
-        request's ``to_dict`` always wrote it); it must still reload as
-        done, by the same id, rather than 404."""
+        request's ``to_dict`` always wrote it), and every job finished
+        before ``random_replicates`` left the request records it as 3;
+        it must still reload as done, by the same id, rather than 404."""
         digest = request().digest
         directory = manager.jobs_dir / digest
         directory.mkdir(parents=True)
@@ -215,6 +216,7 @@ class TestPersistence:
         assert job.id == digest
         assert job.request == request()
         assert "stream_chunk_refs" not in job.to_dict()["request"]
+        assert "random_replicates" not in job.to_dict()["request"]
 
     def test_failed_job_is_retried_on_resubmit(self, tmp_path):
         mgr = JobManager(tmp_path / "svc")

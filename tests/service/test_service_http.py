@@ -137,6 +137,28 @@ class TestJobLifecycle:
             client.submit(dict(CHEAP, stream_chunk_refs=0))
         assert excinfo.value.status == 400
 
+    def test_legacy_random_replicates_other_than_3_is_400(self, service,
+                                                         monkeypatch):
+        """The retired field is accepted only with the one count every
+        request runs; any other value is refused before any planning."""
+        import repro.exec.jobs
+
+        planned = []
+        real = repro.exec.jobs.plan_sections
+        monkeypatch.setattr(
+            repro.exec.jobs, "plan_sections",
+            lambda *a, **kw: planned.append(kw) or real(*a, **kw))
+        client, manager = service
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit({"random_replicates": 3000})
+        assert excinfo.value.status == 400
+        assert "random_replicates" in str(excinfo.value)
+        assert planned == []
+        assert manager.list_jobs() == []
+        first = client.submit(CHEAP)
+        legacy = client.submit(dict(CHEAP, random_replicates=3))
+        assert legacy["id"] == first["id"]
+
     def test_racing_http_submitters_share_one_job(self, service):
         client, _ = service
         results = [None] * 6
@@ -156,6 +178,27 @@ class TestJobLifecycle:
             thread.join()
         assert len({r["id"] for r in results}) == 1
         assert sum(1 for r in results if r["created"]) == 1
+
+
+class TestClientCli:
+    def test_submit_sends_every_request_flag(self, service, capsys):
+        """``submit`` takes the report CLI's request flags, including the
+        topology and the audit switch."""
+        from repro.service.client import main
+
+        client, _ = service
+        code = main(["--url", f"http://{client.host}:{client.port}",
+                     "submit", "--sections", "table1", "--scale", "0.001",
+                     "--topology", "numa:2:50:150", "--check-invariants"])
+        assert code == 0
+        job_id = capsys.readouterr().out.strip()
+        request = client.job(job_id)["request"]
+        assert request["topology"] == "numa:2:50:150"
+        assert request["check_invariants"] is True
+        assert job_id == SuiteRequest(
+            sections=("table1",), scale=0.001, topology="numa:2:50:150",
+            check_invariants=True).digest
+        assert client.wait(job_id, timeout=120)["state"] == "done"
 
 
 class TestAdmission429:
