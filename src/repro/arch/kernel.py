@@ -33,10 +33,10 @@ Why it is exact (the full argument is in ``docs/PERFORMANCE.md``):
 
 So the kernel replays each run segment as: one slow-stepped reference
 (which may miss, exactly like a per-reference loop), one optional
-directory upgrade at the segment's first write, and one O(1) arithmetic
-step for the remaining hits.  Runs are split at quantum edges so coherence
-invalidations between quanta are observed at exactly the same points as
-in a per-reference replay.
+directory upgrade at the segment's first write, and the remaining hits
+charged once from the prefix at the window's exit.  Runs are split at
+quantum edges so coherence invalidations between quanta are observed at
+exactly the same points as in a per-reference replay.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from repro.arch.stats import MissKind, ProcessorStats
 from repro.trace.runs import CompressedTrace, compress_chunk, compress_traces
 from repro.trace.stream import ThreadTrace
 
-__all__ = ["ArrayFastProcessor", "FastContext", "FastProcessor"]
+__all__ = ["FastContext", "FastProcessor"]
 
 #: Module-level bindings of the miss kinds for the inlined classifier.
 _COMPULSORY = MissKind.COMPULSORY
@@ -128,19 +128,10 @@ class FastProcessor:
     """One multithreaded processor: contexts + cache + cycle accounting,
     its replay loop stepping block runs, not references.
 
-    Constructing one over an :class:`ArrayDirectMappedCache` yields an
-    :class:`ArrayFastProcessor`, whose ``_run`` is :meth:`_run_array`
-    (the direct-mapped hit test inlined); this class's own ``_run`` is
-    the generic loop for set-associative caches: one run loop per cache
-    organisation.  The loop is picked by class rather than by binding a
-    method onto the instance, which would make every processor a
-    reference cycle that outlives its ``simulate`` call.
+    :meth:`advance` runs one scheduling window: the direct-mapped run
+    loop inline, or :meth:`_run` for a set-associative cache, then the
+    one round-robin pick.
     """
-
-    def __new__(cls, pid: int, config: ArchConfig, cache, *args):
-        if isinstance(cache, ArrayDirectMappedCache):
-            cls = ArrayFastProcessor
-        return object.__new__(cls)
 
     def __init__(
         self,
@@ -192,15 +183,15 @@ class FastProcessor:
             self._lat_row = None
             self._mem_lat = None
             self._topo_groups = 1
-        # Direct-mapped caches get the hit test inlined into the run loop
-        # (``_run_array``, which ArrayFastProcessor runs as its ``_run``);
-        # set-associative ones go through cache.access (the MRU move is
-        # stateful even on a hit).
+        # Direct-mapped caches get the run loop inlined into ``advance``;
+        # set-associative ones (``_hot`` None) run ``_run``, which goes
+        # through cache.access (the MRU move is stateful even on a hit).
+        self._hot = None
         if isinstance(cache, ArrayDirectMappedCache):
-            # Loop-invariant bindings for _run_array, unpacked once per
-            # window instead of re-resolved attribute by attribute.  All
-            # are stable references: the lists/dicts are mutated in place,
-            # never reassigned.
+            # Loop-invariant bindings for the inline loop, unpacked once
+            # per window instead of re-resolved attribute by attribute.
+            # All are stable references: the lists/dicts are mutated in
+            # place, never reassigned.
             self._hot = (
                 cache._tags, cache._mask, cache._seen,
                 cache._departure, cache._actor, cache.stats.misses,
@@ -208,7 +199,7 @@ class FastProcessor:
                 directory.last_writer, directory.fetch, directory.pairwise,
                 config.flat_miss_latency, config.write_upgrade_stalls,
                 pid, 1 << pid, self._lat_row, self._mem_lat,
-                self._topo_groups, directory,
+                self._topo_groups, directory, self.stats, cache.stats,
             )
         self._switch_cycles = config.context_switch_cycles
         # Live (not-done) context slots in ascending order (see advance).
@@ -217,7 +208,7 @@ class FastProcessor:
     # ------------------------------------------------------------------
 
     def advance(self, quantum_refs: int) -> int | None:
-        """Run one scheduling quantum; return the next service time.
+        """Run one scheduling window; return the next service time.
 
         Executes the current (ready) context until it misses, finishes, or
         exhausts the quantum, then makes the §3.2 round-robin pick inline:
@@ -227,17 +218,154 @@ class FastProcessor:
         ``current``: the full scan's order minus the completed contexts it
         would skip.  Returns the new local time, or None once every
         context has completed (the completion time is in the stats).
+
+        On a direct-mapped cache the run loop is inline here (a
+        set-associative one, ``_hot`` None, runs :meth:`_run`).  A
+        read-only run costs one tag compare and no function call;
+        ``next_write[i]`` locates the one write per segment that needs a
+        real directory upgrade, so writes never cost a per-reference test.
+        Each consumed reference costs ``charge[i + 1] - charge[i]``, so
+        the window is charged once from the prefix where it stops: at a
+        miss (through the missing reference), at a stalling upgrade
+        (through the write) or at the end of a chunk segment (the prefix
+        is chunk-local).  Every cycle charged there is busy time, and
+        every consumed reference but the one possible miss is a hit.
         """
         if self.finished:
             return None
         current = self.current
         context = self.contexts[current]
-        if not self._run(context, quantum_refs) and not context.done:
-            # Quantum expired mid-run: same context continues next turn.
-            return self.time
+        hot = self._hot
+        if hot is None:
+            stalled = self._run(context, quantum_refs)
+            time = self.time
+        else:
+            # ``sharers``/``last_writer`` feed the upgrade no-op pre-test:
+            # when this processor is the last writer and the sole sharer,
+            # write_hit provably changes nothing, so the kernel skips the
+            # call.  An eviction is the directory's ``evict`` (one
+            # ``&=``), inlined.
+            (tags, mask, seen, departure, actor, miss_counts, write_hit,
+             sharers, last_writer, dir_fetch, pairwise, memory_latency,
+             upgrade_stalls, pid, pid_bit, lat_row, mem_lat, topo_groups,
+             directory, stats, cache_stats) = hot
+            time = start_time = self.time
+            pos = start_pos = context.pos
+            limit = pos + quantum_refs
+            if limit > context.length:
+                limit = context.length
+            stall = None
+            missed = 0
+            # The quantum [pos, limit) is consumed chunk by chunk within
+            # this one call: a chunk edge swaps arrays and continues, it
+            # is never a scheduling event, so the quantum interleaving
+            # (and every coherence outcome) matches the whole-column
+            # replay exactly.  A materialized context is a single chunk.
+            # Indices below are chunk-local (``i = pos - base``); block
+            # numbers stay global.
+            while pos < limit:
+                if pos >= context.climit:
+                    context._advance_chunk()
+                base = context.base
+                blocks = context.blocks
+                run_end = context.run_end
+                next_write = context.next_write
+                i = i0 = pos - base
+                iend = (limit if limit < context.climit
+                        else context.climit) - base
+                while i < iend:
+                    block = blocks[i]
+                    if tags[block & mask] == block:
+                        # The whole remaining run hits up to the quantum
+                        # edge: no remote action can intervene
+                        # mid-quantum.
+                        stop = run_end[i]
+                        if stop > iend:
+                            stop = iend
+                        w = next_write[i]
+                        if w < stop and (last_writer[block] != pid
+                                         or sharers[block] != pid_bit):
+                            # The segment's first write: the one upgrade
+                            # that can send invalidations (and stall).
+                            if upgrade_stalls:
+                                if write_hit(block, pid):
+                                    i = w + 1
+                                    stall = (
+                                        memory_latency if lat_row is None
+                                        else directory.last_upgrade_latency)
+                                    break
+                            else:
+                                write_hit(block, pid)
+                        i = stop
+                    else:
+                        # Miss: classify (inlined ArrayDirectMappedCache
+                        # .access; the hit test already ran) and evict,
+                        # then the coherence transaction and its latency.
+                        tid = context.thread_id
+                        invalidator = None
+                        if not seen[block]:
+                            kind = _COMPULSORY
+                            seen[block] = True
+                        elif departure[block] == _INVALIDATED:
+                            invalidator = actor[block]
+                            departure[block] = _NONE
+                            kind = _INVALIDATION
+                        else:
+                            evictor = (actor[block]
+                                       if departure[block] == _EVICTED
+                                       else tid)
+                            departure[block] = _NONE
+                            kind = _INTRA if evictor == tid else _INTER
+                        miss_counts[kind] += 1
+                        if self._probe is not None:
+                            self._probe.misses[kind] += 1
+                        index = block & mask
+                        evicted = tags[index]
+                        if evicted != -1:
+                            departure[evicted] = _EVICTED
+                            actor[evicted] = tid
+                            sharers[evicted] &= ~pid_bit
+                        tags[index] = block
+                        source = dir_fetch(block, pid, context.writes[i])
+                        i += 1
+                        missed = 1
+                        if kind is _INVALIDATION and invalidator is not None:
+                            pairwise[pid, invalidator] += 1
+                        elif kind is _COMPULSORY and source is not None:
+                            pairwise[pid, source] += 1
+                        if lat_row is None:
+                            stall = memory_latency
+                        elif source is not None:
+                            stall = lat_row[source]
+                        else:
+                            stall = mem_lat[block % topo_groups]
+                        break
+                charge = context.charge
+                time += charge[i] - charge[i0]
+                pos = base + i
+                if stall is not None:
+                    context.ready_time = time + stall
+                    break
+            stalled = stall is not None
+            context.pos = pos
+            stats.busy += time - start_time
+            cache_stats.hits += pos - start_pos - missed
+        if not stalled:
+            if context.pos < context.length:
+                # Quantum expired mid-run: same context continues next turn.
+                self.time = time
+                return time
+            # The last reference was consumed without a stall.  (One that
+            # stalls stays pending until its access returns, and is
+            # retired here on resume.)  The guard: the initial current
+            # slot can be an empty context, done at construction and never
+            # in ``_alive``.
+            if not context.done:
+                context.done = True
+                self._alive.remove(current)
         alive = self._alive
-        time = self.time
         if not alive:
+            self.time = time
             self.finished = True
             self.stats.completion_time = time
             return None
@@ -273,305 +401,87 @@ class FastProcessor:
         self.time = time
         return time
 
-    def _run_array(self, context: FastContext, quantum_refs: int) -> bool:
-        """Replay block runs with the direct-mapped hit test inlined.
-
-        Bit-for-bit equivalent to a per-reference replay (see the module
-        docstring for the argument); returns True when the context
-        stalled on a miss or a sequentially-consistent upgrade.
-
-        A read-only run costs one tag compare and one prefix-sum span
-        charge — no function calls.  ``next_write[pos]`` locates the one
-        write per segment that needs a real directory upgrade (including
-        a write at the run's first reference), so writes never cost a
-        per-reference test.  Busy cycles and hit counts are recovered in
-        O(1) at the end: every cycle charged in this loop is busy time
-        (idle and switch costs are added by the scheduler, outside), and
-        every consumed reference short of the one possible miss is a hit.
-        """
-        # ``sharers``/``last_writer`` feed the upgrade no-op pre-test: when
-        # this processor is the last writer and the sole sharer, write_hit
-        # provably changes nothing, so the kernel skips the call.  An
-        # eviction is the directory's ``evict`` (one ``&=``), inlined.
-        (tags, mask, seen, departure, actor, miss_counts, write_hit,
-         sharers, last_writer, dir_fetch, pairwise, memory_latency,
-         upgrade_stalls, pid, pid_bit, lat_row, mem_lat, topo_groups,
-         directory) = self._hot
-        tid = context.thread_id
-        time = self.time
-        start_time = time
-        start_pos = context.pos
-        pos = start_pos
-        limit = pos + quantum_refs
-        if limit > context.length:
-            limit = context.length
-        stalled = False
-        missed = 0
-
-        # The quantum [pos, limit) is consumed chunk by chunk within this
-        # one call: a chunk edge swaps arrays and continues, it is never
-        # a scheduling event, so the quantum interleaving (and every
-        # coherence outcome) matches the whole-column replay exactly.  A
-        # materialized context is a single chunk — one outer iteration,
-        # today's code path verbatim.  Indices below are chunk-local
-        # (``i = pos - base``); block numbers stay global.
-        while pos < limit:
-            if pos >= context.climit:
-                context._advance_chunk()
-            base = context.base
-            blocks = context.blocks
-            writes = context.writes
-            run_end = context.run_end
-            next_write = context.next_write
-            charge = context.charge
-            i = pos - base
-            iend = (limit if limit < context.climit else context.climit) - base
-
-            while i < iend:
-                block = blocks[i]
-                if tags[block & mask] == block:
-                    # The whole remaining run is guaranteed hits up to
-                    # the quantum edge: no remote action can intervene
-                    # mid-quantum.
-                    stop = run_end[i]
-                    if stop > iend:
-                        stop = iend
-                    w = next_write[i]
-                    if w < stop and upgrade_stalls:
-                        # Charge through the segment's first write: the
-                        # one upgrade that can generate traffic and
-                        # stall.
-                        time += charge[w + 1] - charge[i]
-                        i = w + 1
-                        if last_writer[block] != pid or sharers[block] != pid_bit:
-                            if write_hit(block, pid):
-                                context.ready_time = time + (
-                                    memory_latency if lat_row is None
-                                    else directory.last_upgrade_latency)
-                                stalled = True
-                                break
-                        if i < stop:
-                            # Later writes in the segment already own
-                            # the block exclusively: directory no-ops.
-                            time += charge[stop] - charge[i]
-                            i = stop
-                    else:
-                        # Write-buffered machine: the segment's one real
-                        # upgrade (if any) cannot stall, so the whole
-                        # run charges in a single span.
-                        if w < stop and (last_writer[block] != pid
-                                         or sharers[block] != pid_bit):
-                            write_hit(block, pid)
-                        time += charge[stop] - charge[i]
-                        i = stop
-                else:
-                    # Miss: classify (inlined ArrayDirectMappedCache
-                    # .access — the hit test already ran), then the
-                    # coherence transaction plus a full memory latency
-                    # (the reference's cost is charged first, exactly
-                    # like a per-reference loop).
-                    time += charge[i + 1] - charge[i]
-                    is_write = writes[i]
-                    invalidator = None
-                    if not seen[block]:
-                        kind = _COMPULSORY
-                        seen[block] = True
-                    elif departure[block] == _INVALIDATED:
-                        invalidator = actor[block]
-                        departure[block] = _NONE
-                        kind = _INVALIDATION
-                    else:
-                        evictor = (actor[block]
-                                   if departure[block] == _EVICTED else tid)
-                        departure[block] = _NONE
-                        kind = _INTRA if evictor == tid else _INTER
-                    miss_counts[kind] += 1
-                    if self._probe is not None:
-                        self._probe.misses[kind] += 1
-                    index = block & mask
-                    evicted = tags[index]
-                    if evicted != -1:
-                        departure[evicted] = _EVICTED
-                        actor[evicted] = tid
-                        sharers[evicted] &= ~pid_bit
-                    tags[index] = block
-                    i += 1
-                    missed = 1
-                    source = dir_fetch(block, pid, is_write)
-                    if kind is _INVALIDATION and invalidator is not None:
-                        pairwise[pid, invalidator] += 1
-                    elif kind is _COMPULSORY and source is not None:
-                        pairwise[pid, source] += 1
-                    if lat_row is None:
-                        context.ready_time = time + memory_latency
-                    elif source is not None:
-                        context.ready_time = time + lat_row[source]
-                    else:
-                        context.ready_time = (
-                            time + mem_lat[block % topo_groups])
-                    stalled = True
-                    break
-
-            pos = base + i
-            if stalled:
-                break
-
-        context.pos = pos
-        # A context that stalled on its final reference is not done yet:
-        # the thread completes only when that memory access returns, so it
-        # stays pending (with its ready_time) and is marked done on resume.
-        # The ``done`` guard matters: ``advance`` can run the initial
-        # current slot even when its (empty) context was done at
-        # construction and therefore never entered ``_alive``.
-        if pos >= context.length and not stalled and not context.done:
-            context.done = True
-            self._alive.remove(self.current)
-        self.time = time
-        self.stats.busy += time - start_time
-        self.cache.stats.hits += pos - start_pos - missed
-        return stalled
-
     def _run(self, context: FastContext, quantum_refs: int) -> bool:
-        """Replay block runs until a miss, completion, or quantum expiry.
+        """The set-associative run loop; True when the context stalled.
 
-        Generic variant used for set-associative caches, where even a hit
-        must go through ``cache.access`` for the LRU bookkeeping.  Same
-        bit-for-bit contract as :meth:`_run_array`.
+        Same contract and charging as the direct-mapped loop in
+        :meth:`advance`, but every run head goes through ``cache.access``
+        (the LRU move is stateful even on a hit); the rest of the run
+        hits.  ``access`` counts the heads that hit, so the hit counter
+        is set from its value at entry.
         """
         config = self.config
         cache = self.cache
         cache_access = cache.access
-        cache_stats = cache.stats
         directory = self.directory
         write_hit = directory.write_hit
         pid = self.pid
         pairwise = directory.pairwise
         memory_latency = config.flat_miss_latency
         lat_row = self._lat_row
-        mem_lat = self._mem_lat
-        topo_groups = self._topo_groups
         upgrade_stalls = config.write_upgrade_stalls
         tid = context.thread_id
-        time = self.time
-        busy = 0
-        pos = context.pos
+        time = start_time = self.time
+        pos = start_pos = context.pos
+        hits = cache.stats.hits
         limit = pos + quantum_refs
         if limit > context.length:
             limit = context.length
-        stalled = False
-
-        # Chunk-by-chunk within the quantum, like :meth:`_run_array`:
-        # chunk edges swap arrays, never schedule.
+        stall = None
+        missed = 0
+        # Chunk by chunk within the quantum, like :meth:`advance`.
         while pos < limit:
             if pos >= context.climit:
                 context._advance_chunk()
             base = context.base
             blocks = context.blocks
-            writes = context.writes
             run_end = context.run_end
             next_write = context.next_write
-            charge = context.charge
-            i = pos - base
+            i = i0 = pos - base
             iend = (limit if limit < context.climit else context.climit) - base
-
             while i < iend:
-                # Slow-step the first reference of the (remaining) run: it
-                # is the only one that can miss within this quantum.
-                cost = charge[i + 1] - charge[i]
-                time += cost
-                busy += cost
                 block = blocks[i]
-                is_write = writes[i]
                 kind, evicted, invalidator = cache_access(block, tid)
-                i += 1
                 if kind is not None:
-                    # Miss: coherence transaction plus a full memory
-                    # latency.
+                    # Miss: coherence transaction plus a memory latency.
                     if self._probe is not None:
                         self._probe.misses[kind] += 1
                     if evicted is not None:
                         directory.evict(evicted, pid)
-                    source = directory.fetch(block, pid, is_write)
+                    source = directory.fetch(block, pid, context.writes[i])
+                    i += 1
+                    missed = 1
                     if kind is MissKind.INVALIDATION and invalidator is not None:
                         pairwise[pid, invalidator] += 1
                     elif kind is MissKind.COMPULSORY and source is not None:
                         pairwise[pid, source] += 1
                     if lat_row is None:
-                        context.ready_time = time + memory_latency
+                        stall = memory_latency
                     elif source is not None:
-                        context.ready_time = time + lat_row[source]
+                        stall = lat_row[source]
                     else:
-                        context.ready_time = (
-                            time + mem_lat[block % topo_groups])
-                    stalled = True
+                        stall = self._mem_lat[block % self._topo_groups]
                     break
-                owned = False
-                if is_write:
-                    sent = write_hit(block, pid)
-                    owned = True
-                    if sent and upgrade_stalls:
-                        context.ready_time = time + (
-                            memory_latency if lat_row is None
-                            else directory.last_upgrade_latency)
-                        stalled = True
-                        break
-                # Bulk-replay the rest of the run (to the quantum edge):
-                # all guaranteed hits — no remote action can intervene
-                # mid-quantum.
-                seg_end = run_end[i - 1]
-                if seg_end > iend:
-                    seg_end = iend
-                if i < seg_end:
-                    if not owned:
-                        w = next_write[i]
-                        if w < seg_end:
-                            # Step through the segment's first write: the
-                            # one upgrade that can generate traffic (or
-                            # stall).
-                            span = w + 1 - i
-                            delta = charge[w + 1] - charge[i]
-                            time += delta
-                            busy += delta
-                            cache_stats.hits += span
-                            i = w + 1
-                            sent = write_hit(block, pid)
-                            if sent and upgrade_stalls:
-                                context.ready_time = time + (
-                                    memory_latency if lat_row is None
-                                    else directory.last_upgrade_latency)
-                                stalled = True
-                                break
-                    if i < seg_end:
-                        # Pure hits: any remaining writes already own the
-                        # block exclusively, so they are directory no-ops.
-                        span = seg_end - i
-                        delta = charge[seg_end] - charge[i]
-                        time += delta
-                        busy += delta
-                        cache_stats.hits += span
-                        i = seg_end
-
+                # The rest of the run hits up to the quantum edge; its
+                # first write (the head included) is the one upgrade.
+                stop = run_end[i]
+                if stop > iend:
+                    stop = iend
+                w = next_write[i]
+                if w < stop and write_hit(block, pid) and upgrade_stalls:
+                    i = w + 1
+                    stall = (memory_latency if lat_row is None
+                             else directory.last_upgrade_latency)
+                    break
+                i = stop
+            charge = context.charge
+            time += charge[i] - charge[i0]
             pos = base + i
-            if stalled:
+            if stall is not None:
+                context.ready_time = time + stall
                 break
-
         context.pos = pos
-        # A context that stalled on its final reference is not done yet:
-        # the thread completes only when that memory access returns, so it
-        # stays pending (with its ready_time) and is marked done on resume.
-        # The ``done`` guard matters: ``advance`` can run the initial
-        # current slot even when its (empty) context was done at
-        # construction and therefore never entered ``_alive``.
-        if pos >= context.length and not stalled and not context.done:
-            context.done = True
-            self._alive.remove(self.current)
         self.time = time
-        self.stats.busy += busy
-        return stalled
-
-
-class ArrayFastProcessor(FastProcessor):
-    """A :class:`FastProcessor` over an :class:`ArrayDirectMappedCache`:
-    its replay loop is :meth:`FastProcessor._run_array`."""
-
-    _run = FastProcessor._run_array
+        self.stats.busy += time - start_time
+        cache.stats.hits = hits + pos - start_pos - missed
+        return stall is not None

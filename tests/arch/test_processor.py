@@ -7,8 +7,13 @@ from repro.arch.cache import make_cache, max_block_of
 from repro.arch.config import ArchConfig
 from repro.arch.directory import Directory
 from repro.arch.kernel import FastContext, FastProcessor
+from repro.arch.simulator import _build_machine
+from repro.oracle.reference import reference_simulate
+from repro.placement.base import PlacementMap
+from repro.topo.model import Topology
 from repro.trace.runs import compress_trace
-from repro.trace.stream import ThreadTrace
+from repro.trace.stream import ThreadTrace, TraceSet
+from repro.trace.streaming import as_streaming
 
 
 def trace(tid, refs):
@@ -143,6 +148,132 @@ class TestMultiContextSwitching:
         run_to_completion(proc)
         stats = proc.stats
         assert stats.completion_time == stats.busy + stats.switching + stats.idle
+
+
+class TestWindowExits:
+    """``advance`` charges a window once, from the prefix, where it stops:
+    at a miss, at a stalling upgrade, at a quantum edge and at each chunk
+    edge.  Every expected value below is worked out by hand (block_bits
+    3, hit 1, latency 50, switch 6) and the finals are cross-checked
+    against the reference interpreter.  Both cache organisations run
+    each case: the direct-mapped loop is inline in ``advance``, the
+    set-associative one is ``_run``."""
+
+    @staticmethod
+    def machine(thread_refs, assignment, associativity, streaming=None,
+                **overrides):
+        traces = TraceSet("app", [trace(tid, refs)
+                                  for tid, refs in enumerate(thread_refs)])
+        placement = PlacementMap(assignment, max(assignment) + 1)
+        config = ArchConfig(placement.num_processors, 1, cache_words=64,
+                            block_words=8, associativity=associativity,
+                            memory_latency_cycles=50,
+                            context_switch_cycles=6, **overrides)
+        replayed = traces if streaming is None else as_streaming(
+            traces, streaming)
+        processors = _build_machine(replayed, placement, config)[0]
+        # The reference interpreter reads materialized traces only.
+        return processors, (traces, placement, config)
+
+    @staticmethod
+    def state(proc):
+        return (proc.time, proc.stats.busy, proc.cache.stats.hits,
+                proc.contexts[proc.current].ready_time)
+
+    @staticmethod
+    def assert_reference(setup, quantum, completion, busy, hits):
+        ref = reference_simulate(*setup, quantum_refs=quantum)
+        assert ref.execution_time == max(completion)
+        assert [p.completion_time for p in ref.processors] == completion
+        assert [p.busy for p in ref.processors] == busy
+        assert [c.hits for c in ref.caches] == hits
+
+    @pytest.mark.parametrize("associativity", [1, 2])
+    def test_miss_mid_window(self, associativity):
+        # Block 0 three times (gaps 0, 1, 2), then block 1 twice.
+        refs = [(0, 0, False), (1, 1, False), (2, 2, False),
+                (0, 8, False), (3, 9, False)]
+        (proc,), setup = self.machine([refs], [0], associativity)
+        # Compulsory miss at cycle 1, ready at 51; idle until then.
+        assert proc.advance(256) == 51
+        assert self.state(proc) == (51, 1, 0, 51)
+        # Two hits (2 + 3 cycles) and the miss (1): settled at 57 through
+        # the missing reference, ready at 57 + 50.
+        assert proc.advance(256) == 107
+        assert self.state(proc) == (107, 7, 2, 107)
+        assert proc.contexts[0].pos == 4
+        # The last hit (3 + 1) completes the thread.
+        assert proc.advance(256) is None
+        assert (proc.stats.completion_time, proc.stats.busy,
+                proc.cache.stats.hits) == (111, 11, 3)
+        self.assert_reference(setup, 256, [111], [11], [3])
+
+    @pytest.mark.parametrize("associativity", [1, 2])
+    @pytest.mark.parametrize("topology, latency", [
+        (None, 50), (Topology.numa(2, 50, 150), 150)])
+    def test_stalling_upgrade_mid_run(self, associativity, topology,
+                                      latency):
+        # Processor 0 reads block 0; processor 1 reads it, hits it, then
+        # writes it (gap 1) mid-run, invalidating processor 0's copy.
+        refs0 = [(0, 0, False)]
+        refs1 = [(0, 0, False), (0, 1, False), (1, 2, True), (0, 3, False)]
+        (p0, p1), setup = self.machine(
+            [refs0, refs1], [0, 1], associativity,
+            write_upgrade_stalls=True, topology=topology)
+        # Heap order: p0 misses at 1 (memory: local, 50 cycles on both
+        # machines), then p1 misses at 1, sourced from p0 (remote on the
+        # tiered machine).
+        assert p0.advance(256) == 51
+        assert p1.advance(256) == 1 + latency
+        assert self.state(p1) == (1 + latency, 1, 0, 1 + latency)
+        assert p0.advance(256) is None
+        assert p0.stats.completion_time == 51
+        # One hit (1) and the stalling write (2): settled through the
+        # write at 1 + latency + 3; the upgrade stalls for its latency.
+        t = 1 + latency + 3
+        assert p1.advance(256) == t + latency
+        assert self.state(p1) == (t + latency, 4, 2, t + latency)
+        assert p1.contexts[0].pos == 3
+        # The last reference hits the now-exclusive block.
+        assert p1.advance(256) is None
+        assert (p1.stats.completion_time, p1.stats.busy,
+                p1.cache.stats.hits) == (t + latency + 1, 5, 3)
+        self.assert_reference(setup, 256, [51, t + latency + 1], [1, 5],
+                              [0, 3])
+
+    @pytest.mark.parametrize("associativity", [1, 2])
+    def test_quantum_expiry_mid_run_then_resume(self, associativity):
+        # Block 0 six times, a write among them; every gap is 1.
+        refs = [(0, 0, False)] + [(1, a, a == 3) for a in range(1, 6)]
+        (proc,), setup = self.machine([refs], [0], associativity)
+        assert proc.advance(3) == 51
+        # Three hits of 2 cycles each; the quantum ends mid-run, so the
+        # same context continues: no switch, no idle, ready time kept.
+        assert proc.advance(3) == 57
+        assert self.state(proc) == (57, 7, 3, 51)
+        assert (proc.current, proc.contexts[0].pos) == (0, 4)
+        assert proc.stats.idle == 50
+        # The rest of the run resumes where it stopped.
+        assert proc.advance(3) is None
+        assert (proc.stats.completion_time, proc.stats.busy,
+                proc.cache.stats.hits) == (61, 11, 5)
+        self.assert_reference(setup, 3, [61], [11], [5])
+
+    @pytest.mark.parametrize("associativity", [1, 2])
+    @pytest.mark.parametrize("chunk_refs", [None, 1, 3])
+    def test_run_crossing_chunk_edges(self, associativity, chunk_refs):
+        # Block 0 six times (gap k at reference k), then block 1.
+        refs = [(k, k, False) for k in range(6)] + [(0, 8, False)]
+        (proc,), setup = self.machine([refs], [0], associativity,
+                                      streaming=chunk_refs)
+        assert proc.advance(256) == 51
+        # Hits 2 + 3 + 4 + 5 + 6 and the miss (1), charged chunk by chunk
+        # with chunk-local prefixes: settled at 72, ready at 122.
+        assert proc.advance(256) == 122
+        assert self.state(proc) == (122, 22, 5, 122)
+        assert proc.advance(256) is None
+        assert proc.stats.completion_time == 122
+        self.assert_reference(setup, 256, [122], [22], [5])
 
 
 class TestCapacity:
