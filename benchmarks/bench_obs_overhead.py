@@ -105,10 +105,10 @@ def measure_overhead(reps: int = 5) -> dict:
     # Disabled bound: every probe site visited during one cell, costed
     # at one attribute-test branch each.  The visit count comes from the
     # accumulated probe itself (reps identical runs -> divide back).
+    # Miss classes are read off the caches once per run, not per event.
     snapshot = probe.snapshot()
     visits_per_run = (
-        snapshot["sim_misses_total"]
-        + snapshot["sim_context_switches"]
+        snapshot["sim_context_switches"]
         + snapshot["sim_directory_upgrades"]
         + snapshot["sim_quanta"]
     ) / reps

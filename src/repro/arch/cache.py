@@ -39,17 +39,11 @@ _NONE, _EVICTED, _INVALIDATED = 0, 1, 2
 def max_block_of(trace_set, block_bits: int) -> int:
     """Largest block number any thread references (sizes the tag stores
     and the direct-mapped cache's per-block classification arrays).  Memoized per
-    trace, so repeated simulate calls pay dict lookups only.  Streaming
-    traces answer from their O(1) ``max_addr`` metadata — no chunk pass."""
+    trace, so repeated simulate calls pay dict lookups only."""
     top = 0
     key = ("max_block", block_bits)
     for trace in trace_set:
         if trace.num_refs:
-            if trace.streaming:
-                got = trace.max_block(block_bits)
-                if got > top:
-                    top = got
-                continue
             cache = trace._replay_cache
             if cache is None:
                 cache = trace._replay_cache = {}

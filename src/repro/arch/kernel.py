@@ -52,7 +52,7 @@ from repro.arch.cache import (
 from repro.arch.config import ArchConfig
 from repro.arch.directory import Directory
 from repro.arch.stats import MissKind, ProcessorStats
-from repro.trace.runs import CompressedTrace, compress_chunk, compress_traces
+from repro.trace.runs import CompressedTrace, compress_traces
 from repro.trace.stream import ThreadTrace
 
 __all__ = ["FastContext", "FastProcessor"]
@@ -69,53 +69,27 @@ class FastContext:
     replay cursor (``pos``, ``blocks``, ``ready_time``, ``done`` — the
     surface the oracle's invariant checker audits).
 
-    The replay columns cover one chunk ``[base, climit)`` at a time, run
-    structure included, computed chunk-locally (runs split at chunk edges,
-    which is exact; see ``docs/STREAMING.md``).  A materialized trace is a
-    single chunk, so its layout and hot-loop arithmetic are unchanged.
-
-    The columns are built per ``simulate`` call and die with the
-    context: nothing is memoized on the trace.  ``compressed`` is the
-    trace's :class:`~repro.trace.runs.CompressedTrace` (None for a
-    streaming trace: each chunk is compressed when the cursor reaches
-    it).
+    The replay columns are the thread's whole
+    :class:`~repro.trace.runs.CompressedTrace` plus its charge prefix,
+    bound once here.  They are built per ``simulate`` call and die with
+    the context: nothing is memoized on the trace.
     """
 
     __slots__ = ("thread_id", "blocks", "writes", "run_end",
                  "next_write", "charge", "length", "pos",
-                 "ready_time", "done", "base", "climit", "_chunks",
-                 "_hit_cycles")
+                 "ready_time", "done")
 
-    def __init__(self, trace: ThreadTrace,
-                 compressed: CompressedTrace | None, block_bits: int,
-                 hit_cycles: int) -> None:
-        self.thread_id = trace.thread_id
-        self.length = trace.num_refs
-        self.pos = 0
-        self.ready_time = 0
-        self.done = self.length == 0
-        self._hit_cycles = hit_cycles
-        if compressed is None:
-            self._chunks = ((chunk.start, compress_chunk(chunk, block_bits))
-                            for chunk in trace.chunks())
-            self.blocks = self.writes = ()
-            self.base = self.climit = 0
-            return
-        self._chunks = None
-        self._load(0, compressed)
-
-    def _advance_chunk(self) -> None:
-        """Swap the next chunk's compressed columns in (streaming only)."""
-        self._load(*next(self._chunks))
-
-    def _load(self, start: int, compressed: CompressedTrace) -> None:
-        self.base = start
-        self.climit = start + compressed.num_refs
+    def __init__(self, compressed: CompressedTrace, hit_cycles: int) -> None:
+        self.thread_id = compressed.thread_id
+        self.length = compressed.num_refs
         self.blocks = compressed.blocks
         self.writes = compressed.writes
         self.run_end = compressed.run_end
         self.next_write = compressed.next_write
-        self.charge = compressed.charge_prefix(self._hit_cycles)
+        self.charge = compressed.charge_prefix(hit_cycles)
+        self.pos = 0
+        self.ready_time = 0
+        self.done = self.length == 0
 
     def __repr__(self) -> str:
         return (
@@ -150,15 +124,12 @@ class FastProcessor:
         self.config = config
         self.cache = cache
         self.directory = directory
-        bits, hit_cycles = config.block_bits, config.hit_cycles
-        # One numpy pass compresses every materialized thread placed here.
-        compressed = iter(compress_traces(
-            [t for t in traces if not t.streaming], bits,
-            hit_cycles=hit_cycles))
+        hit_cycles = config.hit_cycles
+        # One numpy pass compresses every thread placed here.
         self.contexts = [
-            FastContext(t, None if t.streaming else next(compressed), bits,
-                        hit_cycles)
-            for t in traces
+            FastContext(compressed, hit_cycles)
+            for compressed in compress_traces(
+                traces, config.block_bits, hit_cycles=hit_cycles)
         ]
         self.stats = ProcessorStats()
         self.time = 0
@@ -227,9 +198,9 @@ class FastProcessor:
         Each consumed reference costs ``charge[i + 1] - charge[i]``, so
         the window is charged once from the prefix where it stops: at a
         miss (through the missing reference), at a stalling upgrade
-        (through the write) or at the end of a chunk segment (the prefix
-        is chunk-local).  Every cycle charged there is busy time, and
-        every consumed reference but the one possible miss is a hit.
+        (through the write) or at the window's end.  Every cycle charged
+        there is busy time, and every consumed reference but the one
+        possible miss is a hit.
         """
         if self.finished:
             return None
@@ -249,107 +220,86 @@ class FastProcessor:
              sharers, last_writer, dir_fetch, pairwise, memory_latency,
              upgrade_stalls, pid, pid_bit, lat_row, mem_lat, topo_groups,
              directory, stats, cache_stats) = hot
-            time = start_time = self.time
-            pos = start_pos = context.pos
-            limit = pos + quantum_refs
+            i = i0 = context.pos
+            limit = i + quantum_refs
             if limit > context.length:
                 limit = context.length
+            blocks = context.blocks
+            run_end = context.run_end
+            next_write = context.next_write
             stall = None
             missed = 0
-            # The quantum [pos, limit) is consumed chunk by chunk within
-            # this one call: a chunk edge swaps arrays and continues, it
-            # is never a scheduling event, so the quantum interleaving
-            # (and every coherence outcome) matches the whole-column
-            # replay exactly.  A materialized context is a single chunk.
-            # Indices below are chunk-local (``i = pos - base``); block
-            # numbers stay global.
-            while pos < limit:
-                if pos >= context.climit:
-                    context._advance_chunk()
-                base = context.base
-                blocks = context.blocks
-                run_end = context.run_end
-                next_write = context.next_write
-                i = i0 = pos - base
-                iend = (limit if limit < context.climit
-                        else context.climit) - base
-                while i < iend:
-                    block = blocks[i]
-                    if tags[block & mask] == block:
-                        # The whole remaining run hits up to the quantum
-                        # edge: no remote action can intervene
-                        # mid-quantum.
-                        stop = run_end[i]
-                        if stop > iend:
-                            stop = iend
-                        w = next_write[i]
-                        if w < stop and (last_writer[block] != pid
-                                         or sharers[block] != pid_bit):
-                            # The segment's first write: the one upgrade
-                            # that can send invalidations (and stall).
-                            if upgrade_stalls:
-                                if write_hit(block, pid):
-                                    i = w + 1
-                                    stall = (
-                                        memory_latency if lat_row is None
-                                        else directory.last_upgrade_latency)
-                                    break
-                            else:
-                                write_hit(block, pid)
-                        i = stop
+            while i < limit:
+                block = blocks[i]
+                if tags[block & mask] == block:
+                    # The whole remaining run hits up to the quantum edge:
+                    # no remote action can intervene mid-quantum.
+                    stop = run_end[i]
+                    if stop > limit:
+                        stop = limit
+                    w = next_write[i]
+                    if w < stop and (last_writer[block] != pid
+                                     or sharers[block] != pid_bit):
+                        # The segment's first write: the one upgrade that
+                        # can send invalidations (and stall).
+                        if upgrade_stalls:
+                            if write_hit(block, pid):
+                                i = w + 1
+                                stall = (memory_latency if lat_row is None
+                                         else directory.last_upgrade_latency)
+                                break
+                        else:
+                            write_hit(block, pid)
+                    i = stop
+                else:
+                    # Miss: classify (inlined ArrayDirectMappedCache
+                    # .access; the hit test already ran) and evict, then
+                    # the coherence transaction and its latency.
+                    tid = context.thread_id
+                    invalidator = None
+                    if not seen[block]:
+                        kind = _COMPULSORY
+                        seen[block] = True
+                    elif departure[block] == _INVALIDATED:
+                        invalidator = actor[block]
+                        departure[block] = _NONE
+                        kind = _INVALIDATION
                     else:
-                        # Miss: classify (inlined ArrayDirectMappedCache
-                        # .access; the hit test already ran) and evict,
-                        # then the coherence transaction and its latency.
-                        tid = context.thread_id
-                        invalidator = None
-                        if not seen[block]:
-                            kind = _COMPULSORY
-                            seen[block] = True
-                        elif departure[block] == _INVALIDATED:
-                            invalidator = actor[block]
-                            departure[block] = _NONE
-                            kind = _INVALIDATION
-                        else:
-                            evictor = (actor[block]
-                                       if departure[block] == _EVICTED
-                                       else tid)
-                            departure[block] = _NONE
-                            kind = _INTRA if evictor == tid else _INTER
-                        miss_counts[kind] += 1
-                        if self._probe is not None:
-                            self._probe.misses[kind] += 1
-                        index = block & mask
-                        evicted = tags[index]
-                        if evicted != -1:
-                            departure[evicted] = _EVICTED
-                            actor[evicted] = tid
-                            sharers[evicted] &= ~pid_bit
-                        tags[index] = block
-                        source = dir_fetch(block, pid, context.writes[i])
-                        i += 1
-                        missed = 1
-                        if kind is _INVALIDATION and invalidator is not None:
-                            pairwise[pid, invalidator] += 1
-                        elif kind is _COMPULSORY and source is not None:
-                            pairwise[pid, source] += 1
-                        if lat_row is None:
-                            stall = memory_latency
-                        elif source is not None:
-                            stall = lat_row[source]
-                        else:
-                            stall = mem_lat[block % topo_groups]
-                        break
-                charge = context.charge
-                time += charge[i] - charge[i0]
-                pos = base + i
-                if stall is not None:
-                    context.ready_time = time + stall
+                        evictor = (actor[block]
+                                   if departure[block] == _EVICTED else tid)
+                        departure[block] = _NONE
+                        kind = _INTRA if evictor == tid else _INTER
+                    miss_counts[kind] += 1
+                    index = block & mask
+                    evicted = tags[index]
+                    if evicted != -1:
+                        departure[evicted] = _EVICTED
+                        actor[evicted] = tid
+                        sharers[evicted] &= ~pid_bit
+                    tags[index] = block
+                    source = dir_fetch(block, pid, context.writes[i])
+                    i += 1
+                    missed = 1
+                    if kind is _INVALIDATION and invalidator is not None:
+                        pairwise[pid, invalidator] += 1
+                    elif kind is _COMPULSORY and source is not None:
+                        pairwise[pid, source] += 1
+                    if lat_row is None:
+                        stall = memory_latency
+                    elif source is not None:
+                        stall = lat_row[source]
+                    else:
+                        stall = mem_lat[block % topo_groups]
                     break
+            charge = context.charge
+            busy = charge[i] - charge[i0]
+            time = self.time + busy
+            context.pos = i
             stalled = stall is not None
-            context.pos = pos
-            stats.busy += time - start_time
-            cache_stats.hits += pos - start_pos - missed
+            if stalled:
+                context.ready_time = time + stall
+            stats.busy += busy
+            cache_stats.hits += i - i0 - missed
         if not stalled:
             if context.pos < context.length:
                 # Quantum expired mid-run: same context continues next turn.
@@ -421,67 +371,55 @@ class FastProcessor:
         lat_row = self._lat_row
         upgrade_stalls = config.write_upgrade_stalls
         tid = context.thread_id
-        time = start_time = self.time
-        pos = start_pos = context.pos
         hits = cache.stats.hits
-        limit = pos + quantum_refs
+        i = i0 = context.pos
+        limit = i + quantum_refs
         if limit > context.length:
             limit = context.length
+        blocks = context.blocks
+        run_end = context.run_end
+        next_write = context.next_write
         stall = None
         missed = 0
-        # Chunk by chunk within the quantum, like :meth:`advance`.
-        while pos < limit:
-            if pos >= context.climit:
-                context._advance_chunk()
-            base = context.base
-            blocks = context.blocks
-            run_end = context.run_end
-            next_write = context.next_write
-            i = i0 = pos - base
-            iend = (limit if limit < context.climit else context.climit) - base
-            while i < iend:
-                block = blocks[i]
-                kind, evicted, invalidator = cache_access(block, tid)
-                if kind is not None:
-                    # Miss: coherence transaction plus a memory latency.
-                    if self._probe is not None:
-                        self._probe.misses[kind] += 1
-                    if evicted is not None:
-                        directory.evict(evicted, pid)
-                    source = directory.fetch(block, pid, context.writes[i])
-                    i += 1
-                    missed = 1
-                    if kind is MissKind.INVALIDATION and invalidator is not None:
-                        pairwise[pid, invalidator] += 1
-                    elif kind is MissKind.COMPULSORY and source is not None:
-                        pairwise[pid, source] += 1
-                    if lat_row is None:
-                        stall = memory_latency
-                    elif source is not None:
-                        stall = lat_row[source]
-                    else:
-                        stall = self._mem_lat[block % self._topo_groups]
-                    break
-                # The rest of the run hits up to the quantum edge; its
-                # first write (the head included) is the one upgrade.
-                stop = run_end[i]
-                if stop > iend:
-                    stop = iend
-                w = next_write[i]
-                if w < stop and write_hit(block, pid) and upgrade_stalls:
-                    i = w + 1
-                    stall = (memory_latency if lat_row is None
-                             else directory.last_upgrade_latency)
-                    break
-                i = stop
-            charge = context.charge
-            time += charge[i] - charge[i0]
-            pos = base + i
-            if stall is not None:
-                context.ready_time = time + stall
+        while i < limit:
+            block = blocks[i]
+            kind, evicted, invalidator = cache_access(block, tid)
+            if kind is not None:
+                # Miss: coherence transaction plus a memory latency.
+                if evicted is not None:
+                    directory.evict(evicted, pid)
+                source = directory.fetch(block, pid, context.writes[i])
+                i += 1
+                missed = 1
+                if kind is MissKind.INVALIDATION and invalidator is not None:
+                    pairwise[pid, invalidator] += 1
+                elif kind is MissKind.COMPULSORY and source is not None:
+                    pairwise[pid, source] += 1
+                if lat_row is None:
+                    stall = memory_latency
+                elif source is not None:
+                    stall = lat_row[source]
+                else:
+                    stall = self._mem_lat[block % self._topo_groups]
                 break
-        context.pos = pos
-        self.time = time
-        self.stats.busy += time - start_time
-        cache.stats.hits = hits + pos - start_pos - missed
+            # The rest of the run hits up to the quantum edge; its first
+            # write (the head included) is the one upgrade.
+            stop = run_end[i]
+            if stop > limit:
+                stop = limit
+            w = next_write[i]
+            if w < stop and write_hit(block, pid) and upgrade_stalls:
+                i = w + 1
+                stall = (memory_latency if lat_row is None
+                         else directory.last_upgrade_latency)
+                break
+            i = stop
+        charge = context.charge
+        busy = charge[i] - charge[i0]
+        self.time += busy
+        context.pos = i
+        if stall is not None:
+            context.ready_time = self.time + stall
+        self.stats.busy += busy
+        cache.stats.hits = hits + i - i0 - missed
         return stall is not None

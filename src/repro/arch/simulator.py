@@ -44,12 +44,7 @@ def simulate(
     """Simulate one application under one placement and configuration.
 
     Args:
-        trace_set: The application's per-thread traces — a materialized
-            :class:`~repro.trace.stream.TraceSet` or a chunked
-            :class:`~repro.trace.streaming.StreamingTraceSet`.  The
-            kernel replays the two bit-for-bit identically (the chunk
-            cursor seam; see ``docs/STREAMING.md``); streaming keeps
-            only O(chunk × threads) reference data resident.
+        trace_set: The application's per-thread traces.
         placement: Thread-to-processor map; must target exactly
             ``config.num_processors`` processors and place every thread.
         config: Architectural parameters (Table 3).
@@ -79,13 +74,6 @@ def simulate(
             ``check_invariants`` is set and a conservation law fails.
     """
     check_positive("quantum_refs", quantum_refs)
-    if check_invariants and getattr(trace_set, "streaming", False):
-        raise ValueError(
-            "check_invariants requires a materialized trace set: the "
-            "oracle's invariant checker audits whole-column replay "
-            "state; materialize() the streaming set (or rerun without "
-            "streaming) to audit it"
-        )
     processors, caches, directory = _build_machine(
         trace_set, placement, config, probe)
 
@@ -114,6 +102,8 @@ def _run_quanta(processors, quantum_refs: int, probe=None,
     One ``heapreplace`` re-keys it in place: the same pop order as pop +
     push, since pids make every entry distinct.  ``after_quantum(heap,
     pid)`` runs after each quantum and may push re-activated processors.
+    An armed ``probe`` counts the quanta here and takes its miss classes
+    from the caches' own counters once the run is over.
     """
     heap = [(proc.time, proc.pid) for proc in processors if not proc.finished]
     heapq.heapify(heap)
@@ -128,6 +118,10 @@ def _run_quanta(processors, quantum_refs: int, probe=None,
             probe.quanta += 1
         if after_quantum is not None:
             after_quantum(heap, pid)
+    if probe is not None:
+        for proc in processors:
+            for kind, count in proc.cache.stats.misses.items():
+                probe.misses[kind] += count
 
 
 def _build_machine(trace_set: TraceSet, placement: PlacementMap,

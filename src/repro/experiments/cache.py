@@ -12,8 +12,7 @@ application, algorithm, machine).
 
 Durability — atomic commits, a sha256 trailer in every entry,
 verify-on-load with evict-and-recompute — is delegated to
-:class:`repro.util.verified_store.VerifiedDirectory`, the discipline this
-store shares with the trace-chunk store.
+:class:`repro.util.verified_store.VerifiedDirectory`.
 """
 
 from __future__ import annotations

@@ -10,12 +10,9 @@ kind       valid sites          effect
 crash      worker               ``os._exit(13)`` — a hard worker death
 error      worker               raise :class:`InjectedFault` in the job
 hang       worker               sleep ``secs`` (default 3600) mid-job
-disk-full  store, artifact,     raise ``OSError(ENOSPC)`` before writing
-           analysis, chunks
-corrupt    store, analysis,     overwrite bytes of the committed entry
-           chunks
-truncate   store, analysis,     cut the committed entry in half
-           chunks
+disk-full  store, artifact      raise ``OSError(ENOSPC)`` before writing
+corrupt    store                overwrite bytes of the committed entry
+truncate   store                cut the committed entry in half
 torn       journal              write half a journal line, then
                                 ``os._exit(17)`` — a killed coordinator
 node-crash node                 ``os._exit(23)`` — a whole worker *node*
@@ -89,9 +86,9 @@ _VALID_SITES: dict[str, frozenset[str]] = {
     "crash": frozenset({"worker"}),
     "error": frozenset({"worker"}),
     "hang": frozenset({"worker"}),
-    "disk-full": frozenset({"store", "artifact", "analysis", "chunks"}),
-    "corrupt": frozenset({"store", "analysis", "chunks"}),
-    "truncate": frozenset({"store", "analysis", "chunks"}),
+    "disk-full": frozenset({"store", "artifact"}),
+    "corrupt": frozenset({"store"}),
+    "truncate": frozenset({"store"}),
     "torn": frozenset({"journal"}),
     "node-crash": frozenset({"node"}),
     "node-hang": frozenset({"node"}),

@@ -1,9 +1,12 @@
 """Simulator probes: cheap, default-off counters inside the replay kernel.
 
 A :class:`SimProbe` is a bag of plain integer slots the simulator bumps
-at four *event* sites — scheduling-quantum boundaries, cache-miss
-classifications, directory upgrades that actually send invalidations,
-and context switches.  The contract with the hot path:
+at three *event* sites — scheduling-quantum boundaries, directory
+upgrades that actually send invalidations, and context switches.  The
+four miss classes are not counted in the replay loops: once the run is
+over, the scheduler (``repro.arch.simulator._run_quanta``) adds every
+cache's own miss counters into :attr:`SimProbe.misses`.  The contract
+with the hot path:
 
 * every site is gated by a single ``if <probe> is not None`` test on an
   attribute that defaults to None, so the disabled path pays one

@@ -10,11 +10,6 @@ reproduction:
 * :mod:`repro.trace.io` — text and binary serialization;
 * :mod:`repro.trace.runs` — run-length compression of the block stream
   (the replay kernel's input form);
-* :mod:`repro.trace.chunks` — bounded-size trace chunks and their
-  verified on-disk spill format;
-* :mod:`repro.trace.streaming` — chunked streaming traces/trace sets
-  the replay kernel consumes with O(chunk) resident reference data
-  (see ``docs/STREAMING.md``);
 * :mod:`repro.trace.analysis` — the *static* per-thread analysis the
   paper's placement algorithms consume (address profiles, pairwise and
   N-way sharing, write-shared references, private address counts).
@@ -23,19 +18,6 @@ reproduction:
 from repro.trace.record import AccessType, TraceRecord
 from repro.trace.runs import CompressedTrace, compress_trace, run_length_stats
 from repro.trace.stream import ThreadTrace, TraceSet
-from repro.trace.chunks import (
-    ChunkStore,
-    MissingChunkError,
-    TraceChunk,
-    chunk_arrays,
-)
-from repro.trace.streaming import (
-    StreamingThreadTrace,
-    StreamingTraceSet,
-    as_streaming,
-    spill_trace_set,
-    stream_from_store,
-)
 from repro.trace.io import (
     load_trace_set,
     load_trace_set_text,
@@ -64,15 +46,6 @@ __all__ = [
     "CompressedTrace",
     "compress_trace",
     "run_length_stats",
-    "TraceChunk",
-    "ChunkStore",
-    "MissingChunkError",
-    "chunk_arrays",
-    "StreamingThreadTrace",
-    "StreamingTraceSet",
-    "as_streaming",
-    "spill_trace_set",
-    "stream_from_store",
     "save_trace_set",
     "load_trace_set",
     "save_trace_set_text",

@@ -64,39 +64,10 @@ class ThreadProfile:
 
     @classmethod
     def from_trace(cls, trace: ThreadTrace) -> "ThreadProfile":
-        """Reduce a trace to its address profile.
-
-        Streaming traces are reduced chunk by chunk: each chunk's
-        per-address counts are merged into the running sorted-unique
-        profile, which is exactly the whole-column reduction (integer
-        counts commute over any partition of the references), while only
-        one chunk plus the profile — O(distinct addresses), the output's
-        own size — stays resident.
-        """
+        """Reduce a trace to its address profile."""
         if trace.num_refs == 0:
             empty = np.array([], dtype=np.int64)
             return cls(trace.thread_id, empty, empty.copy(), empty.copy(), trace.length)
-        if getattr(trace, "streaming", False):
-            addrs = np.empty(0, dtype=np.int64)
-            reads = np.empty(0, dtype=np.int64)
-            writes = np.empty(0, dtype=np.int64)
-            for chunk in trace.chunks():
-                c_addrs, inverse = np.unique(chunk.addrs, return_inverse=True)
-                c_writes = np.bincount(
-                    inverse, weights=chunk.writes, minlength=c_addrs.size
-                ).astype(np.int64)
-                c_totals = np.bincount(inverse, minlength=c_addrs.size)
-                c_reads = c_totals.astype(np.int64) - c_writes
-                merged, inv = np.unique(
-                    np.concatenate([addrs, c_addrs]), return_inverse=True)
-                new_reads = np.zeros(merged.size, dtype=np.int64)
-                new_writes = np.zeros(merged.size, dtype=np.int64)
-                np.add.at(new_reads, inv[:addrs.size], reads)
-                np.add.at(new_reads, inv[addrs.size:], c_reads)
-                np.add.at(new_writes, inv[:addrs.size], writes)
-                np.add.at(new_writes, inv[addrs.size:], c_writes)
-                addrs, reads, writes = merged, new_reads, new_writes
-            return cls(trace.thread_id, addrs, reads, writes, trace.length)
         addrs, inverse = np.unique(trace.addrs, return_inverse=True)
         writes = np.bincount(inverse, weights=trace.writes, minlength=addrs.size)
         totals = np.bincount(inverse, minlength=addrs.size)

@@ -45,8 +45,8 @@ import numpy as np
 
 from repro.trace.stream import ThreadTrace, TraceSet
 
-__all__ = ["CompressedTrace", "compress_trace", "compress_chunk",
-           "compress_traces", "run_length_stats"]
+__all__ = ["CompressedTrace", "compress_trace", "compress_traces",
+           "run_length_stats"]
 
 
 @dataclass
@@ -96,54 +96,39 @@ def compress_trace(trace: ThreadTrace, block_bits: int) -> CompressedTrace:
     return compress_traces([trace], block_bits)[0]
 
 
-def compress_chunk(chunk, block_bits: int) -> CompressedTrace:
-    """Run-compress one :class:`~repro.trace.chunks.TraceChunk`.
-
-    The result's arrays are chunk-local (indices ``0..num_refs``); the
-    chunk's global offset lives on ``chunk.start``, not here.  Runs are
-    split at chunk boundaries, which is exact: a hit span charges the
-    same cycles whether charged in one piece or two, and a split run's
-    second segment re-confirms residency (a no-op for a resident block)
-    and re-tests its first write against the exclusive-owner pre-test
-    (also a no-op once the first segment's write upgraded).  The full
-    argument is in ``docs/STREAMING.md``.
-    """
-    return compress_traces([chunk], block_bits)[0]
-
-
-def compress_traces(spans, block_bits: int, *,
+def compress_traces(traces, block_bits: int, *,
                     hit_cycles: int | None = None) -> list[CompressedTrace]:
-    """Run-compress several spans (traces or chunks) in one numpy pass.
+    """Run-compress several thread traces in one numpy pass.
 
-    The spans are laid end to end and every column is computed once over
-    the whole, then handed out as per-span slices in span-local
-    coordinates: a run never crosses a span edge, ``run_end`` and
-    ``next_write`` saturate at the span's own end.  So the per-span cost
-    is a few slices, not a dozen numpy calls — which matters for apps
-    with a hundred-plus short threads.
+    The traces are laid end to end and every column is computed once over
+    the whole, then handed out as per-trace slices in trace-local
+    coordinates: a run never crosses a trace edge, ``run_end`` and
+    ``next_write`` saturate at the trace's own end.  So the per-trace
+    cost is a few slices, not a dozen numpy calls — which matters for
+    apps with a hundred-plus short threads.
 
-    The prefix columns of a span other than the first start at the
-    running total of the spans before it, not at 0; every use takes a
+    The prefix columns of a trace other than the first start at the
+    running total of the traces before it, not at 0; every use takes a
     difference (``prefix_gaps[j] - prefix_gaps[i]`` is the gap sum over
     ``[i, j)``), so the offset cancels.  ``hit_cycles`` precomputes
     :meth:`CompressedTrace.charge_prefix` in the same pass.
     """
-    if not spans:
+    if not traces:
         return []
-    lengths = np.fromiter((s.addrs.size for s in spans), np.int64,
-                          len(spans))
-    bounds = np.zeros(len(spans) + 1, dtype=np.int64)
+    lengths = np.fromiter((t.addrs.size for t in traces), np.int64,
+                          len(traces))
+    bounds = np.zeros(len(traces) + 1, dtype=np.int64)
     np.cumsum(lengths, out=bounds[1:])
     n = int(bounds[-1])
-    blocks = np.concatenate([s.addrs for s in spans], dtype=np.int64)
+    blocks = np.concatenate([t.addrs for t in traces], dtype=np.int64)
     blocks >>= block_bits
     prefix = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.concatenate([s.gaps for s in spans]), out=prefix[1:])
+    np.cumsum(np.concatenate([t.gaps for t in traces]), out=prefix[1:])
 
     # Positions fit int32 on any realistic machine.
     pos_type = np.int32 if n < 1 << 31 else np.int64
 
-    # Maximal same-block runs, also cut at every span's first reference.
+    # Maximal same-block runs, also cut at every trace's first reference.
     # (Temporaries are deleted as soon as they are spent: this pass sets
     # the replay's peak memory.)
     new_run = np.ones(n, dtype=bool)
@@ -154,16 +139,16 @@ def compress_traces(spans, block_bits: int, *,
     run_end = np.repeat(run_bounds[1:], np.diff(run_bounds))
     del run_bounds
 
-    # First write at or after each position, else the span's end.  The
-    # backward running minimum cannot leak across spans: every later
-    # position holds a value >= this span's end.
+    # First write at or after each position, else the trace's end.  The
+    # backward running minimum cannot leak across traces: every later
+    # position holds a value >= this trace's end.
     next_write = np.repeat(bounds[1:].astype(pos_type), lengths)
-    write_idx = np.flatnonzero(np.concatenate([s.writes for s in spans]))
+    write_idx = np.flatnonzero(np.concatenate([t.writes for t in traces]))
     next_write[write_idx] = write_idx
     backwards = next_write[::-1]
     np.minimum.accumulate(backwards, out=backwards)
 
-    # Span-local positions.
+    # Trace-local positions.
     offset = np.repeat(bounds[:-1].astype(pos_type), lengths)
     run_end -= offset
     next_write -= offset
@@ -180,13 +165,13 @@ def compress_traces(spans, block_bits: int, *,
     run_end, next_write = memoryview(run_end), memoryview(next_write)
     out = []
     starts = bounds.tolist()
-    for k, span in enumerate(spans):
+    for k, trace in enumerate(traces):
         a, b = starts[k], starts[k + 1]
         compressed = CompressedTrace(
-            thread_id=span.thread_id,
-            gaps=memoryview(span.gaps),
+            thread_id=trace.thread_id,
+            gaps=memoryview(trace.gaps),
             blocks=blocks_mv[a:b],
-            writes=memoryview(span.writes),
+            writes=memoryview(trace.writes),
             run_end=run_end[a:b],
             next_write=next_write[a:b],
             prefix_gaps=prefix[a:b + 1],
@@ -211,21 +196,8 @@ def run_length_stats(trace_set: TraceSet, block_bits: int = 2) -> dict:
         refs += n
         if not n:
             continue
-        if getattr(trace, "streaming", False):
-            # Chunk-local counts, with boundary runs merged when the
-            # block continues across the seam — the totals must match
-            # the materialized reduction exactly (chunking is a replay
-            # mechanism, never a change to the trace's run structure).
-            prev_block = None
-            for chunk in trace.chunks():
-                blocks = chunk.addrs >> block_bits
-                runs += 1 + int(np.count_nonzero(np.diff(blocks)))
-                if prev_block is not None and int(blocks[0]) == prev_block:
-                    runs -= 1
-                prev_block = int(blocks[-1])
-        else:
-            blocks = trace.addrs >> block_bits
-            runs += 1 + int(np.count_nonzero(np.diff(blocks)))
+        blocks = trace.addrs >> block_bits
+        runs += 1 + int(np.count_nonzero(np.diff(blocks)))
     return {
         "total_refs": refs,
         "total_runs": runs,

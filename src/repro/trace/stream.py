@@ -30,11 +30,6 @@ class ThreadTrace:
         writes: bool array; True where the reference is a write.
     """
 
-    #: Materialized traces hold whole columns; the chunked counterpart in
-    #: :mod:`repro.trace.streaming` advertises True and the kernel
-    #: branches on this flag alone.
-    streaming = False
-
     __slots__ = ("thread_id", "gaps", "addrs", "writes", "_replay_cache")
 
     def __init__(
@@ -128,8 +123,6 @@ class TraceSet:
     Thread ids are dense: ``traces[i].thread_id == i``.  This invariant lets
     placement maps and the simulator index threads by position.
     """
-
-    streaming = False
 
     __slots__ = ("name", "threads")
 

@@ -1,16 +1,14 @@
 """Self-verifying entry families: one verify/commit/evict discipline.
 
-Both persistent stores in the pipeline — the simulation
-:class:`~repro.experiments.cache.ResultStore` and the trace-chunk
-:class:`~repro.trace.chunks.ChunkStore` — keep content-addressed entries
-under a directory, one file per entry: the payload followed by a fixed
-:data:`TRAILER_BYTES`-byte trailer holding ``sha256(payload).digest()``.
-Entries are committed crash-safely and *verified on every load*: an entry
-whose trailer no longer matches its payload (bit rot, a torn write from an
-unhardened writer, an injected ``corrupt``/``truncate`` fault, an entry
-written before the trailer format) is logged, evicted and recomputed, never
-returned.  This module is that shared discipline, extracted so the stores
-cannot drift apart.
+The simulation :class:`~repro.experiments.cache.ResultStore` keeps
+content-addressed entries under a directory, one file per entry: the
+payload followed by a fixed :data:`TRAILER_BYTES`-byte trailer holding
+``sha256(payload).digest()``.  Entries are committed crash-safely and
+*verified on every load*: an entry whose trailer no longer matches its
+payload (bit rot, a torn write from an unhardened writer, an injected
+``corrupt``/``truncate`` fault, an entry written before the trailer
+format) is logged, evicted and recomputed, never returned.  This module is that discipline, kept apart from the store's
+serialization.
 
 A commit is one :func:`~repro.util.atomicio.atomic_write_bytes` of
 payload + trailer: write a temporary file, ``fsync`` it, ``os.replace``

@@ -45,11 +45,6 @@ from repro.workload.patterns import (
     RandomCommPattern,
 )
 from repro.workload.shaping import distribute_gaps, shaped_lengths
-from repro.workload.streaming import (
-    StreamScenario,
-    million_reference_scenario,
-    spill_streaming_set,
-)
 from repro.workload.targets import (
     AppTargets,
     Grain,
@@ -90,9 +85,6 @@ __all__ = [
     "BuildContext",
     "shaped_lengths",
     "distribute_gaps",
-    "StreamScenario",
-    "million_reference_scenario",
-    "spill_streaming_set",
     "AppTargets",
     "Grain",
     "SharingShape",

@@ -13,7 +13,6 @@ from repro.placement.base import PlacementMap
 from repro.topo.model import Topology
 from repro.trace.runs import compress_trace
 from repro.trace.stream import ThreadTrace, TraceSet
-from repro.trace.streaming import as_streaming
 
 
 def trace(tid, refs):
@@ -46,8 +45,7 @@ def run_to_completion(proc, quantum=1 << 30):
 
 
 def context(t, block_bits=3):
-    return FastContext(t, compress_trace(t, block_bits), block_bits,
-                       hit_cycles=1)
+    return FastContext(compress_trace(t, block_bits), hit_cycles=1)
 
 
 class TestFastContext:
@@ -152,16 +150,15 @@ class TestMultiContextSwitching:
 
 class TestWindowExits:
     """``advance`` charges a window once, from the prefix, where it stops:
-    at a miss, at a stalling upgrade, at a quantum edge and at each chunk
-    edge.  Every expected value below is worked out by hand (block_bits
-    3, hit 1, latency 50, switch 6) and the finals are cross-checked
-    against the reference interpreter.  Both cache organisations run
-    each case: the direct-mapped loop is inline in ``advance``, the
-    set-associative one is ``_run``."""
+    at a miss, at a stalling upgrade and at a quantum edge.  Every
+    expected value below is worked out by hand (block_bits 3, hit 1,
+    latency 50, switch 6) and the finals are cross-checked against the
+    reference interpreter.  Both cache organisations run each case: the
+    direct-mapped loop is inline in ``advance``, the set-associative one
+    is ``_run``."""
 
     @staticmethod
-    def machine(thread_refs, assignment, associativity, streaming=None,
-                **overrides):
+    def machine(thread_refs, assignment, associativity, **overrides):
         traces = TraceSet("app", [trace(tid, refs)
                                   for tid, refs in enumerate(thread_refs)])
         placement = PlacementMap(assignment, max(assignment) + 1)
@@ -169,10 +166,7 @@ class TestWindowExits:
                             block_words=8, associativity=associativity,
                             memory_latency_cycles=50,
                             context_switch_cycles=6, **overrides)
-        replayed = traces if streaming is None else as_streaming(
-            traces, streaming)
-        processors = _build_machine(replayed, placement, config)[0]
-        # The reference interpreter reads materialized traces only.
+        processors = _build_machine(traces, placement, config)[0]
         return processors, (traces, placement, config)
 
     @staticmethod
@@ -260,15 +254,13 @@ class TestWindowExits:
         self.assert_reference(setup, 3, [61], [11], [5])
 
     @pytest.mark.parametrize("associativity", [1, 2])
-    @pytest.mark.parametrize("chunk_refs", [None, 1, 3])
-    def test_run_crossing_chunk_edges(self, associativity, chunk_refs):
+    def test_long_run_ending_in_miss(self, associativity):
         # Block 0 six times (gap k at reference k), then block 1.
         refs = [(k, k, False) for k in range(6)] + [(0, 8, False)]
-        (proc,), setup = self.machine([refs], [0], associativity,
-                                      streaming=chunk_refs)
+        (proc,), setup = self.machine([refs], [0], associativity)
         assert proc.advance(256) == 51
-        # Hits 2 + 3 + 4 + 5 + 6 and the miss (1), charged chunk by chunk
-        # with chunk-local prefixes: settled at 72, ready at 122.
+        # Hits 2 + 3 + 4 + 5 + 6 and the miss (1), charged once from the
+        # prefix: settled at 72, ready at 122.
         assert proc.advance(256) == 122
         assert self.state(proc) == (122, 22, 5, 122)
         assert proc.advance(256) is None

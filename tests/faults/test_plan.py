@@ -36,6 +36,8 @@ class TestGrammar:
         "crash",                       # no site
         "meteor:worker",               # unknown kind
         "corrupt:journal",             # kind/site mismatch
+        "disk-full:chunks",            # no store fires these sites
+        "corrupt:analysis",
         "crash:worker:color=red",      # unknown parameter
         "crash:worker:nth=0",          # out of range
         "error:worker:times=0",

@@ -1,9 +1,9 @@
-"""The shared verify/commit/evict discipline behind both on-disk stores.
+"""The verify/commit/evict discipline behind the on-disk result store.
 
-:class:`repro.util.verified_store.VerifiedDirectory` is the single code
-path ResultStore and the trace ChunkStore rely on for crash-safe
-commits and damage detection; these tests pin its contract directly so a
-regression cannot hide behind either store's own suite.
+:class:`repro.util.verified_store.VerifiedDirectory` is the code path
+ResultStore relies on for crash-safe commits and damage detection;
+these tests pin its contract directly so a regression cannot hide
+behind the store's own suite.
 """
 
 from __future__ import annotations
